@@ -308,14 +308,51 @@ class Poly:
         return q, r
 
     def divide_linear(self, vb, va):
-        """Exact division by (vb - va); raises unless the remainder is 0."""
-        den = Poly.linear_diff(vb, va)
-        q, r = self.divmod_in(vb, den)
-        if not r.is_zero():
-            raise InternalConsistencyError(
-                f"inexact division by ({var_str(vb)} - {var_str(va)})"
-            )
-        return q
+        """Exact division by (vb - va); raises unless the remainder is 0.
+
+        One pass of synthetic division in vb: with self = sum_k c_k vb^k,
+        the quotient's coefficients are q_{k-1} = c_k + va*q_k from the top
+        power down, and the remainder is c_0 + va*q_0.  The c_k are kept
+        keyed by (monomial free of va and vb, power of va), so multiplying
+        by va only raises the stored power.
+        """
+        coeffs = {}  # power of vb -> {(rest, power of va): coefficient}
+        for m, c in self.terms.items():
+            kb = ka = 0
+            rest = []
+            for v, e in m:
+                if v == vb:
+                    kb = e
+                elif v == va:
+                    ka = e
+                else:
+                    rest.append((v, e))
+            coeffs.setdefault(kb, {})[tuple(rest), ka] = c
+        out = {}
+        q = {}
+        for k in range(max(coeffs, default=0), -1, -1):
+            carried = {(rest, ka + 1): c for (rest, ka), c in q.items()}
+            for key, c in coeffs.get(k, {}).items():
+                s = carried.get(key, 0) + c
+                if s:
+                    carried[key] = s
+                else:
+                    del carried[key]
+            if k == 0:
+                if carried:
+                    raise InternalConsistencyError(
+                        f"inexact division by ({var_str(vb)} - {var_str(va)})"
+                    )
+                break
+            q = carried
+            for (rest, ka), c in q.items():
+                extra = [(vb, k - 1)] if k > 1 else []
+                if ka:
+                    extra.append((va, ka))
+                out[tuple(sorted(rest + tuple(extra)))] = c
+        p = Poly.__new__(Poly)
+        p.terms = out
+        return p
 
     # -- printing ---------------------------------------------------------------
 

@@ -9,9 +9,14 @@ the relabelled product f*g times the arrow/vertex kernel
               (x[j,a2] - x[i,a1])
           / prod_i prod_{a1 in block1(i), a2 in block2(i)} (x[i,a2] - x[i,a1]).
 
-The sum is assembled over the common denominator prod_i Vdm(x[i,*]) and the
-final division is performed exactly; a non-zero remainder is an internal
-bug, never a data error.
+The sum is assembled over the common denominator prod_i Vdm(x[i,*]).  Over
+it, the term of a split is f*g*Vdm(block1)*Vdm(block2)*arrows with the
+sign of the split's shuffle.  That polynomial is multiplied out once, for
+the standard split (block 1 = the first g1^i slots at each vertex i); every
+other split's term is its renaming by the increasing slot bijection
+block1+block2 -> 1..n, times the sign.  The sum is then divided by the
+Vandermonde one linear factor at a time, by synthetic division; a non-zero
+remainder is an internal bug, never a data error.
 
 Contraction acts on these polynomials by the slotwise substitution
 x[i-,a] |-> x[i0,a], x[i+,a] |-> x[i0,a]; it is a homomorphism for the
@@ -22,7 +27,7 @@ vertices.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, product
 
 from .contraction import contract_quiver
 from .errors import PreconditionError
@@ -167,6 +172,20 @@ class ShuffleElement:
         )
 
 
+def _arrow_factors(Q, g1, g2):
+    """Arrow part of the kernel of the standard split, as (x[j,a2], x[i,a1],
+    a_ij): one entry per arrow class i->j, a1 in block 1 of i and a2 in
+    block 2 of j, standing for (x[j,a2] - x[i,a1])**a_ij."""
+    for i in Q.vertices:
+        for j in Q.vertices:
+            a_ij = Q.arrow_count(i, j)
+            if not a_ij:
+                continue
+            for a1 in range(1, g1[i] + 1):
+                for a2 in range(g1[j] + 1, g1[j] + g2[j] + 1):
+                    yield xvar(j, a2), xvar(i, a1), a_ij
+
+
 def fac_kernel(Q, g1, g2):
     """The shuffle kernel as a factored rational function.
 
@@ -177,14 +196,8 @@ def fac_kernel(Q, g1, g2):
     check_dimvec(Q, g1, what="rank vector")
     check_dimvec(Q, g2, what="rank vector")
     out = Rat.one()
-    for i in Q.vertices:
-        for j in Q.vertices:
-            a_ij = Q.arrow_count(i, j)
-            if not a_ij:
-                continue
-            for a1 in range(1, g1[i] + 1):
-                for a2 in range(g1[j] + 1, g1[j] + g2[j] + 1):
-                    out = out * Rat(1, [(Poly.linear_diff(xvar(j, a2), xvar(i, a1)), a_ij)])
+    for vb, va, a_ij in _arrow_factors(Q, g1, g2):
+        out = out * Rat(1, [(Poly.linear_diff(vb, va), a_ij)])
     for i in Q.vertices:
         for a1 in range(1, g1[i] + 1):
             for a2 in range(g1[i] + 1, g1[i] + g2[i] + 1):
@@ -192,12 +205,25 @@ def fac_kernel(Q, g1, g2):
     return out
 
 
-def _inside_vdm(vertex, slots):
-    """prod_{a<b in slots} (x[vertex,b] - x[vertex,a])."""
-    out = Poly.const(1)
-    for a, b in combinations(sorted(slots), 2):
-        out = out * Poly.linear_diff(xvar(vertex, b), xvar(vertex, a))
-    return out
+def _split_term(f, g):
+    """Numerator term of the standard split, the one whose block 1 is the
+    first g1^i slots at every vertex i:
+
+        f * g(shifted into block 2) * Vdm(block 1) * Vdm(block 2) * arrows,
+
+    that is fac_kernel(Q, g1, g2) times the full Vandermonde prod_i
+    Vdm(x[i,1..n_i]), times f and the shifted g."""
+    Q = f.quiver
+    g1, g2 = f.gamma, g.gamma
+    kernel = Poly.const(1)
+    for v in Q.vertices:
+        for block in (range(1, g1[v] + 1), range(g1[v] + 1, g1[v] + g2[v] + 1)):
+            for a, b in combinations(block, 2):
+                kernel = kernel * Poly.linear_diff(xvar(v, b), xvar(v, a))
+    for vb, va, a_ij in _arrow_factors(Q, g1, g2):
+        kernel = kernel * Poly.linear_diff(vb, va) ** a_ij
+    shift = {xvar(v, q): xvar(v, g1[v] + q) for v in Q.vertices for q in range(1, g2[v] + 1)}
+    return f.poly * g.poly.rename_vars(shift) * kernel
 
 
 def _inversions(block1, block2):
@@ -214,64 +240,29 @@ def shuffle_mul(f, g):
     if f.poly.is_zero() or g.poly.is_zero():
         return SymPoly(Q, gamma, Poly.zero())
 
-    choices = []
-    for v in Q.vertices:
-        slots = range(1, gamma[v] + 1)
-        choices.append([tuple(c) for c in combinations(slots, g1[v])])
-
-    def walk(k, blocks):
-        if k == len(choices):
-            yield tuple(blocks)
-            return
-        for c in choices[k]:
-            blocks.append(c)
-            yield from walk(k + 1, blocks)
-            blocks.pop()
-
-    numerator = Poly.zero()
+    term = list(_split_term(f, g).terms.items())
     verts = Q.vertices
-    arrow_pairs = [
-        (i, j, Q.arrow_count(i, j))
-        for i in verts
-        for j in verts
-        if Q.arrow_count(i, j)
-    ]
-    for blocks in walk(0, []):
-        block1 = dict(zip(verts, blocks))
-        block2 = {v: tuple(s for s in range(1, gamma[v] + 1) if s not in block1[v]) for v in verts}
-        ren_f = {}
-        ren_g = {}
-        for v in verts:
-            for p, slot in enumerate(block1[v], start=1):
-                ren_f[xvar(v, p)] = xvar(v, slot)
-            for q, slot in enumerate(block2[v], start=1):
-                ren_g[xvar(v, q)] = xvar(v, slot)
-        term = f.poly.rename_vars(ren_f) * g.poly.rename_vars(ren_g)
+    choices = [combinations(range(1, gamma[v] + 1), g1[v]) for v in verts]
+    numerator = {}
+    for blocks in product(*choices):
+        ren = {}
         sign = 1
-        for v in verts:
-            if _inversions(block1[v], block2[v]) % 2:
+        for v, b1 in zip(verts, blocks):
+            b2 = tuple(s for s in range(1, gamma[v] + 1) if s not in b1)
+            for std, slot in enumerate(b1 + b2, start=1):
+                ren[xvar(v, std)] = xvar(v, slot)
+            if _inversions(b1, b2) % 2:
                 sign = -sign
-            term = term * _inside_vdm(v, block1[v]) * _inside_vdm(v, block2[v])
-        for i, j, a_ij in arrow_pairs:
-            for a1 in block1[i]:
-                for a2 in block2[j]:
-                    term = term * Poly.linear_diff(xvar(j, a2), xvar(i, a1)) ** a_ij
-        numerator = numerator + (term if sign == 1 else -term)
+        for m, c in term:
+            key = tuple(sorted([(ren[x], e) for x, e in m]))
+            numerator[key] = numerator.get(key, 0) + (c if sign == 1 else -c)
 
-    result = numerator
+    result = Poly.zero()
+    result.terms.update((m, c) for m, c in numerator.items() if c)
     for v in verts:
         for a, b in combinations(range(1, gamma[v] + 1), 2):
             result = result.divide_linear(xvar(v, b), xvar(v, a))
     return SymPoly(Q, gamma, result)
-
-
-def product_degree(Q, parts):
-    """Degree of a product of homogeneous factors, given (deg, gamma) pairs."""
-    total = sum(d for d, _gamma in parts)
-    for p in range(len(parts)):
-        for q in range(p + 1, len(parts)):
-            total -= euler_form(Q, parts[p][1], parts[q][1])
-    return total
 
 
 def contract_shuffle(f, a0_id):
@@ -293,10 +284,24 @@ def contract_shuffle(f, a0_id):
 
 
 def _vertex_words(Q, gamma):
-    letters = []
-    for v in Q.vertices:
-        letters.extend([v] * gamma[v])
-    return sorted(set(permutations(letters)))
+    """Every distinct ordering of the multiset with gamma[v] copies of each
+    vertex v, in lexicographic order.  Each word is made once, by stepping
+    to the next permutation of the multiset, so the work is the number of
+    words, not (sum gamma)!."""
+    word = sorted(v for v in Q.vertices for _ in range(gamma[v]))
+    out = [tuple(word)]
+    while True:
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = reversed(word[i + 1:])
+        out.append(tuple(word))
 
 
 def _compositions_upto(m, bound):

@@ -66,17 +66,36 @@ def test_divide_linear_inexact_raises():
         p.divide_linear(X2, X1)
 
 
-@given(st.lists(st.integers(-4, 4), min_size=1, max_size=5))
+def test_divide_linear_inexact_from_carried_term():
+    """x2*y1 has no x2-free part; its only remainder term is the carried
+    x1*q_0 = x1*y1."""
+    p = Poly.var(X2) * Poly.var(Y1)
+    _q, r = p.divmod_in(X2, Poly.linear_diff(X2, X1))
+    assert r == Poly.var(X1) * Poly.var(Y1)
+    with pytest.raises(InternalConsistencyError):
+        p.divide_linear(X2, X1)
+
+
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=7))
 def test_division_roundtrip(coeffs):
+    """Terms free of x2, powers of x1 and a third variable y1 all occur."""
     p = Poly.zero()
     for k, c in enumerate(coeffs):
-        p = p + Poly.const(c) * Poly.var(X1, k) * Poly.var(X2, (k * 2) % 3)
+        p = p + Poly.const(c) * Poly.var(X1, k) * Poly.var(X2, (k * 2) % 3) * Poly.var(Y1, k % 2)
     d = Poly.linear_diff(X2, X1)
     prod = p * d
     if prod.is_zero():
         assert p.is_zero() or d.is_zero()
     else:
         assert prod.divide_linear(X2, X1) == p
+        assert prod.divmod_in(X2, d) == (p, Poly.zero())
+    # a polynomial that need not be a multiple: same verdict as long division
+    q, r = p.divmod_in(X2, d)
+    if r.is_zero():
+        assert p.divide_linear(X2, X1) == q
+    else:
+        with pytest.raises(InternalConsistencyError):
+            p.divide_linear(X2, X1)
 
 
 def test_residue_at_infinity_basics():

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -13,6 +14,8 @@ from quiveralg.shuffle import (
     INCONCLUSIVE,
     ShuffleElement,
     SymPoly,
+    _split_term,
+    _vertex_words,
     contract_shuffle,
     fac_kernel,
     shuffle_mul,
@@ -92,7 +95,99 @@ def test_fac_kernel_loop_free_vertex():
     assert got == expected
 
 
+def test_split_term_is_fac_kernel_times_vandermonde(rng):
+    """The term shuffle_mul builds once is fac_kernel(Q, g1, g2) times the
+    full Vandermonde, times f and the shifted g: the kernel checked above is
+    the one the product uses."""
+    done = 0
+    while done < 25:
+        Q = random_quiver(rng, max_vertices=3, max_arrows=5)
+        g1 = {v: rng.randint(0, 2) for v in Q.vertices}
+        g2 = {v: rng.randint(0, 2) for v in Q.vertices}
+        if sum(g1[a.source] * g2[a.target] for a in Q.arrows) > 6:
+            continue
+        f = random_sympoly(rng, Q, g1, max_deg=2)
+        g = random_sympoly(rng, Q, g2, max_deg=2)
+        shift = {xvar(v, q): xvar(v, g1[v] + q) for v in Q.vertices for q in range(1, g2[v] + 1)}
+        vdm = Rat(1, [
+            (Poly.linear_diff(xvar(v, b), xvar(v, a)), 1)
+            for v in Q.vertices
+            for a, b in combinations(range(1, g1[v] + g2[v] + 1), 2)
+        ])
+        full = Rat.from_poly(f.poly * g.poly.rename_vars(shift)) * fac_kernel(Q, g1, g2) * vdm
+        assert full.is_polynomial()
+        assert _split_term(f, g) == full.num()
+        done += 1
+
+
 # ------------------------------------------------------------- product
+
+
+def _reference_shuffle_mul(f, g):
+    """The shuffle product term by term: f and g renamed into each split's
+    blocks, times that split's kernel, summed over the Vandermonde and
+    divided by long division."""
+    Q = f.quiver
+    g1, g2 = f.gamma, g.gamma
+    gamma = {v: g1[v] + g2[v] for v in Q.vertices}
+    choices = [list(combinations(range(1, gamma[v] + 1), g1[v])) for v in Q.vertices]
+    numerator = Poly.zero()
+    splits = [()]
+    for c in choices:
+        splits = [s + (b,) for s in splits for b in c]
+    for blocks in splits:
+        block1 = dict(zip(Q.vertices, blocks))
+        block2 = {v: tuple(s for s in range(1, gamma[v] + 1) if s not in block1[v]) for v in Q.vertices}
+        ren_f = {xvar(v, p): xvar(v, s) for v in Q.vertices for p, s in enumerate(block1[v], 1)}
+        ren_g = {xvar(v, q): xvar(v, s) for v in Q.vertices for q, s in enumerate(block2[v], 1)}
+        term = f.poly.rename_vars(ren_f) * g.poly.rename_vars(ren_g)
+        sign = 1
+        for v in Q.vertices:
+            sign *= (-1) ** sum(1 for s in block1[v] for t in block2[v] if t < s)
+            for block in (block1[v], block2[v]):
+                for a, b in combinations(block, 2):
+                    term = term * Poly.linear_diff(xvar(v, b), xvar(v, a))
+        for i in Q.vertices:
+            for j in Q.vertices:
+                for a1 in block1[i]:
+                    for a2 in block2[j]:
+                        term = term * Poly.linear_diff(xvar(j, a2), xvar(i, a1)) ** Q.arrow_count(i, j)
+        numerator = numerator + sign * term
+    for v in Q.vertices:
+        for a, b in combinations(range(1, gamma[v] + 1), 2):
+            numerator, r = numerator.divmod_in(xvar(v, b), Poly.linear_diff(xvar(v, b), xvar(v, a)))
+            assert r.is_zero()
+    return SymPoly(Q, gamma, numerator)
+
+
+def test_shuffle_mul_matches_per_split_reference(rng):
+    """Random quivers (loops, parallel arrows and 2-cycles occur), ranks 0-2
+    per vertex, both orders f*g and g*f."""
+    done = zeros = 0
+    while done < 40:
+        Q = random_quiver(rng, max_vertices=3, max_arrows=5)
+        g1 = {v: rng.randint(0, 2) for v in Q.vertices}
+        g2 = {v: rng.randint(0, 2) for v in Q.vertices}
+        gamma = [g1[v] + g2[v] for v in Q.vertices]
+        shuffles = 1
+        for v in Q.vertices:
+            shuffles *= comb(g1[v] + g2[v], g1[v])
+        # the reference's long division is slow beyond total rank 6
+        if sum(gamma) > 6 or shuffles > 40 or sum(g1[a.source] * g2[a.target] for a in Q.arrows) > 6:
+            continue
+        f = random_sympoly(rng, Q, g1, max_deg=2)
+        g = random_sympoly(rng, Q, g2, max_deg=2)
+        for left, right in ((f, g), (g, f)):
+            got = shuffle_mul(left, right)
+            assert got == _reference_shuffle_mul(left, right), (Q.arrows, g1, g2)
+            zeros += got.is_zero() and not (left.is_zero() or right.is_zero())
+        done += 1
+    # products that cancel to zero: antisymmetry at a loop-free vertex
+    pt = point_quiver()
+    for k in range(3):
+        xk = SymPoly(pt, {"1": 1}, x("1", 1, k))
+        assert shuffle_mul(xk, xk).is_zero() and _reference_shuffle_mul(xk, xk).is_zero()
+    assert zeros > 0
 
 
 def test_mul_loop_free_units_cancel():
@@ -333,3 +428,26 @@ def test_spherical_products_all_validate():
     C2 = cyclic_quiver(2)
     for p in spherical_products(C2, {"1": 1, "2": 1}, 3):
         assert not p.is_zero()
+
+
+def test_vertex_words_are_the_distinct_sorted_orderings(rng):
+    for _ in range(30):
+        Q = random_quiver(rng, max_vertices=3, max_arrows=0)
+        gamma = {v: rng.randint(0, 3) for v in Q.vertices}
+        if sum(gamma.values()) > 7:
+            continue
+        letters = [v for v in Q.vertices for _ in range(gamma[v])]
+        assert _vertex_words(Q, gamma) == sorted(set(permutations(letters)))
+    # vertex names whose sorted order is not the quiver's order
+    Q = Quiver(["b", "a"], [])
+    assert _vertex_words(Q, {"b": 1, "a": 2}) == [("a", "a", "b"), ("a", "b", "a"), ("b", "a", "a")]
+
+
+def test_vertex_words_large_rank_is_immediate():
+    """Twelve copies of one vertex are one word; eleven and one are twelve
+    words (12! orderings would be 479 001 600 tuples)."""
+    pt = point_quiver()
+    assert _vertex_words(pt, {"1": 12}) == [("1",) * 12]
+    A2 = a2_quiver()
+    words = _vertex_words(A2, {"1": 11, "2": 1})
+    assert len(words) == 12 and words == sorted(words)
