@@ -2,13 +2,14 @@
 
 Matrices are tuples of row tuples.  Field elements are Fractions (QQ) or
 ints in range(p) (GF(p)).  Just enough functionality for representation
-contraction, brute-force semistability, and quotient representations.
+contraction (products and inverses) and for row-space membership in the
+spherical span (``rref``, ``in_span``).  The King stability brute force
+keeps its own F_p helpers in ``scattering``, specialised to ints mod p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .errors import PreconditionError
 
@@ -41,10 +42,6 @@ class QQ:
             raise ZeroDivisionError
         return 1 / Fraction(a)
 
-    @staticmethod
-    def elements():
-        raise PreconditionError("QQ is infinite; enumeration requires a finite field")
-
 
 class GF:
     def __init__(self, p):
@@ -73,18 +70,11 @@ class GF:
             raise ZeroDivisionError
         return pow(a, self.p - 2, self.p)
 
-    def elements(self):
-        return range(self.p)
-
     def __eq__(self, other):
         return isinstance(other, GF) and other.p == self.p
 
     def __hash__(self):
         return hash(("GF", self.p))
-
-
-def zeros(F, rows, cols):
-    return tuple(tuple(F.zero for _ in range(cols)) for _ in range(rows))
 
 
 def identity(F, n):
@@ -106,20 +96,6 @@ def mat_mul(F, A, B):
             r.append(s)
         out.append(tuple(r))
     return tuple(out)
-
-
-def mat_vec(F, A, v):
-    return tuple(
-        _dot(F, row, v)
-        for row in A
-    )
-
-
-def _dot(F, row, v):
-    s = F.zero
-    for a, b in zip(row, v):
-        s = F.add(s, F.mul(a, b))
-    return s
 
 
 def mat_inverse(F, A):
@@ -177,51 +153,3 @@ def in_span(F, basis_rref, pivots, v):
             f = v[c]
             v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
     return all(x == F.zero for x in v)
-
-
-def subspaces(F, n):
-    """All subspaces of F^n as rref bases (tuple of basis rows, pivots).
-
-    Enumerates reduced row echelon forms directly: choose pivot columns,
-    then fill the free entries (zero above/below pivots as rref demands).
-    """
-    from itertools import combinations
-
-    out = [((), ())]  # the zero subspace
-    nonzero = [x for x in F.elements() if x != F.zero]
-    del nonzero  # rref pivots are 1; free entries range over all of F
-    for k in range(1, n + 1):
-        for pivots in combinations(range(n), k):
-            free_positions = []
-            for r, pc in enumerate(pivots):
-                for c in range(pc + 1, n):
-                    if c not in pivots[r + 1 :] and c not in pivots:
-                        free_positions.append((r, c))
-                    elif c in pivots[r + 1 :]:
-                        pass  # forced zero in rref
-            for fill in product(list(F.elements()), repeat=len(free_positions)):
-                rows = [[F.zero] * n for _ in range(k)]
-                for r, pc in enumerate(pivots):
-                    rows[r][pc] = F.one
-                for (r, c), val in zip(free_positions, fill):
-                    rows[r][c] = val
-                out.append((tuple(tuple(r) for r in rows), tuple(pivots)))
-    return out
-
-
-def subspace_contains(F, sub, v):
-    basis, pivots = sub
-    return in_span(F, basis, pivots, v)
-
-
-def subspace_dim(sub):
-    return len(sub[0])
-
-
-def map_preserves(F, A, sub_src, sub_tgt):
-    """Does the matrix A map the source subspace into the target one?"""
-    basis, _ = sub_src
-    for row in basis:
-        if not subspace_contains(F, sub_tgt, mat_vec(F, A, row)):
-            return False
-    return True

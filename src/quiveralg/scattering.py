@@ -17,11 +17,23 @@ Conventions used throughout this module:
   <= k, with chi the quiver's Euler form.
 - Stability verdicts are only ever produced by explicit enumeration over
   F_p and are reported per sample point, never extrapolated.
+
+King's criterion is searched by brute force, pruned by dimension vector: a
+representation of dimension gamma is unstable exactly when it has an
+arrow-stable subspace tuple whose dimension vector d <= gamma has
+kappa(d) > 0.  That "destabilizing" set is computed once per query from
+kappa scaled to integers, and each representation -- enumerated lazily, in
+a fixed order that decides the witness -- is searched only for subspace
+tuples of those dimensions.  The verdict depends on kappa only through the
+set, so one ``wall_support_scan`` or ``eta_embedding_check`` call searches
+each (gamma, set) pair once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -468,9 +480,11 @@ def consistency_check(D, loops, k):
 
 @lru_cache(maxsize=None)
 def _subspaces(n, p):
-    """All subspaces of F_p^n as (rref_rows, pivots) pairs, all ranks."""
-    out = []
+    """All subspaces of F_p^n as (rref_rows, pivots) pairs, grouped by
+    rank: entry r holds the subspaces of dimension r."""
+    by_rank = []
     for r in range(n + 1):
+        out = []
         for pivots in itertools.combinations(range(n), r):
             free = [
                 (i, j)
@@ -485,7 +499,8 @@ def _subspaces(n, p):
                 for (i, j), v in zip(free, values):
                     rows[i][j] = v
                 out.append((tuple(tuple(row) for row in rows), pivots))
-    return tuple(out)
+        by_rank.append(tuple(out))
+    return tuple(by_rank)
 
 
 def _mat_vec(M, u, p):
@@ -493,13 +508,7 @@ def _mat_vec(M, u, p):
 
 
 def _in_span(rows, pivots, v, p):
-    v = list(v)
-    for row, piv in zip(rows, pivots):
-        c = v[piv] % p
-        if c:
-            for j in range(len(v)):
-                v[j] = (v[j] - c * row[j]) % p
-    return all(x % p == 0 for x in v)
+    return not any(x % p for x in _reduce_mod(rows, pivots, v, p))
 
 
 def _reduce_mod(rows, pivots, v, p):
@@ -512,34 +521,30 @@ def _reduce_mod(rows, pivots, v, p):
     return v
 
 
-def _all_matrices(rows, cols, p):
-    if rows == 0 or cols == 0:
-        return [tuple(() for _ in range(rows))]
-    out = []
-    for flat in itertools.product(range(p), repeat=rows * cols):
-        out.append(tuple(flat[r * cols : (r + 1) * cols] for r in range(rows)))
-    return out
+def _arrow_slots(Q):
+    """(arrow id, source slot, target slot) for every arrow."""
+    index = {v: i for i, v in enumerate(Q.vertices)}
+    return tuple((a.id, index[a.source], index[a.target]) for a in Q.arrows)
+
+
+def _stable_tuples(slots, rep, candidates, p):
+    """Arrow-stable tuples of subspaces, one drawn from each vertex's
+    candidates, as tuples of (rows, pivots)."""
+    for choice in itertools.product(*candidates):
+        if all(
+            _in_span(*choice[ti], _mat_vec(rep[aid], u, p), p)
+            for aid, si, ti in slots
+            for u in choice[si][0]
+        ):
+            yield choice
 
 
 def _subrepresentations(Q, gamma, rep, p):
-    """All arrow-stable tuples of subspaces, as {vertex: (rows, pivots)}."""
-    per_vertex = [_subspaces(gamma[i], p) for i in range(len(Q.vertices))]
-    index = {v: i for i, v in enumerate(Q.vertices)}
-    for choice in itertools.product(*per_vertex):
-        ok = True
-        for a in Q.arrows:
-            si, ti = index[a.source], index[a.target]
-            rows_s = choice[si][0]
-            rows_t, piv_t = choice[ti]
-            M = rep[a.id]
-            for u in rows_s:
-                if not _in_span(rows_t, piv_t, _mat_vec(M, u, p), p):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield choice
+    """All arrow-stable tuples of subspaces, as tuples of (rows, pivots)."""
+    candidates = [
+        tuple(itertools.chain.from_iterable(_subspaces(g, p))) for g in gamma
+    ]
+    return _stable_tuples(_arrow_slots(Q), rep, candidates, p)
 
 
 class KingVerdict(NamedTuple):
@@ -566,42 +571,79 @@ def _check_enumeration_bounds(Q, gamma, p):
 
 
 def _all_representations(Q, gamma, p):
-    index = {v: i for i, v in enumerate(Q.vertices)}
-    arrow_mats = [
-        _all_matrices(gamma[index[a.target]], gamma[index[a.source]], p)
-        for a in Q.arrows
-    ]
-    for mats in itertools.product(*arrow_mats):
-        yield {a.id: M for a, M in zip(Q.arrows, mats)}
+    """Every representation of dimension gamma over F_p as {arrow id:
+    matrix}, generated lazily in lexicographic order of the arrows'
+    row-major entries (the order that fixes which witness is reported)."""
+    shapes = [(aid, gamma[ti], gamma[si]) for aid, si, ti in _arrow_slots(Q)]
+    entries = sum(rows * cols for _, rows, cols in shapes)
+    for flat in itertools.product(range(p), repeat=entries):
+        rep = {}
+        at = 0
+        for aid, rows, cols in shapes:
+            rep[aid] = tuple(flat[at + r * cols : at + (r + 1) * cols] for r in range(rows))
+            at += rows * cols
+        yield rep
 
 
 def _kappa_of_dims(kappa, dims):
     return sum(Fraction(k) * d for k, d in zip(kappa, dims))
 
 
-def _is_semistable(Q, gamma, rep, kappa, p):
-    for choice in _subrepresentations(Q, gamma, rep, p):
-        dims = tuple(len(rows) for rows, _ in choice)
-        if dims == tuple(gamma):
-            continue  # the full representation is not a proper subobject
-        if _kappa_of_dims(kappa, dims) > 0:
-            return False
-    return True
+def _clear_denominators(vec):
+    """(m, m * vec) for a vector of Fractions, m the lcm of its denominators."""
+    m = math.lcm(*(x.denominator for x in vec))
+    return m, tuple(x.numerator * (m // x.denominator) for x in vec)
+
+
+def _destabilizing(gamma, direction):
+    """Dimension vectors d <= gamma with kappa(d) > 0, for kappa any positive
+    multiple of the integer vector ``direction``: a representation of
+    dimension gamma is unstable exactly when it has a subrepresentation of
+    one of these dimensions."""
+    return tuple(
+        d
+        for d in itertools.product(*(range(g + 1) for g in gamma))
+        if sum(map(operator.mul, direction, d)) > 0
+    )
 
 
 def king_semistable_exists(Q, gamma, kappa, p):
     """Brute-force existence of a semistable representation: some rep of
     dimension gamma whose every proper subrepresentation F has
-    kappa(F) <= 0.  Requires kappa(gamma) = 0 exactly."""
+    kappa(F) <= 0.  Requires kappa(gamma) = 0 exactly.
+
+    The witness is the first semistable representation in the order of
+    ``_all_representations``.  Each representation is searched only for
+    subrepresentations whose dimension vector destabilizes."""
     gamma = _gamma_tuple(Q, gamma)
     kappa = _vec(Q, kappa)
-    if _kappa_of_dims(kappa, gamma) != 0:
+    _, direction = _clear_denominators(kappa)
+    if sum(map(operator.mul, direction, gamma)) != 0:
         raise PreconditionError(f"kappa(gamma) = {_kappa_of_dims(kappa, gamma)} != 0")
     _check_enumeration_bounds(Q, gamma, p)
+    slots = _arrow_slots(Q)
+    by_dims = [
+        [_subspaces(g, p)[r] for g, r in zip(gamma, d)]
+        for d in _destabilizing(gamma, direction)
+    ]
     for rep in _all_representations(Q, gamma, p):
-        if _is_semistable(Q, gamma, rep, kappa, p):
+        if not any(
+            next(_stable_tuples(slots, rep, candidates, p), None) is not None
+            for candidates in by_dims
+        ):
             return KingVerdict(True, rep)
     return KingVerdict(False, None)
+
+
+def _exists_once(memo, Q, gamma, kappa, direction, p):
+    """``king_semistable_exists(Q, gamma, kappa, p).exists``, searched once
+    per (gamma, destabilizing dimension vectors) in ``memo``: the verdict
+    depends on kappa only through that set.  ``direction`` is a positive
+    integer multiple of kappa."""
+    key = (gamma, _destabilizing(gamma, direction))
+    if key not in memo:
+        memo[key] = king_semistable_exists(Q, gamma, kappa, p).exists
+    return memo[key]
 
 
 def _quotient_rep(Q, gamma, rep, choice, p):
@@ -680,19 +722,24 @@ def wall_support_scan(Q, maxgamma, samples, p=2):
     of dimension gamma exists there.  Zero or repeated projections are
     dropped.  A gamma is a wall where any verdict is true."""
     maxgamma = _gamma_tuple(Q, maxgamma)
-    samples = [_vec(Q, s) for s in samples]
+    samples = [_clear_denominators(_vec(Q, s)) for s in samples]
+    memo = {}
     entries = []
     for gamma in itertools.product(*(range(m + 1) for m in maxgamma)):
         if not any(gamma):
             continue
-        gg = dot(gamma, gamma)
+        gg = sum(g * g for g in gamma)
         seen = {}
-        for s in samples:
-            coef = dot(s, gamma) / gg
-            kappa = tuple(x - coef * g for x, g in zip(s, gamma))
-            if not any(kappa) or kappa in seen:
+        for m, s in samples:
+            # the projection kappa = s - (s.gamma / gamma.gamma) gamma of the
+            # sample s / m, times gg * m
+            sg = sum(map(operator.mul, s, gamma))
+            direction = tuple(gg * x - sg * g for x, g in zip(s, gamma))
+            if not any(direction):
                 continue
-            seen[kappa] = king_semistable_exists(Q, gamma, kappa, p).exists
+            kappa = tuple(Fraction(x, gg * m) for x in direction)
+            if kappa not in seen:
+                seen[kappa] = _exists_once(memo, Q, gamma, kappa, direction, p)
         entries.append(
             WallScanEntry(gamma, gamma, tuple((k, v) for k, v in seen.items()))
         )
@@ -763,12 +810,19 @@ def eta_embedding_check(Q, a0_id, maxgamma_hat, samples, p=2, grid=DEFAULT_KPARA
     Scans the contracted quiver's walls; for every scanned gamma_hat with
     at least one semistable sample, searches the kparam grid for a value
     such that every true sample point, mapped by eta_embed, again admits a
-    semistable representation for the equal-sector lift of gamma_hat."""
+    semistable representation for the equal-sector lift of gamma_hat.
+
+    The check is only as wide as the grid: ``DEFAULT_KPARAM_GRID`` holds
+    positive values only, and some walls lift at kparam = 0 but at no grid
+    value.  On v0 => v1 (a1, a2), a0: v1 -> v3, a3: v1 -> v2, contracting
+    a0, gamma_hat = (0, 1, 1) is reported not ok over F_2 and F_3 with the
+    default grid, while ``grid=(0,)`` lifts every wall."""
     a0 = Q.arrow(a0_id)
     ip, im = a0.source, a0.target
     Qhat, _, _ = contract_quiver(Q, a0_id)
     i0 = ip  # the merged vertex keeps the source's name
     entries = wall_support_scan(Qhat, maxgamma_hat, samples, p)
+    memo = {}
     results = []
     all_ok = True
     for e in entries:
@@ -787,7 +841,8 @@ def eta_embedding_check(Q, a0_id, maxgamma_hat, samples, p=2, grid=DEFAULT_KPARA
                 for kappa in true_samples
             ]
             if all(
-                king_semistable_exists(Q, gamma_t, kappa, p).exists for kappa in lifted
+                _exists_once(memo, Q, gamma_t, kappa, _clear_denominators(kappa)[1], p)
+                for kappa in lifted
             ):
                 found = kparam
                 break

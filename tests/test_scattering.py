@@ -1,17 +1,23 @@
 """Truncated quantum torus, path-ordered products, King stability brute
 force, wall scans, and the contraction embedding of stability space."""
 
+import contextlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from quiveralg import scattering
+from quiveralg.cli import main
 from quiveralg.errors import PreconditionError, ScopeError
+from quiveralg.linalg import GF, rref
 from quiveralg.quiver import Arrow, Quiver
 from quiveralg.scattering import (
     Cone,
     EtaReport,
     GComplex,
+    KingVerdict,
     PathSpec,
     QuantumTorusElement,
     Wall,
@@ -25,6 +31,7 @@ from quiveralg.scattering import (
     log_truncated,
     path_ordered_product,
     quantum_torus_mul,
+    _subspaces,
     truncate,
     wall_scan_lines,
     wall_support_scan,
@@ -391,3 +398,298 @@ def test_eta_embedding_lift_beyond_bound_refused():
     # gamma_hat=(2,2) is a wall and lifts to total dimension 6
     with pytest.raises(ScopeError):
         eta_embedding_check(ETA_Q, "a0", (2, 2), AXES, p=2)
+
+
+# ------------------------------------------------- King search against its oracle
+#
+# The reference below is the exhaustive search: every representation from an
+# eager product of all matrices, every subspace tuple tested for stability by
+# rank over GF(p), and Fraction kappa on every subrepresentation.
+
+
+def reference_matrices(rows, cols, p):
+    if rows == 0 or cols == 0:
+        return [tuple(() for _ in range(rows))]
+    out = []
+    for flat in itertools.product(range(p), repeat=rows * cols):
+        out.append(tuple(flat[r * cols : (r + 1) * cols] for r in range(rows)))
+    return out
+
+
+def reference_representations(Q, gamma, p):
+    index = {v: i for i, v in enumerate(Q.vertices)}
+    arrow_mats = [
+        reference_matrices(gamma[index[a.target]], gamma[index[a.source]], p)
+        for a in Q.arrows
+    ]
+    for mats in itertools.product(*arrow_mats):
+        yield {a.id: M for a, M in zip(Q.arrows, mats)}
+
+
+def reference_subrepresentations(Q, gamma, rep, p):
+    F = GF(p)
+    index = {v: i for i, v in enumerate(Q.vertices)}
+    per_vertex = [list(itertools.chain.from_iterable(_subspaces(g, p))) for g in gamma]
+    for choice in itertools.product(*per_vertex):
+        stable = True
+        for a in Q.arrows:
+            source, target = choice[index[a.source]][0], choice[index[a.target]][0]
+            M = rep[a.id]
+            images = [tuple(sum(x * y for x, y in zip(row, u)) % p for row in M) for u in source]
+            if images and len(rref(F, list(target) + images)[0]) != len(target):
+                stable = False
+        if stable:
+            yield choice
+
+
+def reference_king(Q, gamma, kappa, p):
+    gamma = scattering._gamma_tuple(Q, gamma)
+    kappa = tuple(Fraction(k) for k in scattering._by_vertices(Q, kappa))
+    value = sum(k * g for k, g in zip(kappa, gamma))
+    if value != 0:
+        raise PreconditionError(f"kappa(gamma) = {value} != 0")
+    scattering._check_enumeration_bounds(Q, gamma, p)
+    for rep in reference_representations(Q, gamma, p):
+        if all(
+            sum(k * len(rows) for k, (rows, _) in zip(kappa, choice)) <= 0
+            for choice in reference_subrepresentations(Q, gamma, rep, p)
+        ):
+            return KingVerdict(True, rep)
+    return KingVerdict(False, None)
+
+
+def random_king_quiver(rng, max_vertices=3, max_groups=3):
+    """Random quiver whose arrows come alone, as parallel pairs or as
+    2-cycles (a pair of loops when source and target coincide)."""
+    vs = [f"v{k}" for k in range(rng.randint(1, max_vertices))]
+    arrows = []
+    for _ in range(rng.randint(1, max_groups)):
+        s, t = rng.choice(vs), rng.choice(vs)
+        group = rng.choice(([(s, t)], [(s, t), (s, t)], [(s, t), (t, s)]))
+        for s2, t2 in group:
+            arrows.append(Arrow(f"a{len(arrows)}", s2, t2))
+    return Quiver(vs, arrows, name="K")
+
+
+def reference_work(Q, gamma, p):
+    """Representations times subspace tuples: the exhaustive search's size."""
+    index = {v: i for i, v in enumerate(Q.vertices)}
+    entries = sum(gamma[index[a.source]] * gamma[index[a.target]] for a in Q.arrows)
+    tuples = 1
+    for g in gamma:
+        tuples *= sum(len(group) for group in _subspaces(g, p))
+    return p**entries * tuples
+
+
+def random_projection(rng, gamma):
+    """A random rational point projected onto gamma-perp."""
+    s = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in gamma]
+    coef = sum(x * g for x, g in zip(s, gamma)) / sum(g * g for g in gamma)
+    return tuple(x - coef * g for x, g in zip(s, gamma))
+
+
+def king_cases(seed, count):
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        Q = random_king_quiver(rng)
+        gamma = tuple(rng.randint(0, 2) for _ in Q.vertices)
+        p = rng.choice((2, 3))
+        if not 2 <= sum(gamma) <= 4 or reference_work(Q, gamma, p) > 20000:
+            continue
+        cases.append((Q, gamma, random_projection(rng, gamma), p))
+    return cases
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except (PreconditionError, ScopeError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_king_matches_exhaustive_reference():
+    cases = king_cases(seed=31, count=160)
+    assert any(any(k.denominator > 1 for k in kappa) for _, _, kappa, _ in cases)
+    assert any(a.source == a.target for Q, *_ in cases for a in Q.arrows)
+    verdicts = []
+    witnesses_past_first = 0
+    for Q, gamma, kappa, p in cases:
+        got = king_semistable_exists(Q, gamma, kappa, p)
+        assert got == reference_king(Q, gamma, kappa, p), (Q.arrows, gamma, kappa, p)
+        verdicts.append(got.exists)
+        first = next(reference_representations(Q, gamma, p))
+        witnesses_past_first += got.exists and got.witness != first
+    assert any(verdicts) and not all(verdicts)
+    assert witnesses_past_first >= 10
+
+
+def test_king_errors_match_reference(monkeypatch):
+    K = Quiver(("1", "2"), [Arrow("a", "1", "2"), Arrow("b", "1", "2")], name="K2")
+    monkeypatch.setattr(scattering, "MAX_ENUMERATION", 1 << 7)
+    cases = [
+        ((1, 1), (1, 1), 2, "PreconditionError"),  # kappa(gamma) != 0 comes first,
+        ((5, 0), (1, 1), 7, "PreconditionError"),  # before the field and the caps
+        ((2, 2), (1, -1), 7, "ScopeError"),  # the field comes before the caps
+        ((0, 0), (1, 1), 2, "PreconditionError"),
+        ((3, 2), (2, -3), 2, "ScopeError"),  # total dimension 5
+        ((2, 2), (1, -1), 2, "ScopeError"),  # 2^8 representations
+        ({"1": 1, "2": 1}, {"1": 1, "2": -1}, 3, "value"),
+    ]
+    for gamma, kappa, p, kind in cases:
+        got = outcome(king_semistable_exists, K, gamma, kappa, p)
+        assert got[0] == kind
+        assert got == outcome(reference_king, K, gamma, kappa, p)
+
+
+def test_subspaces_grouped_by_rank():
+    def gaussian_binomial(n, r, p):
+        num = den = 1
+        for i in range(r):
+            num *= p ** (n - i) - 1
+            den *= p ** (i + 1) - 1
+        return num // den
+
+    for p in (2, 3):
+        for n in range(5):
+            groups = _subspaces(n, p)
+            assert len(groups) == n + 1
+            for r, group in enumerate(groups):
+                assert len(group) == gaussian_binomial(n, r, p)
+                assert len(set(group)) == len(group)
+                for rows, pivots in group:
+                    assert len(rows) == len(pivots) == r
+                    assert rref(GF(p), rows) == (rows, pivots)
+
+
+def test_all_representations_order_matches_eager_product():
+    arrows = [
+        Arrow("l", "1", "1"),
+        Arrow("a", "1", "2"),
+        Arrow("b", "1", "2"),
+        Arrow("c", "2", "1"),
+        Arrow("z", "3", "1"),
+        Arrow("w", "1", "3"),
+    ]
+    Q = Quiver(("1", "2", "3"), arrows, name="mixed")
+    # zero entries give arrows with no rows, no columns, or neither
+    for gamma, p in [((1, 1, 0), 2), ((2, 1, 0), 2), ((1, 0, 0), 3), ((0, 0, 0), 2), ((0, 2, 0), 3)]:
+        fast = list(scattering._all_representations(Q, gamma, p))
+        assert fast == list(reference_representations(Q, gamma, p))
+    Q0 = Quiver(("1",), [], name="pt")
+    assert list(scattering._all_representations(Q0, (2,), 3)) == [{}]
+
+
+def unmemoized_reference(memo, Q, gamma, kappa, direction, p):
+    """Stand-in for the memoized search: checks that ``direction`` is a
+    positive multiple of kappa, then runs the reference every time."""
+    ratios = {Fraction(d) / k for d, k in zip(direction, kappa) if k}
+    assert len(ratios) == 1 and ratios.pop() > 0
+    assert all(d == 0 for d, k in zip(direction, kappa) if not k)
+    return reference_king(Q, gamma, kappa, p).exists
+
+
+def rational_samples(rng, n, count):
+    return [
+        tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n))
+        for _ in range(count)
+    ]
+
+
+@contextlib.contextmanager
+def on_reference(monkeypatch):
+    """Run the scans and the CLI with the search swapped for the reference."""
+    with monkeypatch.context() as m:
+        m.setattr(scattering, "_exists_once", unmemoized_reference)
+        m.setattr(scattering, "king_semistable_exists", reference_king)
+        yield
+
+
+def same_on_reference(monkeypatch, fn, *args):
+    fast = outcome(fn, *args)
+    with on_reference(monkeypatch):
+        assert outcome(fn, *args) == fast, args
+    return fast
+
+
+def test_wall_scan_matches_unmemoized_reference(monkeypatch):
+    rng = random.Random(47)
+    verdicts = []
+    for _ in range(25):
+        while True:
+            Q = random_king_quiver(rng)
+            p = rng.choice((2, 3))
+            maxgamma = tuple(rng.randint(0, 2) for _ in Q.vertices)
+            if any(maxgamma) and reference_work(Q, maxgamma, p) <= 3000:
+                break
+        samples = rational_samples(rng, len(Q.vertices), rng.randint(2, 5))
+        samples.append(samples[0])  # a repeated sample is dropped
+        kind, scan = same_on_reference(monkeypatch, wall_support_scan, Q, maxgamma, samples, p)
+        assert kind == "value"
+        verdicts += [v for entry in scan for _, v in entry.verdicts]
+    assert True in verdicts and False in verdicts
+
+
+# v0 => v1 (a1, a2), a0: v1 -> v3, a3: v1 -> v2; contracting a0, no value of
+# the default grid lifts gamma_hat = (0, 1, 1)
+ETA_GRID_GAP = Quiver(
+    ("v0", "v1", "v2", "v3"),
+    [Arrow("a1", "v0", "v1"), Arrow("a2", "v0", "v1"),
+     Arrow("a0", "v1", "v3"), Arrow("a3", "v1", "v2")],
+    name="gap",
+)
+
+
+def test_eta_check_matches_unmemoized_reference(monkeypatch):
+    fixed = [
+        (ETA_Q, "a0", (1, 1), AXES, 2),
+        (ETA_Q, "a0", (2, 2), AXES, 2),  # refused: a lift beyond the dimension bound
+        (ETA_GRID_GAP, "a0", (0, 1, 1), [(1, 0, 0), (0, 1, 0), (0, 0, -1)], 3),
+    ]
+    reports = [same_on_reference(monkeypatch, eta_embedding_check, *case) for case in fixed]
+    assert reports[1][0] == "ScopeError" and not reports[2][1].ok
+    rng = random.Random(53)
+    results = []
+    while len(results) < 40:
+        Q = random_king_quiver(rng)
+        a0 = next((a for a in Q.arrows if a.source != a.target), None)
+        if a0 is None:
+            continue
+        p = rng.choice((2, 3))
+        maxhat = {v: rng.randint(0, 2) for v in Q.vertices if v != a0.target}
+        lifted_top = tuple(maxhat.get(v, maxhat[a0.source]) for v in Q.vertices)
+        if not any(maxhat.values()) or reference_work(Q, lifted_top, p) > 3000:
+            continue
+        samples = rational_samples(rng, len(maxhat), 3)
+        kind, report = same_on_reference(
+            monkeypatch, eta_embedding_check, Q, a0.id, tuple(maxhat.values()), samples, p
+        )
+        assert kind == "value"
+        results += report.results
+
+
+def test_cli_wall_and_eta_bytes_match_reference(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "gap.qp"
+    f.write_text(
+        "vertices: v0, v1, v2, v3\n"
+        "arrows: a1: v0 -> v1; a2: v0 -> v1; a0: v1 -> v3; a3: v1 -> v2\n"
+    )
+    commands = []
+    for field in ("2", "3"):
+        commands += [
+            ["walls", "--max-gamma", "v0=1,v1=1,v2=1,v3=1", "--field", field, str(f)],
+            ["eta-check", "--arrow", "a0", "--max-gamma", "v0=1,v1=1,v2=1", "--field", field, str(f)],
+            ["eta-check", "--arrow", "a0", "--max-gamma", "v0=0,v1=1,v2=1", "--field", field, str(f)],
+        ]
+    for argv in commands:
+        fast = main(argv), capsys.readouterr().out
+        with on_reference(monkeypatch):
+            assert (main(argv), capsys.readouterr().out) == fast, argv
+    # the CLI samples only the axes and the diagonals; the export of rational
+    # samples goes through the same lines
+    samples = [(Fraction(1, 2), Fraction(-2, 3), 1, 0), (Fraction(-1, 3), 0, Fraction(5, 2), 1)]
+    for p in (2, 3):
+        fast = wall_scan_lines(ETA_GRID_GAP, wall_support_scan(ETA_GRID_GAP, (1, 1, 1, 1), samples, p))
+        with on_reference(monkeypatch):
+            slow = wall_support_scan(ETA_GRID_GAP, (1, 1, 1, 1), samples, p)
+        assert wall_scan_lines(ETA_GRID_GAP, slow) == fast
