@@ -11,7 +11,7 @@ loops), carried as metadata and never folded into the words themselves.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple
 
 from .contraction import contract_quiver
@@ -22,66 +22,15 @@ from .errors import (
 )
 from .poly import Poly, Rat, fvar, residue_at_infinity_poly, xvar
 from .quiver import check_dimvec
-from .shuffle import SymPoly, contract_shuffle
+from .shuffle import SymPoly, contract_shuffle, fac
 
 ZVAR = fvar("z")
 UVAR = fvar("u")
 WVAR = fvar("w")
 
 
-def _arrow_counts(Q):
-    counts = {}
-    for a in Q.arrows:
-        counts[(a.source, a.target)] = counts.get((a.source, a.target), 0) + 1
-    return counts
-
-
-def loops_at(Q, v):
-    """Number of loops of Q at the vertex v."""
-    return sum(1 for a in Q.arrows if a.source == v and a.target == v)
-
-
 # ---------------------------------------------------------------------------
 # action ratios
-
-
-def fac_distinguished_block(Q, i, gamma, var=ZVAR):
-    """fac(z | x_{[1,gamma]}): the one-variable slot sits at vertex i, the
-    block runs over x[j,alpha] for alpha <= gamma[j].
-
-    Numerator: (x[j,alpha]-z)^{a_ij} over all j; denominator: the
-    same-vertex factors (x[i,alpha]-z)."""
-    check_dimvec(Q, gamma)
-    if i not in Q.vertices:
-        raise PreconditionError(f"no vertex named {i!r}")
-    counts = _arrow_counts(Q)
-    out = Rat.one()
-    for j in Q.vertices:
-        e = counts.get((i, j), 0)
-        if e:
-            for a in range(1, gamma[j] + 1):
-                out = out * Rat(1, [(Poly.linear_diff(xvar(j, a), var), e)])
-    for a in range(1, gamma[i] + 1):
-        out = out * Rat(1, [(Poly.linear_diff(xvar(i, a), var), -1)])
-    return out
-
-
-def fac_block_distinguished(Q, i, gamma, var=ZVAR):
-    """fac(x_{[1,gamma]} | z): the mirror kernel, (z-x[s,alpha])^{a_si}
-    over all s divided by the same-vertex factors (z-x[i,alpha])."""
-    check_dimvec(Q, gamma)
-    if i not in Q.vertices:
-        raise PreconditionError(f"no vertex named {i!r}")
-    counts = _arrow_counts(Q)
-    out = Rat.one()
-    for s in Q.vertices:
-        e = counts.get((s, i), 0)
-        if e:
-            for a in range(1, gamma[s] + 1):
-                out = out * Rat(1, [(Poly.linear_diff(var, xvar(s, a)), e)])
-    for a in range(1, gamma[i] + 1):
-        out = out * Rat(1, [(Poly.linear_diff(var, xvar(i, a)), -1)])
-    return out
 
 
 def psi_action_ratio(Q, i, gamma, var=ZVAR):
@@ -89,9 +38,11 @@ def psi_action_ratio(Q, i, gamma, var=ZVAR):
     gamma: conjugating a block polynomial multiplies it by
     fac(z|x_{[1,gamma]}) / fac(x_{[1,gamma]}|z), returned as a factored
     rational function in z and the block variables."""
-    num = fac_distinguished_block(Q, i, gamma, var)
-    den = fac_block_distinguished(Q, i, gamma, var)
-    return num / den
+    check_dimvec(Q, gamma)
+    if i not in Q.vertices:
+        raise PreconditionError(f"no vertex named {i!r}")
+    block = {j: [xvar(j, a) for a in range(1, gamma[j] + 1)] for j in Q.vertices}
+    return fac(Q, {i: [var]}, block) / fac(Q, block, {i: [var]})
 
 
 def contraction_ratio_check(Q, a0_id, gamma):
@@ -225,7 +176,7 @@ def family_sign(Q, word):
         return 1
     s = 1
     for (v, _slot), e in word.exps.items():
-        s *= (-1) ** ((loops_at(Q, v) + 1) * e)
+        s *= (-1) ** ((len(Q.loops_at(v)) + 1) * e)
     return s
 
 
@@ -461,58 +412,40 @@ class PhiGenerator(NamedTuple):
 
 
 def _pair_block_polys(f, g):
-    """Residue formula for equal-rank block polynomials:
-    iterated residue at infinity of f(x_A) g(-x_A) / (|A|! fac(x_A)),
-    over the block slots.  Implemented for a single slot, one slot at each
-    of two vertices, and two slots at one vertex."""
-    total = sum(f.gamma.values())
-    support = _support(f)
+    """Residue formula for equal-rank block polynomials: the iterated
+    residue at infinity of
+
+        f(x) g(-x) / (prod_v gamma_v! * prod_{s != t} fac(x_s|x_t))
+
+    over the block slots s, t, one slot variable at a time in vertex order.
+    Implemented for blocks of at most two slots.
+
+    As written, every positive-rank pairing is 0: the last residue is taken
+    of a polynomial over the constant 1, and residue_at_infinity_poly
+    returns 0 whenever the denominator has degree 0 in the variable.  The
+    formula is kept, not shortcut to 0, so that a correction of the
+    pairing lands here."""
+    Q, gamma = f.quiver, f.gamma
+    total = sum(gamma.values())
     if total == 0:
         return f.poly.constant_value() * g.poly.constant_value()
-    counts = _arrow_counts(f.quiver)
-    if total == 1:
-        (i,) = support
-        x = xvar(i, 1)
-        num = f.poly * g.poly.negate_var(x)
-        out = residue_at_infinity_poly(num, Poly.const(1), x)
-        return _residue_scalar(out, "first")
-    if total == 2 and len(support) == 2:
-        u, v = support
-        xu, xv = xvar(u, 1), xvar(v, 1)
-        num = f.poly * g.poly.negate_var(xu).negate_var(xv)
-        fac = Rat.one()
-        e_uv = counts.get((u, v), 0)
-        e_vu = counts.get((v, u), 0)
-        if e_uv:
-            fac = fac * Rat(1, [(Poly.linear_diff(xv, xu), e_uv)])
-        if e_vu:
-            fac = fac * Rat(1, [(Poly.linear_diff(xu, xv), e_vu)])
-        integrand = Rat.from_poly(num) / fac
-        first = residue_at_infinity_poly(integrand.num(), integrand.den(), xu)
-        out = residue_at_infinity_poly(first, Poly.const(1), xv)
-        return _residue_scalar(out, "second")
-    if total == 2 and len(support) == 1:
-        (i,) = support
-        x1, x2 = xvar(i, 1), xvar(i, 2)
-        num = f.poly * g.poly.negate_var(x1).negate_var(x2)
-        r = counts.get((i, i), 0)
-        # fac(x1|x2)*fac(x2|x1) = ((x2-x1)(x1-x2))^{r-1}; |A|! = 2.
-        fac = Rat(1, [(Poly.linear_diff(x2, x1), r - 1), (Poly.linear_diff(x1, x2), r - 1)])
-        integrand = (Rat.from_poly(num) / fac) * Fraction(1, factorial(2))
-        first = residue_at_infinity_poly(integrand.num(), integrand.den(), x1)
-        out = residue_at_infinity_poly(first, Poly.const(1), x2)
-        return _residue_scalar(out, "second")
-    raise ScopeError(
-        "polynomial pairing implemented for blocks of at most two slots"
-    )
-
-
-def _residue_scalar(out, stage):
-    if not out.is_constant():
-        raise InternalConsistencyError(
-            f"{stage} residue left a non-constant value {out}"
-        )
-    return out.constant_value()
+    if total > 2:
+        raise ScopeError("polynomial pairing implemented for blocks of at most two slots")
+    slots = [(v, xvar(v, a)) for v in Q.vertices for a in range(1, gamma[v] + 1)]
+    g_neg = g.poly
+    for _, x in slots:
+        g_neg = g_neg.negate_var(x)
+    weight = Fraction(1, prod(factorial(n) for n in gamma.values()))
+    integrand = Rat.from_poly(f.poly * g_neg) * weight
+    for s, xs in slots:
+        for t, xt in slots:
+            if xs != xt:
+                integrand = integrand / fac(Q, {s: [xs]}, {t: [xt]})
+    num, den = integrand.num(), integrand.den()
+    for _, x in slots:
+        num = residue_at_infinity_poly(num, den, x)
+        den = Poly.const(1)
+    return num.constant_value()
 
 
 def skew_pairing(f, g):
@@ -526,9 +459,8 @@ def skew_pairing(f, g):
         Q = f.quiver
         if g.quiver != Q:
             raise PreconditionError("generators live on different quivers")
-        num = _fac_single_single(Q, f.vertex, g.vertex, UVAR, WVAR)
-        den = _fac_single_single(Q, g.vertex, f.vertex, WVAR, UVAR)
-        return num / den
+        k, l = f.vertex, g.vertex
+        return fac(Q, {k: [UVAR]}, {l: [WVAR]}) / fac(Q, {l: [WVAR]}, {k: [UVAR]})
     if isinstance(f, SymPoly) and isinstance(g, PhiGenerator):
         return Fraction(0)
     if isinstance(f, PsiGenerator) and isinstance(g, SymPoly):
@@ -542,19 +474,8 @@ def skew_pairing(f, g):
     raise ScopeError(f"skew_pairing undefined for {f!r}, {g!r}")
 
 
-def _fac_single_single(Q, k, l, vk, vl):
-    """fac(vk|vl) with single slots: vk at vertex k, vl at vertex l."""
-    e_l = {v: 1 if v == l else 0 for v in Q.vertices}
-    r = fac_distinguished_block(Q, k, e_l, var=vk)
-    return r.rename_vars({xvar(l, 1): vl})
-
-
 # ---------------------------------------------------------------------------
 # cross relation of the combined double under contraction
-
-
-def _counit_scalar(leg):
-    return counit(leg)
 
 
 def _pair_antipode_factor(a1, b1):
@@ -567,7 +488,7 @@ def _pair_antipode_factor(a1, b1):
     if isinstance(b1, PsiWord):
         if not b1.is_unit():
             raise InternalConsistencyError("unexpected series word in slot 1")
-        return _counit_scalar(a1), 0
+        return counit(a1), 0
     if isinstance(b1, SymPoly):
         if isinstance(a1, PsiWord):
             return Fraction(0), 0
@@ -579,7 +500,7 @@ def _pair_plain_factor(a3, b3):
     """(a3, b3) as (rational, pairing_power)."""
     if isinstance(a3, PsiWord):
         if a3.is_unit():
-            return _counit_scalar(b3), 0
+            return counit(b3), 0
         if isinstance(b3, SymPoly):
             return Fraction(0), 0
         raise InternalConsistencyError("unexpected word-word pairing in slot 3")

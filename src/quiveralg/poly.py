@@ -243,29 +243,6 @@ class Poly:
         p.terms = out
         return p
 
-    def eval_vars(self, values):
-        """Substitute rational values for some variables."""
-        out = {}
-        for m, c in self.terms.items():
-            coeff = c
-            rest = {}
-            for v, e in m:
-                if v in values:
-                    coeff *= Fraction(values[v]) ** e
-                else:
-                    rest[v] = e
-            if not coeff:
-                continue
-            key = tuple(sorted(rest.items()))
-            s = out.get(key, Fraction(0)) + coeff
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
-
     def negate_var(self, var):
         """Substitute var -> -var."""
         out = {}
@@ -275,14 +252,6 @@ class Poly:
         p = Poly.__new__(Poly)
         p.terms = out
         return p
-
-    def subs_poly(self, var, value):
-        """Substitute a polynomial for one variable (Horner in var)."""
-        top = self.degree_in(var)
-        result = Poly()
-        for k in range(top, -1, -1):
-            result = result * value + self.coeff_of_power(var, k)
-        return result
 
     # -- division ---------------------------------------------------------------
 

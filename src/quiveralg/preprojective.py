@@ -28,23 +28,11 @@ from .paths import (
     reduce_syms,
 )
 from .qp import QuiverWithPotential
-from .quiver import Arrow, Quiver
-
-
-def dual_name(aid):
-    """Name of the added dual arrow (always a fresh suffix, not an involution)."""
-    return aid + "*"
+from .quiver import Arrow, Quiver, double_quiver, dual_name
 
 
 def loop_name(v):
     return f"l_{v}"
-
-
-def double_quiver(Q):
-    arrows = list(Q.arrows) + [
-        Arrow(dual_name(a.id), a.target, a.source) for a in Q.arrows
-    ]
-    return Quiver(Q.vertices, arrows, name=f"double({Q.name})")
 
 
 def triple_qp(Q):

@@ -69,12 +69,6 @@ class Quiver:
     def arrows_from(self, v):
         return [a for a in self.arrows if a.source == v]
 
-    def arrows_to(self, v):
-        return [a for a in self.arrows if a.target == v]
-
-    def arrows_at(self, v):
-        return [a for a in self.arrows if v in (a.source, a.target)]
-
     def loops_at(self, v):
         return [a for a in self.arrows if a.source == v and a.target == v]
 
@@ -92,20 +86,6 @@ class Quiver:
                 if b.target == v:
                     pairs.append((a, b))
         return pairs
-
-    def three_cycles_through(self, v):
-        """Triples of arrows forming a length-3 cycle visiting v."""
-        triples = []
-        for a in self.arrows_from(v):
-            if a.target == v:
-                continue
-            for b in self.arrows_from(a.target):
-                if b.target in (v, a.target):
-                    continue
-                for c in self.arrows_from(b.target):
-                    if c.target == v:
-                        triples.append((a, b, c))
-        return triples
 
 
 def check_dimvec(Q, g, what="dimension vector"):
@@ -132,9 +112,14 @@ def antisym_form(Q, g1, g2):
     return euler_form(Q, g1, g2) - euler_form(Q, g2, g1)
 
 
+def dual_name(aid):
+    """Name of the added dual arrow (always a fresh suffix, not an involution)."""
+    return aid + STAR
+
+
 def double_quiver(Q):
     """Q plus a reversed arrow a*: j -> i for every arrow a: i -> j."""
-    doubled = list(Q.arrows) + [Arrow(a.id + STAR, a.target, a.source) for a in Q.arrows]
+    doubled = list(Q.arrows) + [Arrow(dual_name(a.id), a.target, a.source) for a in Q.arrows]
     return Quiver(Q.vertices, doubled, name=Q.name + "_double")
 
 

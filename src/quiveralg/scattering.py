@@ -42,7 +42,6 @@ from .contraction import contract_quiver
 from .errors import InternalConsistencyError, PreconditionError, ScopeError
 from .quiver import euler_form
 
-DEFAULT_TRUNCATION = 3
 DEFAULT_FIELDS = (2, 3)
 DEFAULT_KPARAM_GRID = (
     Fraction(1, 4),
@@ -720,16 +719,19 @@ def wall_support_scan(Q, maxgamma, samples, p=2):
     """For every non-zero gamma <= maxgamma, project each sample point onto
     the hyperplane gamma-perp and record whether a semistable representation
     of dimension gamma exists there.  Zero or repeated projections are
-    dropped.  A gamma is a wall where any verdict is true."""
+    dropped.  A gamma is a wall where any verdict is true.
+
+    The brute-force caps of every gamma that has a projection to search are
+    checked before the first search, so an over-cap scan refuses at once,
+    with the error of the first such gamma in product order."""
     maxgamma = _gamma_tuple(Q, maxgamma)
     samples = [_clear_denominators(_vec(Q, s)) for s in samples]
-    memo = {}
-    entries = []
+    queries = []
     for gamma in itertools.product(*(range(m + 1) for m in maxgamma)):
         if not any(gamma):
             continue
         gg = sum(g * g for g in gamma)
-        seen = {}
+        directions = {}
         for m, s in samples:
             # the projection kappa = s - (s.gamma / gamma.gamma) gamma of the
             # sample s / m, times gg * m
@@ -738,11 +740,18 @@ def wall_support_scan(Q, maxgamma, samples, p=2):
             if not any(direction):
                 continue
             kappa = tuple(Fraction(x, gg * m) for x in direction)
-            if kappa not in seen:
-                seen[kappa] = _exists_once(memo, Q, gamma, kappa, direction, p)
-        entries.append(
-            WallScanEntry(gamma, gamma, tuple((k, v) for k, v in seen.items()))
+            directions.setdefault(kappa, direction)
+        if directions:
+            _check_enumeration_bounds(Q, gamma, p)
+        queries.append((gamma, directions))
+    memo = {}
+    entries = []
+    for gamma, directions in queries:
+        verdicts = tuple(
+            (kappa, _exists_once(memo, Q, gamma, kappa, direction, p))
+            for kappa, direction in directions.items()
         )
+        entries.append(WallScanEntry(gamma, gamma, verdicts))
     return entries
 
 

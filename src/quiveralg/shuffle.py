@@ -172,37 +172,46 @@ class ShuffleElement:
         )
 
 
-def _arrow_factors(Q, g1, g2):
-    """Arrow part of the kernel of the standard split, as (x[j,a2], x[i,a1],
-    a_ij): one entry per arrow class i->j, a1 in block 1 of i and a2 in
-    block 2 of j, standing for (x[j,a2] - x[i,a1])**a_ij."""
-    for i in Q.vertices:
-        for j in Q.vertices:
+def _arrow_factors(Q, block1, block2):
+    """Arrow part of fac(block1|block2), as (vb, va, a_ij): one entry per
+    arrow class i->j, va in block1[i] and vb in block2[j], standing for
+    (vb - va)**a_ij.  A block maps a vertex to its list of variables."""
+    for i, vas in block1.items():
+        for j, vbs in block2.items():
             a_ij = Q.arrow_count(i, j)
             if not a_ij:
                 continue
-            for a1 in range(1, g1[i] + 1):
-                for a2 in range(g1[j] + 1, g1[j] + g2[j] + 1):
-                    yield xvar(j, a2), xvar(i, a1), a_ij
+            for va in vas:
+                for vb in vbs:
+                    yield vb, va, a_ij
+
+
+def fac(Q, block1, block2):
+    """The shuffle kernel fac(block1|block2) as a factored rational
+    function: the arrow factors over the same-vertex factors (vb - va),
+    va in block1[i] and vb in block2[i]."""
+    factors = [
+        (Poly.linear_diff(vb, va), a_ij) for vb, va, a_ij in _arrow_factors(Q, block1, block2)
+    ]
+    for i, vas in block1.items():
+        for va in vas:
+            factors.extend((Poly.linear_diff(vb, va), -1) for vb in block2.get(i, ()))
+    return Rat(1, factors)
+
+
+def _standard_blocks(g1, g2):
+    """The blocks of the standard split: block 1 is the slots 1..g1^i and
+    block 2 the slots g1^i+1..g1^i+g2^i at every vertex i."""
+    block1 = {v: [xvar(v, a) for a in range(1, n + 1)] for v, n in g1.items()}
+    block2 = {v: [xvar(v, g1[v] + a) for a in range(1, g2[v] + 1)] for v in g1}
+    return block1, block2
 
 
 def fac_kernel(Q, g1, g2):
-    """The shuffle kernel as a factored rational function.
-
-    Block 1 occupies slots 1..g1^i and block 2 slots g1^i+1..g1^i+g2^i at
-    every vertex i.  Arrows contribute numerator factors, equal vertices
-    contribute denominator factors.
-    """
+    """The shuffle kernel of the standard split, fac(block 1|block 2)."""
     check_dimvec(Q, g1, what="rank vector")
     check_dimvec(Q, g2, what="rank vector")
-    out = Rat.one()
-    for vb, va, a_ij in _arrow_factors(Q, g1, g2):
-        out = out * Rat(1, [(Poly.linear_diff(vb, va), a_ij)])
-    for i in Q.vertices:
-        for a1 in range(1, g1[i] + 1):
-            for a2 in range(g1[i] + 1, g1[i] + g2[i] + 1):
-                out = out * Rat(1, [(Poly.linear_diff(xvar(i, a2), xvar(i, a1)), -1)])
-    return out
+    return fac(Q, *_standard_blocks(g1, g2))
 
 
 def _split_term(f, g):
@@ -214,15 +223,15 @@ def _split_term(f, g):
     that is fac_kernel(Q, g1, g2) times the full Vandermonde prod_i
     Vdm(x[i,1..n_i]), times f and the shifted g."""
     Q = f.quiver
-    g1, g2 = f.gamma, g.gamma
+    block1, block2 = _standard_blocks(f.gamma, g.gamma)
     kernel = Poly.const(1)
     for v in Q.vertices:
-        for block in (range(1, g1[v] + 1), range(g1[v] + 1, g1[v] + g2[v] + 1)):
-            for a, b in combinations(block, 2):
-                kernel = kernel * Poly.linear_diff(xvar(v, b), xvar(v, a))
-    for vb, va, a_ij in _arrow_factors(Q, g1, g2):
+        for block in (block1[v], block2[v]):
+            for va, vb in combinations(block, 2):
+                kernel = kernel * Poly.linear_diff(vb, va)
+    for vb, va, a_ij in _arrow_factors(Q, block1, block2):
         kernel = kernel * Poly.linear_diff(vb, va) ** a_ij
-    shift = {xvar(v, q): xvar(v, g1[v] + q) for v in Q.vertices for q in range(1, g2[v] + 1)}
+    shift = {xvar(v, q): vb for v in Q.vertices for q, vb in enumerate(block2[v], start=1)}
     return f.poly * g.poly.rename_vars(shift) * kernel
 
 

@@ -2,6 +2,7 @@
 force, wall scans, and the contraction embedding of stability space."""
 
 import contextlib
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -325,6 +326,42 @@ def test_wall_scan_export_lines():
     assert wall_scan_lines(A2, scan) == [
         "gamma=1:1,2:0; normal=1:1,2:0; kappa=1:0,2:1; verdict=true"
     ]
+
+
+def test_wall_scan_refuses_over_cap_before_searching(tmp_path, capsys, monkeypatch):
+    """v0 => v1, v1 -> v3, v1 -> v2, v3 -> v0, v2 -> v0: max gamma
+    (1,1,1,2) reaches total dimension 5, and the scan refuses before its
+    first King search; in cap the export stays as it was."""
+    f = tmp_path / "overcap.qp"
+    f.write_text(
+        "vertices: v0, v1, v2, v3\n"
+        "arrows: a1: v0 -> v1; a2: v0 -> v1; a0: v1 -> v3; a3: v1 -> v2; "
+        "b: v3 -> v0; c: v2 -> v0\n"
+    )
+    searches = []
+    search = scattering.king_semistable_exists
+
+    def counting(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(scattering, "king_semistable_exists", counting)
+    over = ["walls", "--max-gamma", "v0=1,v1=1,v2=1,v3=2", "--field", "3", str(f)]
+    assert main(over) == 4
+    assert capsys.readouterr().err == "error: total dimension 5 exceeds the brute-force bound 4\n"
+    assert searches == []
+    # a scan that searches nothing refuses nothing: no samples, or a single
+    # vertex, where every projection is zero
+    assert all(not e.verdicts for e in wall_support_scan(A2, (9, 9), [], 3))
+    point = Quiver(("1",), [], name="pt")
+    assert all(not e.verdicts for e in wall_support_scan(point, (9,), [(1,), (-1,)], 3))
+    assert searches == []
+    assert main(["walls", "--max-gamma", "v0=1,v1=1,v2=1,v3=1", "--field", "3", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert searches and len(out.splitlines()) == 120
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "af14e5708bb28162a0e4519b2561e4417c26c766845bc847303207678b7072d0"
+    )
 
 
 # ------------------------------------------------------------- eta embedding
