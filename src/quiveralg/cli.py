@@ -22,8 +22,9 @@ violation; 4 outside implemented scope or unsupported reduction.
 
 Environment overrides: QUIVERALG_MAX_DIM (stability brute-force total
 dimension bound), QUIVERALG_MAX_ENUM (representation enumeration bound),
-QUIVERALG_FIELDS (comma-separated admissible primes), QUIVERALG_TRUNCATION
-(quantum-torus truncation used by the verification suites).
+QUIVERALG_FIELDS (comma-separated admissible primes; any other value exits
+3), QUIVERALG_TRUNCATION (quantum-torus truncation used by the verification
+suites).
 """
 
 import argparse
@@ -40,6 +41,7 @@ from .hopf import (
     double_cross_check,
     skew_pairing,
 )
+from .linalg import GF
 from .mutation import mutate, theorem_check_366
 from .paths import Path, Potential, Sym, cyclic_normal_form
 from .poly import Poly, xvar
@@ -85,11 +87,11 @@ def _apply_env(env=None):
             scattering.MAX_ENUMERATION = int(env["QUIVERALG_MAX_ENUM"])
         if "QUIVERALG_FIELDS" in env:
             scattering.DEFAULT_FIELDS = tuple(
-                int(x) for x in env["QUIVERALG_FIELDS"].split(",") if x.strip()
+                GF(int(x)) for x in env["QUIVERALG_FIELDS"].split(",") if x.strip()
             )
         if "QUIVERALG_TRUNCATION" in env:
             DEFAULT_TRUNCATION = int(env["QUIVERALG_TRUNCATION"])
-    except ValueError as exc:
+    except (ValueError, PreconditionError) as exc:
         raise PreconditionError(f"bad environment override: {exc}") from exc
 
 
@@ -108,6 +110,7 @@ def _doc_of(qp):
 
 def _parse_ranks(spec, Q, what):
     gamma = {v: 0 for v in Q.vertices}
+    seen = set()
     for piece in spec.split(","):
         piece = piece.strip()
         if not piece:
@@ -118,6 +121,9 @@ def _parse_ranks(spec, Q, what):
             raise PreconditionError(f"{what}: expected 'vertex=rank', got {piece!r}")
         if name not in gamma:
             raise PreconditionError(f"{what}: unknown vertex {name!r}")
+        if name in seen:
+            raise PreconditionError(f"{what}: duplicate rank for vertex {name!r}")
+        seen.add(name)
         if not val.isdigit():
             raise PreconditionError(
                 f"{what}: rank must be a nonnegative integer, got {val!r}"

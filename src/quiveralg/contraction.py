@@ -16,8 +16,10 @@ that for every term.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import InternalConsistencyError, PreconditionError, UnsupportedReductionError
-from .linalg import mat_inverse, mat_mul
+from .linalg import GF, QQ, mat_inverse, mat_mul
 from .paths import Path, Potential, Sym, _cancel_cyclic, cyclic_normal_form
 from .qp import QuiverWithPotential, delete_arrows
 from .quiver import Arrow, Quiver
@@ -129,7 +131,8 @@ def contract_qp(qp, a0_id):
 
 
 class Representation:
-    """Matrices over QQ or GF(p) attached to the arrows of a quiver.
+    """Matrices over QQ or GF(p) attached to the arrows of a quiver; the
+    field is its characteristic (``linalg.QQ`` or a prime).
 
     The matrix of an arrow a maps the source space into the target space,
     so its shape is dims[t(a)] x dims[s(a)].
@@ -138,9 +141,10 @@ class Representation:
     __slots__ = ("field", "dims", "mats")
 
     def __init__(self, field, dims, mats, Q=None):
-        self.field = field
+        self.field = p = field if field == QQ else GF(field)
+        conv = (lambda x: int(x) % p) if p else Fraction
         self.dims = dict(dims)
-        self.mats = {k: tuple(tuple(field.conv(x) for x in row) for row in m) for k, m in mats.items()}
+        self.mats = {k: tuple(tuple(map(conv, row)) for row in m) for k, m in mats.items()}
         if Q is not None:
             self.validate(Q)
 
@@ -173,9 +177,9 @@ def contract_rep(qp, a0_id, M):
     M.validate(Q)
     if M.dims[ip] != M.dims[im]:
         raise PreconditionError("M_{a0} is not square: endpoint dimensions differ")
-    F = M.field
+    p = M.field
     try:
-        inv0 = mat_inverse(F, M.mats[a0_id])
+        inv0 = mat_inverse(p, M.mats[a0_id])
     except ZeroDivisionError:
         raise PreconditionError(f"M_{{{a0_id}}} is singular; not in the heart locus")
     Qhat, hat_map, _ = contract_quiver(Q, a0_id)
@@ -186,15 +190,15 @@ def contract_rep(qp, a0_id, M):
             continue
         m = M.mats[a.id]
         if a.source == im and a.target == im:
-            new = mat_mul(F, mat_mul(F, inv0, m), M.mats[a0_id])
+            new = mat_mul(p, mat_mul(p, inv0, m), M.mats[a0_id])
         elif a.source == im:
-            new = mat_mul(F, m, M.mats[a0_id])
+            new = mat_mul(p, m, M.mats[a0_id])
         elif a.target == im:
-            new = mat_mul(F, inv0, m)
+            new = mat_mul(p, inv0, m)
         else:
             new = m
         mats[hat_map[a.id]] = new
-    return Representation(F, dims, mats, Q=Qhat)
+    return Representation(p, dims, mats, Q=Qhat)
 
 
 def higgs(qp, a0_id):

@@ -1,155 +1,108 @@
-"""Tiny exact linear algebra over Q and over prime fields F_p.
+"""Exact linear algebra over Q and over prime fields F_p.
 
-Matrices are tuples of row tuples.  Field elements are Fractions (QQ) or
-ints in range(p) (GF(p)).  Just enough functionality for representation
-contraction (products and inverses) and for row-space membership in the
-spherical span (``rref``, ``in_span``).  The King stability brute force
-keeps its own F_p helpers in ``scattering``, specialised to ints mod p.
+A field is its characteristic: ``QQ`` is 0 and ``GF(p)`` is the prime p.
+Matrices are tuples of row tuples and vectors are tuples; their entries are
+Fractions over Q and ints in range(p) over F_p.  Every matrix-vector
+product, row reduction and span test of the package goes through here:
+representation contraction (``mat_mul``, ``mat_inverse``), the spherical
+span over Q (``rref``, ``in_span``) and the King stability search over F_p
+(``mat_vec``, ``reduce``, ``in_span``).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import PreconditionError
 
-
-class QQ:
-    name = "QQ"
-
-    @staticmethod
-    def conv(x):
-        return Fraction(x)
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def inv(a):
-        if not a:
-            raise ZeroDivisionError
-        return 1 / Fraction(a)
+QQ = 0
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-class GF:
-    def __init__(self, p):
-        if p < 2 or any(p % k == 0 for k in range(2, p)):
-            raise PreconditionError(f"{p} is not prime")
-        self.p = p
-        self.name = f"F{p}"
-        self.zero = 0
-        self.one = 1 % p
-
-    def conv(self, x):
-        return int(x) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if not a:
-            raise ZeroDivisionError
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, GF) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
+def GF(p):
+    """The prime field F_p, that is p itself, after checking that p is prime."""
+    if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+        raise PreconditionError(f"{p} is not prime")
+    return p
 
 
-def identity(F, n):
-    return tuple(tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n))
+def mat_vec(p, M, u):
+    """The product M u."""
+    if p:
+        return tuple(sum(map(mul, row, u)) % p for row in M)
+    return tuple(sum(map(mul, row, u), _ZERO) for row in M)
 
 
-def mat_mul(F, A, B):
+def mat_mul(p, A, B):
     if A and B and len(A[0]) != len(B):
         raise PreconditionError("matrix shape mismatch")
-    inner = len(B)
-    cols = len(B[0]) if B else 0
-    out = []
-    for row in A:
-        r = []
-        for j in range(cols):
-            s = F.zero
-            for k in range(inner):
-                s = F.add(s, F.mul(row[k], B[k][j]))
-            r.append(s)
-        out.append(tuple(r))
-    return tuple(out)
+    columns = tuple(zip(*B))
+    return tuple(mat_vec(p, columns, row) for row in A)
 
 
-def mat_inverse(F, A):
+def mat_inverse(p, A):
     """Gauss-Jordan inverse; raises ZeroDivisionError if singular."""
     n = len(A)
     if any(len(r) != n for r in A):
         raise PreconditionError("inverse of a non-square matrix")
-    aug = [list(A[i]) + list(identity(F, n)[i]) for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != F.zero), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = F.inv(aug[col][col])
-        aug[col] = [F.mul(inv, x) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != F.zero:
-                factor = aug[r][col]
-                aug[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    one = 1 if p else _ONE
+    augmented = [tuple(r) + (0,) * i + (one,) + (0,) * (n - 1 - i) for i, r in enumerate(A)]
+    rows, pivots = rref(p, augmented)
+    if pivots != tuple(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return tuple(row[n:] for row in rows)
 
 
-def rref(F, rows):
-    """Reduced row echelon form; returns (rows_tuple, pivot_columns)."""
+def rref(p, rows):
+    """Reduced row echelon form; returns (nonzero rows, pivot columns), every
+    row with pivot entry 1."""
     rows = [list(r) for r in rows]
     if not rows:
         return (), ()
-    ncols = len(rows[0])
     pivots = []
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != F.zero), None)
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != F.zero:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        if p:
+            inv = pow(rows[r][c], -1, p)
+            top = rows[r] = [inv * x % p for x in rows[r]]
+        else:
+            inv = _ONE / rows[r][c]
+            top = rows[r] = [inv * x for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                if p:
+                    rows[i] = [(x - f * y) % p for x, y in zip(row, top)]
+                else:
+                    rows[i] = [x - f * y for x, y in zip(row, top)]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    rows = [tuple(row) for row in rows[:r]]
-    return tuple(rows), tuple(pivots)
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
 
 
-def in_span(F, basis_rref, pivots, v):
-    """Is vector v in the row space given by its rref basis?"""
+def reduce(p, rows, pivots, v):
+    """v minus its components along the rows of an rref basis (as returned
+    by ``rref``): a list that is zero exactly when v lies in their span."""
     v = list(v)
-    for row, c in zip(basis_rref, pivots):
-        if v[c] != F.zero:
-            f = v[c]
-            v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
-    return all(x == F.zero for x in v)
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            if p:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+            else:
+                v = [x - f * y for x, y in zip(v, row)]
+    return v
+
+
+def in_span(p, rows, pivots, v):
+    """Is v in the row space of an rref basis?"""
+    return not any(reduce(p, rows, pivots, v))

@@ -40,6 +40,7 @@ from typing import NamedTuple
 
 from .contraction import contract_quiver
 from .errors import InternalConsistencyError, PreconditionError, ScopeError
+from .linalg import in_span, mat_vec, reduce
 from .quiver import euler_form
 
 DEFAULT_FIELDS = (2, 3)
@@ -474,7 +475,7 @@ def consistency_check(D, loops, k):
 
 
 # --------------------------------------------------------------------------
-# linear algebra over F_p
+# subspaces and subrepresentations over F_p (arithmetic in ``linalg``)
 
 
 @lru_cache(maxsize=None)
@@ -502,24 +503,6 @@ def _subspaces(n, p):
     return tuple(by_rank)
 
 
-def _mat_vec(M, u, p):
-    return tuple(sum(row[c] * u[c] for c in range(len(u))) % p for row in M)
-
-
-def _in_span(rows, pivots, v, p):
-    return not any(x % p for x in _reduce_mod(rows, pivots, v, p))
-
-
-def _reduce_mod(rows, pivots, v, p):
-    v = list(v)
-    for row, piv in zip(rows, pivots):
-        c = v[piv] % p
-        if c:
-            for j in range(len(v)):
-                v[j] = (v[j] - c * row[j]) % p
-    return v
-
-
 def _arrow_slots(Q):
     """(arrow id, source slot, target slot) for every arrow."""
     index = {v: i for i, v in enumerate(Q.vertices)}
@@ -531,7 +514,7 @@ def _stable_tuples(slots, rep, candidates, p):
     candidates, as tuples of (rows, pivots)."""
     for choice in itertools.product(*candidates):
         if all(
-            _in_span(*choice[ti], _mat_vec(rep[aid], u, p), p)
+            in_span(p, *choice[ti], mat_vec(p, rep[aid], u))
             for aid, si, ti in slots
             for u in choice[si][0]
         ):
@@ -660,7 +643,7 @@ def _quotient_rep(Q, gamma, rep, choice, p):
         cols = []
         for c in nonpivots[si]:
             e = tuple(1 if j == c else 0 for j in range(gamma[si]))
-            w = _reduce_mod(rows_t, piv_t, _mat_vec(rep[a.id], e, p), p)
+            w = reduce(p, rows_t, piv_t, mat_vec(p, rep[a.id], e))
             cols.append([w[x] for x in nonpivots[ti]])
         new_rep[a.id] = tuple(
             tuple(col[r] for col in cols) for r in range(new_gamma[ti])

@@ -179,6 +179,38 @@ def test_bad_env_override_is_precondition(pairq, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("fields", ["2,3,0", "1", "-3", "2,4"])
+def test_non_prime_env_field_is_precondition(tmp_path, capsys, monkeypatch, fields):
+    """A non-prime in QUIVERALG_FIELDS is refused, not searched over Z/n."""
+    f = tmp_path / "kronecker.qp"
+    f.write_text("vertices: v1, v2\narrows: a: v1 -> v2; b: v1 -> v2\n")
+    monkeypatch.setenv("QUIVERALG_FIELDS", fields)
+    bad = fields.split(",")[-1]
+    code, out, err = run(capsys, "walls", "--max-gamma", "v1=1,v2=1", "--field", bad, str(f))
+    assert (code, out) == (3, "")
+    assert err == f"error: bad environment override: {bad} is not prime\n"
+
+
+def test_env_fields_admit_other_primes(pairq, capsys, monkeypatch):
+    monkeypatch.setenv("QUIVERALG_FIELDS", "2,5")
+    code, out, _ = run(capsys, "walls", "--max-gamma", "1=1,2=1", "--field", "5", pairq)
+    assert code == 0
+    assert out.splitlines()[-2].endswith("kappa=1:1/2,2:-1/2; verdict=true")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walls", "--max-gamma", "1=1,1=0,2=1"),
+        ("spherical-span", "--gamma", "2=1,1=1,2=0", "--degree", "1"),
+    ],
+)
+def test_repeated_vertex_in_ranks_is_precondition(pairq, capsys, argv):
+    code, out, err = run(capsys, *argv, pairq)
+    assert (code, out) == (3, "")
+    assert "duplicate rank for vertex" in err
+
+
 def test_eta_check(tmp_path, capsys):
     f = tmp_path / "eta.qp"
     f.write_text("vertices: j, i+, i-\narrows: b: j -> i+; a0: i+ -> i-\n")

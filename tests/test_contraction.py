@@ -158,7 +158,7 @@ def _random_rep(rng, F, Q, dims):
     for a in Q.arrows:
         rows, cols = dims[a.target], dims[a.source]
         mats[a.id] = tuple(
-            tuple(F.conv(rng.randrange(F.p)) for _ in range(cols)) for _ in range(rows)
+            tuple(rng.randrange(F) for _ in range(cols)) for _ in range(rows)
         )
     return Representation(F, dims, mats, Q=Q)
 

@@ -442,6 +442,8 @@ def test_eta_embedding_lift_beyond_bound_refused():
 # The reference below is the exhaustive search: every representation from an
 # eager product of all matrices, every subspace tuple tested for stability by
 # rank over GF(p), and Fraction kappa on every subrepresentation.
+# It shares ``linalg`` with the search; tests/test_linalg.py checks ``linalg``
+# against sympy.
 
 
 def reference_matrices(rows, cols, p):
