@@ -24,6 +24,10 @@ class Arrow(NamedTuple):
 class Quiver:
     """Finite directed multigraph with ordered string-identified vertices."""
 
+    # arrow id -> contracted quiver; shuffle.contract_shuffle gives a quiver
+    # its own dict on first use, so quivers never contracted carry none
+    _contracted = None
+
     def __init__(self, vertices, arrows, name="Q"):
         self.name = name
         self.vertices = tuple(vertices)

@@ -18,6 +18,16 @@ block1+block2 -> 1..n, times the sign.  The sum is then divided by the
 Vandermonde one linear factor at a time, by synthetic division; a non-zero
 remainder is an internal bug, never a data error.
 
+shuffle_mul does all of this on dense exponent vectors with integer
+coefficients.  The product's sum(gamma) slot variables get positions once:
+vertices in Q.vertices order, slots ascending, so x[v,slot] sits at
+offset[v] + slot - 1.  f and g are scaled by the lcm of their coefficient
+denominators, and a polynomial is a dict {exponent tuple: int}.  Renaming
+for a shuffle is one operator.itemgetter over a precomputed position
+permutation, and the divisions are exact in the integers.  Fractions come
+back only at the end: the result's coefficients are c / L, L the product of
+the two lcms, when its Poly is built.
+
 Contraction acts on these polynomials by the slotwise substitution
 x[i-,a] |-> x[i0,a], x[i+,a] |-> x[i0,a]; it is a homomorphism for the
 product above on the rank sectors with equal values at the two merged
@@ -28,9 +38,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
+from operator import add, itemgetter
 
 from .contraction import contract_quiver
-from .errors import PreconditionError
+from .errors import InternalConsistencyError, PreconditionError
 from .linalg import QQ, in_span, rref
 from .poly import Poly, Rat, xvar
 from .quiver import check_dimvec, euler_form
@@ -69,16 +81,19 @@ class SymPoly:
                 raise PreconditionError(
                     f"slot {slot} out of range 1..{gamma[vertex]} at vertex {vertex!r}"
                 )
+        # Swapping two slots is a bijection on monomials, so the polynomial
+        # is invariant iff every term's swapped monomial has its coefficient.
+        terms = self.poly.terms
         for vertex, n in gamma.items():
             for a in range(1, n):
-                swap = {
-                    xvar(vertex, a): xvar(vertex, a + 1),
-                    xvar(vertex, a + 1): xvar(vertex, a),
-                }
-                if self.poly.rename_vars(swap) != self.poly:
-                    raise PreconditionError(
-                        f"polynomial is not symmetric in the slots of {vertex!r}"
-                    )
+                va, vb = xvar(vertex, a), xvar(vertex, a + 1)
+                swap = {va: vb, vb: va}
+                for m, c in terms.items():
+                    swapped = tuple(sorted([(swap.get(v, v), e) for v, e in m]))
+                    if swapped != m and terms.get(swapped) != c:
+                        raise PreconditionError(
+                            f"polynomial is not symmetric in the slots of {vertex!r}"
+                        )
 
     @staticmethod
     def one(quiver, gamma):
@@ -214,29 +229,148 @@ def fac_kernel(Q, g1, g2):
     return fac(Q, *_standard_blocks(g1, g2))
 
 
-def _split_term(f, g):
+# -- dense kernel: {exponent tuple: int}, position offset[v] + slot - 1 ------
+
+
+def _slots(Q, gamma):
+    """Positions of the slot variables: vertex v's slots start at offset[v],
+    vertices in Q.vertices order.  Returns (offset, variables), with
+    variables[i] the variable at position i."""
+    offset = {}
+    variables = []
+    for v in Q.vertices:
+        offset[v] = len(variables)
+        variables.extend(xvar(v, a) for a in range(1, gamma[v] + 1))
+    return offset, variables
+
+
+def _to_dense(poly, index, n):
+    """poly scaled to integers: ({exponent tuple: int}, L), L the lcm of the
+    coefficient denominators, variable v at position index[v]."""
+    L = lcm(*(c.denominator for c in poly.terms.values()))
+    out = {}
+    for m, c in poly.terms.items():
+        e = [0] * n
+        for v, k in m:
+            e[index[v]] = k
+        out[tuple(e)] = c.numerator * (L // c.denominator)
+    return out, L
+
+
+def _from_dense(terms, L, variables):
+    """The Poly sum of c/L * x^e, its monomials sorted by variable."""
+    order = sorted(range(len(variables)), key=variables.__getitem__)
+    names = [variables[i] for i in order]
+    reorder = itemgetter(*order) if len(order) > 1 else lambda e: e
+    p = Poly.zero()
+    p.terms.update(
+        (tuple((v, k) for v, k in zip(names, reorder(e)) if k), Fraction(c, L))
+        for e, c in terms.items()
+    )
+    return p
+
+
+def _dense_mul(p, q):
+    """p * q on exponent tuples."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _times_diff(p, b, a):
+    """p * (x_b - x_a), for positions b != a."""
+    out = {}
+    for e, c in p.items():
+        eb = e[:b] + (e[b] + 1,) + e[b + 1:]
+        out[eb] = out.get(eb, 0) + c
+        ea = e[:a] + (e[a] + 1,) + e[a + 1:]
+        out[ea] = out.get(ea, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def _divide_diff(p, b, a):
+    """Exact quotient p / (x_b - x_a); a non-zero remainder is a bug.
+
+    One pass of synthetic division in x_b: with p = sum_k c_k x_b^k, the
+    quotient's coefficients are q_{k-1} = c_k + x_a*q_k from the top power
+    down, and the remainder is c_0 + x_a*q_0.  The c_k are keyed by their
+    exponent tuples with position b zeroed."""
+    coeffs = {}  # power of x_b -> {exponent tuple with e[b] = 0: coefficient}
+    for e, c in p.items():
+        coeffs.setdefault(e[b], {})[e[:b] + (0,) + e[b + 1:]] = c
+    out = {}
+    q = {}
+    for k in range(max(coeffs, default=0), -1, -1):
+        carried = {e[:a] + (e[a] + 1,) + e[a + 1:]: c for e, c in q.items()}
+        for e, c in coeffs.get(k, {}).items():
+            s = carried.get(e, 0) + c
+            if s:
+                carried[e] = s
+            else:
+                del carried[e]
+        if k == 0:
+            if carried:
+                raise InternalConsistencyError(
+                    f"inexact division by the difference of positions {b} and {a}"
+                )
+            break
+        q = carried
+        for e, c in q.items():
+            out[e[:b] + (k - 1,) + e[b + 1:]] = c
+    return out
+
+
+def _split_term(f, g, offset, n):
     """Numerator term of the standard split, the one whose block 1 is the
-    first g1^i slots at every vertex i:
+    first g1^i slots at every vertex i, scaled to integers:
 
         f * g(shifted into block 2) * Vdm(block 1) * Vdm(block 2) * arrows,
 
     that is fac_kernel(Q, g1, g2) times the full Vandermonde prod_i
-    Vdm(x[i,1..n_i]), times f and the shifted g."""
+    Vdm(x[i,1..n_i]), times f and the shifted g.  Returns (term, L), the
+    term being L times that polynomial."""
     Q = f.quiver
-    block1, block2 = _standard_blocks(f.gamma, g.gamma)
-    kernel = Poly.const(1)
+    g1, g2 = f.gamma, g.gamma
+    block1 = {v: [offset[v] + s for s in range(g1[v])] for v in Q.vertices}
+    block2 = {v: [offset[v] + g1[v] + s for s in range(g2[v])] for v in Q.vertices}
+    kernel = {(0,) * n: 1}
     for v in Q.vertices:
         for block in (block1[v], block2[v]):
-            for va, vb in combinations(block, 2):
-                kernel = kernel * Poly.linear_diff(vb, va)
-    for vb, va, a_ij in _arrow_factors(Q, block1, block2):
-        kernel = kernel * Poly.linear_diff(vb, va) ** a_ij
-    shift = {xvar(v, q): vb for v in Q.vertices for q, vb in enumerate(block2[v], start=1)}
-    return f.poly * g.poly.rename_vars(shift) * kernel
+            for a, b in combinations(block, 2):
+                kernel = _times_diff(kernel, b, a)
+    for b, a, a_ij in _arrow_factors(Q, block1, block2):
+        for _ in range(a_ij):
+            kernel = _times_diff(kernel, b, a)
+    f_index = {xvar(v, s + 1): p for v in Q.vertices for s, p in enumerate(block1[v])}
+    g_index = {xvar(v, s + 1): p for v in Q.vertices for s, p in enumerate(block2[v])}
+    fd, Lf = _to_dense(f.poly, f_index, n)
+    gd, Lg = _to_dense(g.poly, g_index, n)
+    return _dense_mul(_dense_mul(fd, gd), kernel), Lf * Lg
 
 
 def _inversions(block1, block2):
     return sum(1 for s in block1 for t in block2 if t < s)
+
+
+def _shuffles(Q, g1, gamma, offset):
+    """(source, sign) for every split: the split's term is the standard
+    one with position source[t] moved to position t, times sign.  source
+    is None for the identity."""
+    identity = list(range(sum(gamma.values())))
+    choices = [combinations(range(gamma[v]), g1[v]) for v in Q.vertices]
+    for blocks in product(*choices):
+        source = identity[:]
+        sign = 1
+        for v, b1 in zip(Q.vertices, blocks):
+            b2 = tuple(s for s in range(gamma[v]) if s not in b1)
+            for std, slot in enumerate(b1 + b2):
+                source[offset[v] + slot] = offset[v] + std
+            if _inversions(b1, b2) % 2:
+                sign = -sign
+        yield (None if source == identity else source), sign
 
 
 def shuffle_mul(f, g):
@@ -249,29 +383,35 @@ def shuffle_mul(f, g):
     if f.poly.is_zero() or g.poly.is_zero():
         return SymPoly(Q, gamma, Poly.zero())
 
-    term = list(_split_term(f, g).terms.items())
-    verts = Q.vertices
-    choices = [combinations(range(1, gamma[v] + 1), g1[v]) for v in verts]
+    offset, variables = _slots(Q, gamma)
+    term, L = _split_term(f, g, offset, len(variables))
+    exps = list(term)
+    plus = list(term.values())
+    minus = [-c for c in plus]
     numerator = {}
-    for blocks in product(*choices):
-        ren = {}
-        sign = 1
-        for v, b1 in zip(verts, blocks):
-            b2 = tuple(s for s in range(1, gamma[v] + 1) if s not in b1)
-            for std, slot in enumerate(b1 + b2, start=1):
-                ren[xvar(v, std)] = xvar(v, slot)
-            if _inversions(b1, b2) % 2:
-                sign = -sign
-        for m, c in term:
-            key = tuple(sorted([(ren[x], e) for x, e in m]))
-            numerator[key] = numerator.get(key, 0) + (c if sign == 1 else -c)
+    get = numerator.get
+    for source, sign in _shuffles(Q, g1, gamma, offset):
+        renamed = exps if source is None else map(itemgetter(*source), exps)
+        for e, c in zip(renamed, plus if sign == 1 else minus):
+            numerator[e] = get(e, 0) + c
 
-    result = Poly.zero()
-    result.terms.update((m, c) for m, c in numerator.items() if c)
-    for v in verts:
-        for a, b in combinations(range(1, gamma[v] + 1), 2):
-            result = result.divide_linear(xvar(v, b), xvar(v, a))
-    return SymPoly(Q, gamma, result)
+    result = {e: c for e, c in numerator.items() if c}
+    for v in Q.vertices:
+        for a, b in combinations(range(offset[v], offset[v] + gamma[v]), 2):
+            result = _divide_diff(result, b, a)
+    return SymPoly(Q, gamma, _from_dense(result, L, variables))
+
+
+def _contracted_quiver(Q, a0_id):
+    """The quiver of contract_quiver(Q, a0_id), built once per Quiver
+    instance: a quiver is not changed after construction, so the memo is
+    the quiver's own dict, made on first use, and dies with it."""
+    memo = Q._contracted
+    if memo is None:
+        memo = Q._contracted = {}
+    if a0_id not in memo:
+        memo[a0_id] = contract_quiver(Q, a0_id)[0]
+    return memo[a0_id]
 
 
 def contract_shuffle(f, a0_id):
@@ -286,7 +426,7 @@ def contract_shuffle(f, a0_id):
         raise PreconditionError(
             f"equal-rank precondition: gamma[{ip}]={f.gamma[ip]} != gamma[{im}]={f.gamma[im]}"
         )
-    Qhat, _, _ = contract_quiver(Q, a0_id)
+    Qhat = _contracted_quiver(Q, a0_id)
     ghat = {v: f.gamma[v] for v in Qhat.vertices}
     ren = {xvar(im, a): xvar(ip, a) for a in range(1, f.gamma[im] + 1)}
     return SymPoly(Qhat, ghat, f.poly.rename_vars(ren))

@@ -133,15 +133,16 @@ def power_sum(gamma, v, k):
     return out
 
 
-def random_sympoly(rng, Q, gamma, max_deg=2, nterms=2):
-    """Random symmetric element built from products of power sums."""
+def random_sympoly(rng, Q, gamma, max_deg=2, nterms=2, coeffs=None):
+    """Random symmetric element built from products of power sums, with
+    coefficients drawn from `coeffs` (default: the integers -2..2)."""
     from quiveralg.poly import Poly
     from quiveralg.shuffle import SymPoly
 
     poly = Poly.zero()
     vs = [v for v in Q.vertices if gamma[v] > 0]
     for _ in range(nterms):
-        c = rng.randint(-2, 2)
+        c = rng.randint(-2, 2) if coeffs is None else rng.choice(coeffs)
         if not c:
             continue
         term = Poly.const(c)

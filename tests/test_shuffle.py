@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 
-from quiveralg.errors import PreconditionError
+import quiveralg.shuffle as shuffle_module
+from quiveralg.errors import InternalConsistencyError, PreconditionError
 from quiveralg.poly import Poly, Rat, xvar
 from quiveralg.quiver import Arrow, Quiver, euler_form
 from quiveralg.shuffle import (
     INCONCLUSIVE,
     ShuffleElement,
     SymPoly,
+    _arrow_factors,
+    _divide_diff,
+    _from_dense,
+    _slots,
     _split_term,
+    _standard_blocks,
     _vertex_words,
     contract_shuffle,
     fac_kernel,
@@ -44,6 +51,10 @@ def unit(Q, v):
     return {u: 1 if u == v else 0 for u in Q.vertices}
 
 
+# coefficients whose denominators make the product scale f and g to integers
+RATIONALS = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), 1, -2)
+
+
 # ------------------------------------------------------------- SymPoly
 
 
@@ -63,6 +74,44 @@ def test_sympoly_accepts_symmetric():
     J = jordan_quiver()
     p = SymPoly(J, {"1": 2}, x("1", 1) + x("1", 2))
     assert p.gamma_key() == (2,)
+
+
+def _first_asymmetric_vertex(poly, gamma):
+    """The symmetry check by renaming: the first vertex, in gamma's order,
+    at which swapping two adjacent slots changes the polynomial."""
+    for vertex, n in gamma.items():
+        for a in range(1, n):
+            swap = {xvar(vertex, a): xvar(vertex, a + 1), xvar(vertex, a + 1): xvar(vertex, a)}
+            if poly.rename_vars(swap) != poly:
+                return vertex
+    return None
+
+
+def test_sympoly_symmetry_check_matches_renaming(rng):
+    """Symmetric polynomials, and the same with one coefficient perturbed or
+    one term dropped: SymPoly accepts exactly those the renaming check
+    accepts, and names the same vertex when it refuses."""
+    verdicts = set()
+    for _ in range(300):
+        Q = random_quiver(rng, max_vertices=3, max_arrows=0)
+        gamma = {v: rng.randint(0, 3) for v in Q.vertices}
+        poly = random_sympoly(rng, Q, gamma, max_deg=3, nterms=3, coeffs=RATIONALS).poly
+        if poly.terms:
+            m = rng.choice(sorted(poly.terms))
+            change = rng.choice(("keep", "perturb", "drop"))
+            if change == "perturb":
+                poly = poly + Poly({m: Fraction(1, 3)})
+            elif change == "drop":
+                poly = poly - Poly({m: poly.terms[m]})
+        expected = _first_asymmetric_vertex(poly, gamma)
+        if expected is None:
+            SymPoly(Q, gamma, poly)
+        else:
+            with pytest.raises(PreconditionError) as err:
+                SymPoly(Q, gamma, poly)
+            assert str(err.value) == f"polynomial is not symmetric in the slots of {expected!r}"
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
 
 
 # ------------------------------------------------------------- fac
@@ -106,8 +155,8 @@ def test_split_term_is_fac_kernel_times_vandermonde(rng):
         g2 = {v: rng.randint(0, 2) for v in Q.vertices}
         if sum(g1[a.source] * g2[a.target] for a in Q.arrows) > 6:
             continue
-        f = random_sympoly(rng, Q, g1, max_deg=2)
-        g = random_sympoly(rng, Q, g2, max_deg=2)
+        f = random_sympoly(rng, Q, g1, max_deg=2, coeffs=RATIONALS)
+        g = random_sympoly(rng, Q, g2, max_deg=2, coeffs=RATIONALS)
         shift = {xvar(v, q): xvar(v, g1[v] + q) for v in Q.vertices for q in range(1, g2[v] + 1)}
         vdm = Rat(1, [
             (Poly.linear_diff(xvar(v, b), xvar(v, a)), 1)
@@ -116,7 +165,9 @@ def test_split_term_is_fac_kernel_times_vandermonde(rng):
         ])
         full = Rat.from_poly(f.poly * g.poly.rename_vars(shift)) * fac_kernel(Q, g1, g2) * vdm
         assert full.is_polynomial()
-        assert _split_term(f, g) == full.num()
+        offset, variables = _slots(Q, {v: g1[v] + g2[v] for v in Q.vertices})
+        term, L = _split_term(f, g, offset, len(variables))
+        assert _from_dense(term, L, variables) == full.num()
         done += 1
 
 
@@ -160,26 +211,117 @@ def _reference_shuffle_mul(f, g):
     return SymPoly(Q, gamma, numerator)
 
 
+def _poly_split_term(f, g):
+    """The standard split's numerator term multiplied out as a Poly:
+    f * g(shifted into block 2) * Vdm(block 1) * Vdm(block 2) * arrows."""
+    Q = f.quiver
+    block1, block2 = _standard_blocks(f.gamma, g.gamma)
+    kernel = Poly.const(1)
+    for v in Q.vertices:
+        for block in (block1[v], block2[v]):
+            for va, vb in combinations(block, 2):
+                kernel = kernel * Poly.linear_diff(vb, va)
+    for vb, va, a_ij in _arrow_factors(Q, block1, block2):
+        kernel = kernel * Poly.linear_diff(vb, va) ** a_ij
+    shift = {xvar(v, q): vb for v in Q.vertices for q, vb in enumerate(block2[v], start=1)}
+    return f.poly * g.poly.rename_vars(shift) * kernel
+
+
+def _poly_path_shuffle_mul(f, g):
+    """The shuffle product on Poly values: the standard split's term with
+    Fraction coefficients, renamed and re-sorted per shuffle, then divided
+    by the Vandermonde with Poly.divide_linear."""
+    Q = f.quiver
+    g1, g2 = f.gamma, g.gamma
+    gamma = {v: g1[v] + g2[v] for v in Q.vertices}
+    term = list(_poly_split_term(f, g).terms.items())
+    choices = [combinations(range(1, gamma[v] + 1), g1[v]) for v in Q.vertices]
+    numerator = {}
+    for blocks in product(*choices):
+        ren = {}
+        sign = 1
+        for v, b1 in zip(Q.vertices, blocks):
+            b2 = tuple(s for s in range(1, gamma[v] + 1) if s not in b1)
+            for std, slot in enumerate(b1 + b2, start=1):
+                ren[xvar(v, std)] = xvar(v, slot)
+            sign *= (-1) ** sum(1 for s in b1 for t in b2 if t < s)
+        for m, c in term:
+            key = tuple(sorted([(ren[x], e) for x, e in m]))
+            numerator[key] = numerator.get(key, 0) + sign * c
+    result = Poly(numerator)
+    for v in Q.vertices:
+        for a, b in combinations(range(1, gamma[v] + 1), 2):
+            result = result.divide_linear(xvar(v, b), xvar(v, a))
+    return SymPoly(Q, gamma, result)
+
+
+def _random_pair(rng, ranks, max_rank, max_shuffles, max_arrow_pairs, coeffs=None):
+    """A random quiver and random f, g whose product has total rank in
+    `ranks`, at most max_shuffles shuffles and at most max_arrow_pairs arrow
+    factors; None when the draw misses those bounds."""
+    Q = random_quiver(rng, max_vertices=3, max_arrows=5)
+    g1 = {v: rng.randint(0, max_rank) for v in Q.vertices}
+    g2 = {v: rng.randint(0, max_rank) for v in Q.vertices}
+    shuffles = 1
+    for v in Q.vertices:
+        shuffles *= comb(g1[v] + g2[v], g1[v])
+    if (
+        sum(g1.values()) + sum(g2.values()) not in ranks
+        or shuffles > max_shuffles
+        or sum(g1[a.source] * g2[a.target] for a in Q.arrows) > max_arrow_pairs
+    ):
+        return None
+    f = random_sympoly(rng, Q, g1, max_deg=2, coeffs=coeffs)
+    g = random_sympoly(rng, Q, g2, max_deg=2, coeffs=coeffs)
+    return f, g
+
+
+def test_shuffle_mul_total_rank_seven_and_eight(rng):
+    """Total rank 7-8, beyond the per-split reference, against the
+    Poly-path product; six of the products are non-zero."""
+    done = 0
+    while done < 6:
+        pair = _random_pair(rng, (7, 8), 3, 70, 6, coeffs=RATIONALS)
+        if pair is None:
+            continue
+        f, g = pair
+        got = shuffle_mul(f, g)
+        assert got == _poly_path_shuffle_mul(f, g)
+        done += not got.is_zero()
+
+
+def test_divide_diff_exact_and_inexact():
+    """(x1 - x0)(x1 + x2) / (x1 - x0) = x1 + x2 on exponent tuples; x1^2 + x0
+    is no multiple of x1 - x0."""
+    p = {(0, 2, 0): 1, (0, 1, 1): 1, (1, 1, 0): -1, (1, 0, 1): -1}
+    assert _divide_diff(p, 1, 0) == {(0, 1, 0): 1, (0, 0, 1): 1}
+    with pytest.raises(InternalConsistencyError):
+        _divide_diff({(0, 2, 0): 1, (1, 0, 0): 1}, 1, 0)
+
+
+def test_divide_diff_inexact_from_carried_term():
+    """x1*x2 has no x1-free part; its only remainder term is the carried
+    x0*q_0 = x0*x2."""
+    with pytest.raises(InternalConsistencyError):
+        _divide_diff({(0, 1, 1): 3}, 1, 0)
+
+
 def test_shuffle_mul_matches_per_split_reference(rng):
     """Random quivers (loops, parallel arrows and 2-cycles occur), ranks 0-2
-    per vertex, both orders f*g and g*f."""
+    per vertex, both orders f*g and g*f, against the per-split and the
+    Poly-path products.  Every other case draws the coefficients 1/2, -2/3,
+    5/6, so the product scales f and g by the lcm of their denominators."""
     done = zeros = 0
     while done < 40:
-        Q = random_quiver(rng, max_vertices=3, max_arrows=5)
-        g1 = {v: rng.randint(0, 2) for v in Q.vertices}
-        g2 = {v: rng.randint(0, 2) for v in Q.vertices}
-        gamma = [g1[v] + g2[v] for v in Q.vertices]
-        shuffles = 1
-        for v in Q.vertices:
-            shuffles *= comb(g1[v] + g2[v], g1[v])
-        # the reference's long division is slow beyond total rank 6
-        if sum(gamma) > 6 or shuffles > 40 or sum(g1[a.source] * g2[a.target] for a in Q.arrows) > 6:
+        # the per-split reference's long division is slow beyond total rank 6
+        pair = _random_pair(rng, range(7), 2, 40, 6, coeffs=RATIONALS if done % 2 else None)
+        if pair is None:
             continue
-        f = random_sympoly(rng, Q, g1, max_deg=2)
-        g = random_sympoly(rng, Q, g2, max_deg=2)
+        f, g = pair
         for left, right in ((f, g), (g, f)):
             got = shuffle_mul(left, right)
-            assert got == _reference_shuffle_mul(left, right), (Q.arrows, g1, g2)
+            assert got == _reference_shuffle_mul(left, right), (left.quiver.arrows, f.gamma, g.gamma)
+            assert got == _poly_path_shuffle_mul(left, right)
             zeros += got.is_zero() and not (left.is_zero() or right.is_zero())
         done += 1
     # products that cancel to zero: antisymmetry at a loop-free vertex
@@ -312,6 +454,36 @@ def test_contract_constant():
     img = contract_shuffle(f, "a0")
     assert img.poly == Poly.const(1)
     assert img.gamma == {"i+": 2}
+
+
+def test_contract_builds_each_contracted_quiver_once(monkeypatch):
+    """f, g and f*g contracted along one arrow share one contract_quiver
+    call and one contracted quiver; another arrow gets its own."""
+    calls = []
+    real = shuffle_module.contract_quiver
+
+    def counted(Q, a0_id):
+        calls.append(a0_id)
+        return real(Q, a0_id)
+
+    monkeypatch.setattr(shuffle_module, "contract_quiver", counted)
+    K = kronecker_quiver()
+    f = SymPoly(K, {"i+": 1, "i-": 1}, x("i+") * x("i-"))
+    g = SymPoly.one(K, {"i+": 1, "i-": 1})
+    images = [contract_shuffle(p, "a0") for p in (f, g, shuffle_mul(f, g))]
+    assert calls == ["a0"]
+    assert all(img.quiver is images[0].quiver for img in images)
+    contract_shuffle(f, "a2")
+    assert calls == ["a0", "a2"]
+
+
+def test_contract_equal_quivers_keep_their_names():
+    arrows = [Arrow("a0", "u", "w"), Arrow("b", "w", "u")]
+    P, R = Quiver(["u", "w"], arrows, name="P"), Quiver(["u", "w"], arrows, name="R")
+    assert P == R
+    for Q in (P, R, P):
+        img = contract_shuffle(SymPoly.one(Q, {"u": 1, "w": 1}), "a0")
+        assert img.quiver.name == Q.name + "_hat"
 
 
 def test_contract_unequal_ranks_rejected():
