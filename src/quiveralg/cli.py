@@ -20,11 +20,12 @@ Subcommands
 Exit codes: 0 success; 1 verification failure; 2 parse error; 3 precondition
 violation; 4 outside implemented scope or unsupported reduction.
 
-Environment overrides: QUIVERALG_MAX_DIM (stability brute-force total
-dimension bound), QUIVERALG_MAX_ENUM (representation enumeration bound),
-QUIVERALG_FIELDS (comma-separated admissible primes; any other value exits
-3), QUIVERALG_TRUNCATION (quantum-torus truncation used by the verification
-suites).
+Environment overrides, read once per command into one ``scattering.Limits``
+that the command passes down: QUIVERALG_MAX_DIM (stability brute-force
+total dimension bound), QUIVERALG_MAX_ENUM (representation enumeration
+bound), QUIVERALG_FIELDS (comma-separated admissible primes; any other value
+exits 3), QUIVERALG_TRUNCATION (quantum-torus truncation used by the
+verification suites).  A value that does not parse exits 3.
 """
 
 import argparse
@@ -32,7 +33,6 @@ import os
 import random
 import sys
 
-from . import scattering
 from .contraction import contract_qp, contract_quiver, higgs
 from .errors import PreconditionError, QPParseError, QuiverAlgError
 from .hopf import (
@@ -50,6 +50,7 @@ from .qp import QuiverWithPotential
 from .qpformat import QPDocument, parse_qp, print_element, print_qp
 from .quiver import Arrow, Quiver, euler_form
 from .scattering import (
+    LIMITS,
     GComplex,
     PathSpec,
     QuantumTorusElement,
@@ -62,35 +63,27 @@ from .scattering import (
 from .shuffle import SymPoly, contract_shuffle, shuffle_mul, spherical_span
 
 DEFAULT_SEED = 20260814
-DEFAULT_TRUNCATION = 3
 
-_SCATTERING_DEFAULTS = (
-    scattering.MAX_TOTAL_DIM,
-    scattering.MAX_ENUMERATION,
-    scattering.DEFAULT_FIELDS,
+
+def _primes(text):
+    return tuple(GF(int(x)) for x in text.split(",") if x.strip())
+
+
+# (variable, Limits field, parser), parsed in this order
+_ENV_OVERRIDES = (
+    ("QUIVERALG_MAX_DIM", "max_total_dim", int),
+    ("QUIVERALG_MAX_ENUM", "max_enumeration", int),
+    ("QUIVERALG_FIELDS", "fields", _primes),
+    ("QUIVERALG_TRUNCATION", "truncation", int),
 )
 
 
-def _apply_env(env=None):
-    env = os.environ if env is None else env
-    global DEFAULT_TRUNCATION
-    (
-        scattering.MAX_TOTAL_DIM,
-        scattering.MAX_ENUMERATION,
-        scattering.DEFAULT_FIELDS,
-    ) = _SCATTERING_DEFAULTS
-    DEFAULT_TRUNCATION = 3
+def _limits_from_env(env):
+    """``LIMITS`` with the overrides set in ``env``."""
     try:
-        if "QUIVERALG_MAX_DIM" in env:
-            scattering.MAX_TOTAL_DIM = int(env["QUIVERALG_MAX_DIM"])
-        if "QUIVERALG_MAX_ENUM" in env:
-            scattering.MAX_ENUMERATION = int(env["QUIVERALG_MAX_ENUM"])
-        if "QUIVERALG_FIELDS" in env:
-            scattering.DEFAULT_FIELDS = tuple(
-                GF(int(x)) for x in env["QUIVERALG_FIELDS"].split(",") if x.strip()
-            )
-        if "QUIVERALG_TRUNCATION" in env:
-            DEFAULT_TRUNCATION = int(env["QUIVERALG_TRUNCATION"])
+        return LIMITS._replace(
+            **{f: parse(env[var]) for var, f, parse in _ENV_OVERRIDES if var in env}
+        )
     except (ValueError, PreconditionError) as exc:
         raise PreconditionError(f"bad environment override: {exc}") from exc
 
@@ -216,7 +209,7 @@ def cmd_walls(args):
     Q = doc.quiver
     maxgamma = _parse_ranks(args.max_gamma, Q, "--max-gamma")
     entries = wall_support_scan(
-        Q, maxgamma, _default_samples(len(Q.vertices)), p=args.field
+        Q, maxgamma, _default_samples(len(Q.vertices)), p=args.field, limits=args.limits
     )
     for line in wall_scan_lines(Q, entries):
         print(line)
@@ -229,8 +222,9 @@ def cmd_eta_check(args):
     Qhat, _, _ = contract_quiver(Q, args.arrow)
     ranks = _parse_ranks(args.max_gamma, Qhat, "--max-gamma")
     maxgamma_hat = tuple(ranks[v] for v in Qhat.vertices)
+    samples = _default_samples(len(Qhat.vertices))
     report = eta_embedding_check(
-        Q, args.arrow, maxgamma_hat, _default_samples(len(Qhat.vertices)), p=args.field
+        Q, args.arrow, maxgamma_hat, samples, p=args.field, limits=args.limits
     )
     for r in report.results:
         kp = "none" if r.kparam is None else str(r.kparam)
@@ -267,7 +261,7 @@ def _qp(vertices, arrows, terms=()):
     return QuiverWithPotential(Q, W)
 
 
-def suite_example31(seed):
+def suite_example31(seed, limits):
     doc = parse_qp(EXAMPLE31)
     res = contract_qp(doc.qp(), "a0")
     Qh = res.quiver
@@ -288,7 +282,7 @@ def suite_example31(seed):
     ]
 
 
-def suite_fermion(seed):
+def suite_fermion(seed, limits):
     loop_free = Quiver(["u"], [])
     one = SymPoly(loop_free, {"u": 1}, 1)
     jordan = Quiver(["u"], [Arrow("l", "u", "u")])
@@ -331,7 +325,7 @@ def _random_sympoly(rng, Q, gamma):
     return SymPoly(Q, gamma, poly)
 
 
-def suite_homomorphism(seed):
+def suite_homomorphism(seed, limits):
     rng = random.Random(seed)
     trials = 25
     mult_ok = euler_ok = 0
@@ -357,7 +351,7 @@ def suite_homomorphism(seed):
     ]
 
 
-def suite_mutation366(seed):
+def suite_mutation366(seed, limits):
     a0 = ("a0", "i+", "i-")
     sole_source = [
         _qp(["j", "k", "i+", "i-"], [("a", "j", "i+"), a0, ("b", "k", "i-")]),
@@ -401,7 +395,7 @@ def suite_mutation366(seed):
     return checks
 
 
-def suite_adhm(seed):
+def suite_adhm(seed, limits):
     a2 = Quiver(["1", "2"], [Arrow("a", "1", "2")])
     kron = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
     return [
@@ -412,7 +406,7 @@ def suite_adhm(seed):
     ]
 
 
-def suite_hopf(seed):
+def suite_hopf(seed, limits):
     a2 = Quiver(["1", "2"], [Arrow("a", "1", "2")])
     kron = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
     rank11 = {"1": 1, "2": 1}
@@ -433,13 +427,13 @@ def suite_hopf(seed):
     ]
 
 
-def suite_eta(seed):
+def suite_eta(seed, limits):
     Q = Quiver(
         ("j", "i+", "i-"), [Arrow("b", "j", "i+"), Arrow("a0", "i+", "i-")], name="P3"
     )
     axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    r2 = eta_embedding_check(Q, "a0", (1, 1), axes, p=2)
-    r3 = eta_embedding_check(Q, "a0", (1, 1), axes, p=3)
+    r2 = eta_embedding_check(Q, "a0", (1, 1), axes, p=2, limits=limits)
+    r3 = eta_embedding_check(Q, "a0", (1, 1), axes, p=3, limits=limits)
     a2 = Quiver(("1", "2"), [Arrow("a", "1", "2")])
     t3 = Quiver(("1", "2", "3"), [])
     gen = QuantumTorusElement.generator
@@ -453,7 +447,7 @@ def suite_eta(seed):
     loop3 = PathSpec.of(
         [(2, 1, 1), (-1, 2, 1), (-2, -1, 1), (1, -2, 1), (2, 1, 1)]
     )
-    k = DEFAULT_TRUNCATION
+    k = limits.truncation
     separated = consistency_check(commuting, [loop3], k) and not consistency_check(
         noncommuting, [diamond], k
     )
@@ -476,7 +470,7 @@ SUITES = {
 
 
 def cmd_verify(args):
-    checks = SUITES[args.suite](args.seed)
+    checks = SUITES[args.suite](args.seed, args.limits)
     ok = True
     for label, passed in checks:
         print(f"{label}: {'PASS' if passed else 'FAIL'}")
@@ -557,7 +551,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        _apply_env()
+        args.limits = _limits_from_env(os.environ)
         return args.func(args)
     except QPParseError as exc:
         for d in exc.diagnostics:

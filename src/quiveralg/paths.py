@@ -242,10 +242,6 @@ class CyclicWord:
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
 
-    def rotations(self):
-        n = len(self.syms)
-        return [self.syms[k:] + self.syms[:k] for k in range(n)]
-
     def __str__(self):
         return ".".join(str(s) for s in self.syms)
 

@@ -43,7 +43,6 @@ from .errors import InternalConsistencyError, PreconditionError, ScopeError
 from .linalg import in_span, mat_vec, reduce
 from .quiver import euler_form
 
-DEFAULT_FIELDS = (2, 3)
 DEFAULT_KPARAM_GRID = (
     Fraction(1, 4),
     Fraction(1, 3),
@@ -53,10 +52,21 @@ DEFAULT_KPARAM_GRID = (
     Fraction(3),
     Fraction(4),
 )
-# Brute-force bounds: total dimension of any enumerated representation,
-# and the number of representations a single existence query may touch.
-MAX_TOTAL_DIM = 4
-MAX_ENUMERATION = 1 << 16
+
+
+class Limits(NamedTuple):
+    """Caps of the brute-force King searches, the primes they search over,
+    and the quantum-torus truncation of the verification suites.  The CLI
+    builds one per command from the environment; library calls take
+    ``LIMITS`` unless given another."""
+
+    max_total_dim: int = 4  # total dimension of any enumerated representation
+    max_enumeration: int = 1 << 16  # representations one existence query may touch
+    fields: tuple = (2, 3)
+    truncation: int = 3
+
+
+LIMITS = Limits()
 
 
 # --------------------------------------------------------------------------
@@ -305,23 +315,7 @@ def log_truncated(g, k):
 
 
 # --------------------------------------------------------------------------
-# cones, walls, paths
-
-
-class Cone(NamedTuple):
-    """A cone given by generating rays and/or inequality normals (y >= 0)."""
-
-    rays: tuple = ()
-    inequalities: tuple = ()
-
-    def contains(self, point):
-        return all(dot(point, n) >= 0 for n in self.inequalities)
-
-    def validate(self):
-        for r in self.rays:
-            if not self.contains(r):
-                raise PreconditionError(f"ray {r} violates the cone inequalities")
-        return True
+# walls, paths
 
 
 class Wall(NamedTuple):
@@ -534,21 +528,23 @@ class KingVerdict(NamedTuple):
     witness: dict | None
 
 
-def _check_enumeration_bounds(Q, gamma, p):
-    if p not in DEFAULT_FIELDS:
-        raise ScopeError(f"stability brute force supports F_p for p in {DEFAULT_FIELDS}")
+def _check_enumeration_bounds(Q, gamma, p, limits):
+    if p not in limits.fields:
+        raise ScopeError(f"stability brute force supports F_p for p in {limits.fields}")
     total = sum(gamma)
     if total == 0:
         raise PreconditionError("stability needs a non-zero dimension vector")
-    if total > MAX_TOTAL_DIM:
+    if total > limits.max_total_dim:
         raise ScopeError(
-            f"total dimension {total} exceeds the brute-force bound {MAX_TOTAL_DIM}"
+            f"total dimension {total} exceeds the brute-force bound "
+            f"{limits.max_total_dim}"
         )
     index = {v: i for i, v in enumerate(Q.vertices)}
     entries = sum(gamma[index[a.target]] * gamma[index[a.source]] for a in Q.arrows)
-    if p**entries > MAX_ENUMERATION:
+    if p**entries > limits.max_enumeration:
         raise ScopeError(
-            f"{p}^{entries} representations exceed the enumeration bound {MAX_ENUMERATION}"
+            f"{p}^{entries} representations exceed the enumeration bound "
+            f"{limits.max_enumeration}"
         )
 
 
@@ -589,7 +585,7 @@ def _destabilizing(gamma, direction):
     )
 
 
-def king_semistable_exists(Q, gamma, kappa, p):
+def king_semistable_exists(Q, gamma, kappa, p, *, limits=LIMITS):
     """Brute-force existence of a semistable representation: some rep of
     dimension gamma whose every proper subrepresentation F has
     kappa(F) <= 0.  Requires kappa(gamma) = 0 exactly.
@@ -602,7 +598,7 @@ def king_semistable_exists(Q, gamma, kappa, p):
     _, direction = _clear_denominators(kappa)
     if sum(map(operator.mul, direction, gamma)) != 0:
         raise PreconditionError(f"kappa(gamma) = {_kappa_of_dims(kappa, gamma)} != 0")
-    _check_enumeration_bounds(Q, gamma, p)
+    _check_enumeration_bounds(Q, gamma, p, limits)
     slots = _arrow_slots(Q)
     by_dims = [
         [_subspaces(g, p)[r] for g, r in zip(gamma, d)]
@@ -617,14 +613,14 @@ def king_semistable_exists(Q, gamma, kappa, p):
     return KingVerdict(False, None)
 
 
-def _exists_once(memo, Q, gamma, kappa, direction, p):
-    """``king_semistable_exists(Q, gamma, kappa, p).exists``, searched once
-    per (gamma, destabilizing dimension vectors) in ``memo``: the verdict
-    depends on kappa only through that set.  ``direction`` is a positive
-    integer multiple of kappa."""
+def _exists_once(memo, Q, gamma, kappa, direction, p, limits):
+    """``king_semistable_exists(Q, gamma, kappa, p, limits=limits).exists``,
+    searched once per (gamma, destabilizing dimension vectors) in ``memo``:
+    the verdict depends on kappa only through that set.  ``direction`` is a
+    positive integer multiple of kappa."""
     key = (gamma, _destabilizing(gamma, direction))
     if key not in memo:
-        memo[key] = king_semistable_exists(Q, gamma, kappa, p).exists
+        memo[key] = king_semistable_exists(Q, gamma, kappa, p, limits=limits).exists
     return memo[key]
 
 
@@ -651,7 +647,7 @@ def _quotient_rep(Q, gamma, rep, choice, p):
     return new_gamma, new_rep
 
 
-def hn_filtration(Q, gamma, rep, kappa, p):
+def hn_filtration(Q, gamma, rep, kappa, p, *, limits=LIMITS):
     """Greedy maximal-slope filtration of a representation.
 
     Returns ((slope, dimension tuple), ...) for the filtration quotients,
@@ -660,7 +656,7 @@ def hn_filtration(Q, gamma, rep, kappa, p):
     """
     gamma = _gamma_tuple(Q, gamma)
     kappa = _vec(Q, kappa)
-    _check_enumeration_bounds(Q, gamma, p)
+    _check_enumeration_bounds(Q, gamma, p, limits)
     factors = []
     while sum(gamma):
         best = None
@@ -698,7 +694,7 @@ class WallScanEntry(NamedTuple):
         return any(v for _, v in self.verdicts)
 
 
-def wall_support_scan(Q, maxgamma, samples, p=2):
+def wall_support_scan(Q, maxgamma, samples, p=2, *, limits=LIMITS):
     """For every non-zero gamma <= maxgamma, project each sample point onto
     the hyperplane gamma-perp and record whether a semistable representation
     of dimension gamma exists there.  Zero or repeated projections are
@@ -725,13 +721,13 @@ def wall_support_scan(Q, maxgamma, samples, p=2):
             kappa = tuple(Fraction(x, gg * m) for x in direction)
             directions.setdefault(kappa, direction)
         if directions:
-            _check_enumeration_bounds(Q, gamma, p)
+            _check_enumeration_bounds(Q, gamma, p, limits)
         queries.append((gamma, directions))
     memo = {}
     entries = []
     for gamma, directions in queries:
         verdicts = tuple(
-            (kappa, _exists_once(memo, Q, gamma, kappa, direction, p))
+            (kappa, _exists_once(memo, Q, gamma, kappa, direction, p, limits))
             for kappa, direction in directions.items()
         )
         entries.append(WallScanEntry(gamma, gamma, verdicts))
@@ -796,7 +792,9 @@ class EtaReport(NamedTuple):
     results: tuple
 
 
-def eta_embedding_check(Q, a0_id, maxgamma_hat, samples, p=2, grid=DEFAULT_KPARAM_GRID):
+def eta_embedding_check(
+    Q, a0_id, maxgamma_hat, samples, p=2, grid=DEFAULT_KPARAM_GRID, *, limits=LIMITS
+):
     """Desk-scale check that contraction walls embed into walls.
 
     Scans the contracted quiver's walls; for every scanned gamma_hat with
@@ -813,7 +811,7 @@ def eta_embedding_check(Q, a0_id, maxgamma_hat, samples, p=2, grid=DEFAULT_KPARA
     ip, im = a0.source, a0.target
     Qhat, _, _ = contract_quiver(Q, a0_id)
     i0 = ip  # the merged vertex keeps the source's name
-    entries = wall_support_scan(Qhat, maxgamma_hat, samples, p)
+    entries = wall_support_scan(Qhat, maxgamma_hat, samples, p, limits=limits)
     memo = {}
     results = []
     all_ok = True
@@ -833,7 +831,9 @@ def eta_embedding_check(Q, a0_id, maxgamma_hat, samples, p=2, grid=DEFAULT_KPARA
                 for kappa in true_samples
             ]
             if all(
-                _exists_once(memo, Q, gamma_t, kappa, _clear_denominators(kappa)[1], p)
+                _exists_once(
+                    memo, Q, gamma_t, kappa, _clear_denominators(kappa)[1], p, limits
+                )
                 for kappa in lifted
             ):
                 found = kparam

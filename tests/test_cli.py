@@ -1,9 +1,14 @@
 """Command dispatch: exit codes, canonical byte-stable output, suites."""
 
+import sys
+
 import pytest
 
 from quiveralg import cli
 from quiveralg.cli import EXAMPLE31, main
+from quiveralg.errors import ScopeError
+from quiveralg.quiver import Arrow, Quiver
+from quiveralg.scattering import Limits, king_semistable_exists
 
 A2_ELEMENTS = """\
 quiver pairq
@@ -196,6 +201,110 @@ def test_env_fields_admit_other_primes(pairq, capsys, monkeypatch):
     code, out, _ = run(capsys, "walls", "--max-gamma", "1=1,2=1", "--field", "5", pairq)
     assert code == 0
     assert out.splitlines()[-2].endswith("kappa=1:1/2,2:-1/2; verdict=true")
+
+
+@pytest.mark.parametrize(
+    "env, limits",
+    [
+        ({}, Limits(max_total_dim=4, max_enumeration=1 << 16, fields=(2, 3), truncation=3)),
+        ({"QUIVERALG_MAX_DIM": "6"}, Limits(max_total_dim=6)),
+        ({"QUIVERALG_MAX_ENUM": "100"}, Limits(max_enumeration=100)),
+        ({"QUIVERALG_FIELDS": "2,5"}, Limits(fields=(2, 5))),
+        ({"QUIVERALG_FIELDS": " 7, "}, Limits(fields=(7,))),  # blank entries are skipped
+        ({"QUIVERALG_TRUNCATION": "2"}, Limits(truncation=2)),
+        ({"QUIVERALG_OTHER": "x"}, Limits()),
+    ],
+)
+def test_env_overrides_build_limits(env, limits):
+    assert cli._limits_from_env(env) == limits
+
+
+@pytest.mark.parametrize(
+    "env, message",
+    [
+        ({"QUIVERALG_MAX_DIM": "six"}, "invalid literal for int() with base 10: 'six'"),
+        ({"QUIVERALG_MAX_ENUM": "1e6"}, "invalid literal for int() with base 10: '1e6'"),
+        ({"QUIVERALG_FIELDS": "2,x"}, "invalid literal for int() with base 10: 'x'"),
+        ({"QUIVERALG_FIELDS": "2,4"}, "4 is not prime"),
+        ({"QUIVERALG_TRUNCATION": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+        # parsed in the order MAX_DIM, MAX_ENUM, FIELDS, TRUNCATION
+        (
+            {"QUIVERALG_TRUNCATION": "t", "QUIVERALG_FIELDS": "4", "QUIVERALG_MAX_DIM": "d"},
+            "invalid literal for int() with base 10: 'd'",
+        ),
+        ({"QUIVERALG_TRUNCATION": "t", "QUIVERALG_FIELDS": "4"}, "4 is not prime"),
+    ],
+)
+def test_bad_env_override_message(pairq, capsys, monkeypatch, env, message):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    code, out, err = run(capsys, "walls", "--max-gamma", "1=1,2=1", pairq)
+    assert (code, out) == (3, "")
+    assert err == f"error: bad environment override: {message}\n"
+
+
+def test_env_fields_reach_eta_check(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "eta.qp"
+    f.write_text("vertices: j, i+, i-\narrows: b: j -> i+; a0: i+ -> i-\n")
+    argv = ("eta-check", "--arrow", "a0", "--max-gamma", "j=1,i+=1", "--field", "5", str(f))
+    assert run(capsys, *argv)[0] == 4
+    monkeypatch.setenv("QUIVERALG_FIELDS", "5")
+    code, out, err = run(capsys, *argv)
+    assert (code, err, out.splitlines()[-1]) == (0, "", "eta: ok")
+
+
+@pytest.mark.parametrize(
+    "var, value, code, last",
+    [
+        ("QUIVERALG_FIELDS", "2", 4, "error: stability brute force supports F_p for p in (2,)"),
+        ("QUIVERALG_FIELDS", "3", 4, "error: stability brute force supports F_p for p in (3,)"),
+        ("QUIVERALG_TRUNCATION", "1", 1, "suite eta: FAIL"),  # no room for the commutator
+        ("QUIVERALG_TRUNCATION", "2", 0, "suite eta: ok"),
+    ],
+)
+def test_env_limits_reach_verify_eta(capsys, monkeypatch, var, value, code, last):
+    monkeypatch.setenv(var, value)
+    got, out, err = run(capsys, "verify", "eta")
+    assert (got, (out + err).splitlines()[-1]) == (code, last)
+
+
+A2 = Quiver(("1", "2"), [Arrow("a", "1", "2")])
+
+
+def test_env_override_ends_with_its_command(pairq, capsys, monkeypatch):
+    """A cap raised for one command stays at its default for library calls."""
+    monkeypatch.setenv("QUIVERALG_MAX_DIM", "6")
+    assert run(capsys, "walls", "--max-gamma", "1=3,2=2", pairq)[0] == 0
+    with pytest.raises(ScopeError, match="total dimension 5 exceeds the brute-force bound 4"):
+        king_semistable_exists(A2, (3, 2), (2, -3), 2)
+
+
+def test_refused_env_override_changes_no_cap(pairq, capsys, monkeypatch):
+    monkeypatch.setenv("QUIVERALG_MAX_DIM", "5")
+    monkeypatch.setenv("QUIVERALG_FIELDS", "2,4")
+    assert run(capsys, "walls", "--max-gamma", "1=3,2=2", pairq)[0] == 3
+    with pytest.raises(ScopeError, match="total dimension 5 exceeds the brute-force bound 4"):
+        king_semistable_exists(A2, (3, 2), (2, -3), 2)
+
+
+def test_main_rebinds_no_module_name(pairq, capsys, monkeypatch):
+    """Every module-level name of the package is bound to the same object
+    after commands run with all four overrides, valid or refused: the
+    overrides travel as an argument, not as configuration globals."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "quiveralg"]
+    before = {m.__name__: dict(vars(m)) for m in modules}
+    monkeypatch.setenv("QUIVERALG_MAX_DIM", "5")
+    monkeypatch.setenv("QUIVERALG_MAX_ENUM", "1000")
+    monkeypatch.setenv("QUIVERALG_TRUNCATION", "2")
+    for fields, code in (("2,3,5", 0), ("2,4", 3)):
+        monkeypatch.setenv("QUIVERALG_FIELDS", fields)
+        assert run(capsys, "walls", "--max-gamma", "1=1,2=1", "--field", "5", pairq)[0] == code
+        assert run(capsys, "verify", "eta")[0] == code
+    for m in modules:
+        names = vars(m)
+        assert names.keys() == before[m.__name__].keys(), m.__name__
+        rebound = [k for k, v in before[m.__name__].items() if names[k] is not v]
+        assert rebound == [], m.__name__
 
 
 @pytest.mark.parametrize(

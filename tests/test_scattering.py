@@ -15,10 +15,11 @@ from quiveralg.errors import PreconditionError, ScopeError
 from quiveralg.linalg import GF, rref
 from quiveralg.quiver import Arrow, Quiver
 from quiveralg.scattering import (
-    Cone,
+    LIMITS,
     EtaReport,
     GComplex,
     KingVerdict,
+    Limits,
     PathSpec,
     QuantumTorusElement,
     Wall,
@@ -124,15 +125,6 @@ def test_log_exp_roundtrip_random():
 
 
 # ------------------------------------------------------------ walls & paths
-
-
-def test_cone_membership_and_validation():
-    c = Cone(rays=((1, 0),), inequalities=((1, 0), (0, 1)))
-    assert c.contains((2, 3))
-    assert not c.contains((-1, 0))
-    assert c.validate()
-    with pytest.raises(PreconditionError):
-        Cone(rays=((-1, 0),), inequalities=((1, 0),)).validate()
 
 
 def test_gcomplex_requires_orthogonal_support():
@@ -277,6 +269,20 @@ def test_hn_unstable_two_factors():
     assert factors == ((Fraction(1), (1, 0)), (Fraction(-1), (0, 1)))
 
 
+def test_hn_passes_to_a_non_zero_quotient():
+    """gamma = (2, 1), a = [1 0], kappa = (1, -2).  The sub (ker a, 0) has
+    slope 1 and is the only one of positive slope.  The quotient is (1, 1)
+    with a = [1]: its one proper sub (0, 1) has slope -2, so it is
+    semistable of slope -1/2.  Reading the quotient's arrow off the wrong
+    basis vector gives a = [0], a sub (1, 0) of slope 1, and slopes that
+    do not decrease."""
+    rep = {"a": ((1, 0),)}
+    factors = hn_filtration(A2, (2, 1), rep, (1, -2), 2)
+    assert factors == ((1, (1, 0)), (Fraction(-1, 2), (1, 1)))
+    with pytest.raises(ScopeError):
+        hn_filtration(A2, (2, 1), rep, (1, -2), 2, limits=Limits(max_total_dim=2))
+
+
 def test_hn_single_factor_for_every_semistable_witness():
     for kappa in [(1, -1), (Fraction(1, 2), Fraction(-1, 2))]:
         verdict = king_semistable_exists(A2, (1, 1), kappa, 2)
@@ -341,9 +347,9 @@ def test_wall_scan_refuses_over_cap_before_searching(tmp_path, capsys, monkeypat
     searches = []
     search = scattering.king_semistable_exists
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         searches.append(args)
-        return search(*args)
+        return search(*args, **kwargs)
 
     monkeypatch.setattr(scattering, "king_semistable_exists", counting)
     over = ["walls", "--max-gamma", "v0=1,v1=1,v2=1,v3=2", "--field", "3", str(f)]
@@ -435,6 +441,15 @@ def test_eta_embedding_lift_beyond_bound_refused():
     # gamma_hat=(2,2) is a wall and lifts to total dimension 6
     with pytest.raises(ScopeError):
         eta_embedding_check(ETA_Q, "a0", (2, 2), AXES, p=2)
+    report = eta_embedding_check(ETA_Q, "a0", (2, 2), AXES, p=2, limits=Limits(max_total_dim=6))
+    assert (2, 2) in {r.gamma_hat for r in report.results}
+
+
+def test_eta_embedding_check_searches_the_given_fields():
+    with pytest.raises(ScopeError, match="for p in \\(2, 3\\)"):
+        eta_embedding_check(ETA_Q, "a0", (1, 1), AXES, p=5)
+    report = eta_embedding_check(ETA_Q, "a0", (1, 1), AXES, p=5, limits=Limits(fields=(5,)))
+    assert report.ok and len(report.results) == 3
 
 
 # ------------------------------------------------- King search against its oracle
@@ -481,13 +496,13 @@ def reference_subrepresentations(Q, gamma, rep, p):
             yield choice
 
 
-def reference_king(Q, gamma, kappa, p):
+def reference_king(Q, gamma, kappa, p, *, limits=LIMITS):
     gamma = scattering._gamma_tuple(Q, gamma)
     kappa = tuple(Fraction(k) for k in scattering._by_vertices(Q, kappa))
     value = sum(k * g for k, g in zip(kappa, gamma))
     if value != 0:
         raise PreconditionError(f"kappa(gamma) = {value} != 0")
-    scattering._check_enumeration_bounds(Q, gamma, p)
+    scattering._check_enumeration_bounds(Q, gamma, p, limits)
     for rep in reference_representations(Q, gamma, p):
         if all(
             sum(k * len(rows) for k, (rows, _) in zip(kappa, choice)) <= 0
@@ -540,9 +555,9 @@ def king_cases(seed, count):
     return cases
 
 
-def outcome(fn, *args):
+def outcome(fn, *args, **kwargs):
     try:
-        return ("value", fn(*args))
+        return ("value", fn(*args, **kwargs))
     except (PreconditionError, ScopeError) as exc:
         return (type(exc).__name__, str(exc))
 
@@ -563,9 +578,9 @@ def test_king_matches_exhaustive_reference():
     assert witnesses_past_first >= 10
 
 
-def test_king_errors_match_reference(monkeypatch):
+def test_king_errors_match_reference():
     K = Quiver(("1", "2"), [Arrow("a", "1", "2"), Arrow("b", "1", "2")], name="K2")
-    monkeypatch.setattr(scattering, "MAX_ENUMERATION", 1 << 7)
+    limits = Limits(max_enumeration=1 << 7)
     cases = [
         ((1, 1), (1, 1), 2, "PreconditionError"),  # kappa(gamma) != 0 comes first,
         ((5, 0), (1, 1), 7, "PreconditionError"),  # before the field and the caps
@@ -576,9 +591,9 @@ def test_king_errors_match_reference(monkeypatch):
         ({"1": 1, "2": 1}, {"1": 1, "2": -1}, 3, "value"),
     ]
     for gamma, kappa, p, kind in cases:
-        got = outcome(king_semistable_exists, K, gamma, kappa, p)
+        got = outcome(king_semistable_exists, K, gamma, kappa, p, limits=limits)
         assert got[0] == kind
-        assert got == outcome(reference_king, K, gamma, kappa, p)
+        assert got == outcome(reference_king, K, gamma, kappa, p, limits=limits)
 
 
 def test_subspaces_grouped_by_rank():
@@ -619,13 +634,13 @@ def test_all_representations_order_matches_eager_product():
     assert list(scattering._all_representations(Q0, (2,), 3)) == [{}]
 
 
-def unmemoized_reference(memo, Q, gamma, kappa, direction, p):
+def unmemoized_reference(memo, Q, gamma, kappa, direction, p, limits):
     """Stand-in for the memoized search: checks that ``direction`` is a
     positive multiple of kappa, then runs the reference every time."""
     ratios = {Fraction(d) / k for d, k in zip(direction, kappa) if k}
     assert len(ratios) == 1 and ratios.pop() > 0
     assert all(d == 0 for d, k in zip(direction, kappa) if not k)
-    return reference_king(Q, gamma, kappa, p).exists
+    return reference_king(Q, gamma, kappa, p, limits=limits).exists
 
 
 def rational_samples(rng, n, count):
