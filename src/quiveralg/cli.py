@@ -43,7 +43,7 @@ from .hopf import (
 )
 from .linalg import GF
 from .mutation import mutate, theorem_check_366
-from .paths import Path, Potential, Sym, cyclic_normal_form
+from .paths import Path, Potential, Sym
 from .poly import Poly, xvar
 from .preprojective import adhm_elimination_check, contract_triple_check
 from .qp import QuiverWithPotential
@@ -66,7 +66,10 @@ DEFAULT_SEED = 20260814
 
 
 def _primes(text):
-    return tuple(GF(int(x)) for x in text.split(",") if x.strip())
+    primes = tuple(GF(int(x)) for x in text.split(",") if x.strip())
+    if not primes:
+        raise ValueError(f"QUIVERALG_FIELDS names no prime: {text!r}")
+    return primes
 
 
 # (variable, Limits field, parser), parsed in this order
@@ -254,10 +257,9 @@ EXAMPLE31_CONTRACTED_POTENTIAL = (
 
 def _qp(vertices, arrows, terms=()):
     Q = Quiver(vertices, [Arrow(*a) for a in arrows])
-    W = Potential.zero()
-    for coeff, *letters in terms:
-        p = Path(tuple(Sym(x) for x in letters))
-        W = W + Potential.of_word(cyclic_normal_form(Q, p), coeff)
+    W = Potential.from_paths(
+        Q, ((Path(tuple(Sym(x) for x in letters)), coeff) for coeff, *letters in terms)
+    )
     return QuiverWithPotential(Q, W)
 
 

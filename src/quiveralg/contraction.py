@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import InternalConsistencyError, PreconditionError, UnsupportedReductionError
 from .linalg import GF, QQ, mat_inverse, mat_mul
-from .paths import Path, Potential, Sym, _cancel_cyclic, cyclic_normal_form
+from .paths import Path, Potential, Sym, _cancel_cyclic, cyclic_normal_form, least_rotation
 from .qp import QuiverWithPotential, delete_arrows
 from .quiver import Arrow, Quiver
 
@@ -71,13 +71,9 @@ def contract_quiver(Q, a0_id):
     return Qhat, hat_map, expansion
 
 
-def _cyclic_equal(syms1, syms2):
-    s1, s2 = list(syms1), list(syms2)
-    if len(s1) != len(s2):
-        return False
-    if not s1:
-        return True
-    return any(s1[k:] + s1[:k] == s2 for k in range(len(s1)))
+def expand_hatted(syms, expansion):
+    """The word with every hatted letter replaced by its original letters."""
+    return tuple(x for s in syms for x in expansion[s.arrow])
 
 
 def hat_word(word_syms, a0_id, hat_map, expansion=None):
@@ -96,10 +92,8 @@ def hat_word(word_syms, a0_id, hat_map, expansion=None):
             raise PreconditionError(f"cannot hat the inverse letter {s}")
         out.append(Sym(hat_map[s.arrow]))
     if expansion is not None:
-        expanded = []
-        for s in out:
-            expanded.extend(expansion[s.arrow])
-        if not _cyclic_equal(_cancel_cyclic(expanded), _cancel_cyclic(list(word_syms))):
+        original = least_rotation(_cancel_cyclic(word_syms))
+        if least_rotation(_cancel_cyclic(expand_hatted(out, expansion))) != original:
             raise InternalConsistencyError(
                 f"hat rewrite of {'.'.join(map(str, word_syms))} failed verification"
             )

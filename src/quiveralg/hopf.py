@@ -20,7 +20,7 @@ from .errors import (
     PreconditionError,
     ScopeError,
 )
-from .poly import Poly, Rat, fvar, residue_at_infinity_poly, xvar
+from .poly import Combination, Poly, Rat, fvar, residue_at_infinity_poly, xvar
 from .quiver import check_dimvec
 from .shuffle import SymPoly, contract_shuffle, fac
 
@@ -196,90 +196,44 @@ def contract_psi_word(word, ip, im):
     return PsiWord(word.kind, out)
 
 
-class TensorElement:
-    """Finite rational combination of n-fold tensors whose legs are series
-    words or block polynomials.  Scalar legs (rank-zero polynomials) are
-    folded into the coefficient; zero polynomial legs kill their term."""
+class TensorElement(Combination):
+    """Finite rational combination of n-fold tensors, keyed by the tuple of
+    legs; legs are series words or block polynomials.  Scalar legs
+    (rank-zero polynomials) are folded into the coefficient; zero
+    polynomial legs kill their term."""
 
-    __slots__ = ("nlegs", "terms")
-
-    def __init__(self, nlegs):
-        self.nlegs = int(nlegs)
-        self.terms = {}
-
-    def _add(self, coeff, legs):
-        coeff = Fraction(coeff)
-        if not coeff:
-            return
-        if len(legs) != self.nlegs:
-            raise InternalConsistencyError(
-                f"expected {self.nlegs} legs, got {len(legs)}"
-            )
-        norm = []
-        for leg in legs:
-            if isinstance(leg, SymPoly):
-                if leg.is_zero():
-                    return
-                if sum(leg.gamma.values()) == 0:
-                    coeff *= leg.poly.constant_value()
-                    norm.append(PsiWord.unit())
-                else:
-                    norm.append(leg)
-            elif isinstance(leg, PsiWord):
-                norm.append(leg)
-            else:
-                raise InternalConsistencyError(f"bad tensor leg {leg!r}")
-        key = tuple(norm)
-        s = self.terms.get(key, Fraction(0)) + coeff
-        if s:
-            self.terms[key] = s
-        else:
-            del self.terms[key]
-
-    def plus(self, coeff, legs):
-        out = TensorElement(self.nlegs)
-        out.terms = dict(self.terms)
-        out._add(coeff, legs)
-        return out
+    __slots__ = ()
 
     @staticmethod
     def of(nlegs, *contributions):
-        out = TensorElement(nlegs)
+        """The sum of coeff * legs[0] (x) ... (x) legs[-1] over the
+        (coeff, legs) contributions, each with nlegs legs."""
+        return TensorElement.from_pairs(TensorElement._normal_terms(nlegs, contributions))
+
+    @staticmethod
+    def _normal_terms(nlegs, contributions):
         for coeff, legs in contributions:
-            out._add(coeff, legs)
-        return out
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement) or other.nlegs != self.nlegs:
-            return NotImplemented
-        out = TensorElement(self.nlegs)
-        out.terms = dict(self.terms)
-        for legs, c in other.terms.items():
-            out._add(c, legs)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        out = TensorElement(self.nlegs)
-        if c:
-            out.terms = {legs: c * v for legs, v in self.terms.items()}
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.nlegs == other.nlegs
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nlegs, frozenset(self.terms.items())))
+            coeff = Fraction(coeff)
+            if not coeff:
+                continue
+            if len(legs) != nlegs:
+                raise InternalConsistencyError(f"expected {nlegs} legs, got {len(legs)}")
+            norm = []
+            for leg in legs:
+                if isinstance(leg, SymPoly):
+                    if leg.is_zero():
+                        break
+                    if sum(leg.gamma.values()) == 0:
+                        coeff *= leg.poly.constant_value()
+                        norm.append(PsiWord.unit())
+                    else:
+                        norm.append(leg)
+                elif isinstance(leg, PsiWord):
+                    norm.append(leg)
+                else:
+                    raise InternalConsistencyError(f"bad tensor leg {leg!r}")
+            else:
+                yield tuple(norm), coeff
 
     def __str__(self):
         if not self.terms:
@@ -367,14 +321,11 @@ def coassociativity_check(f):
         return [(legs, c) for legs, c in coproduct_small(leg).terms.items()]
 
     delta = coproduct_small(f)
-    left = TensorElement(3)
-    right = TensorElement(3)
+    left, right = [], []
     for (l1, l2), c in delta.terms.items():
-        for (m1, m2), d in expand(l1):
-            left._add(c * d, (m1, m2, l2))
-        for (m1, m2), d in expand(l2):
-            right._add(c * d, (l1, m1, m2))
-    return left == right
+        left += [(c * d, (m1, m2, l2)) for (m1, m2), d in expand(l1)]
+        right += [(c * d, (l1, m1, m2)) for (m1, m2), d in expand(l2)]
+    return TensorElement.of(3, *left) == TensorElement.of(3, *right)
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +488,7 @@ def _cross_terms(f, g, slots):
 
 
 def _terms_to_tensor(terms, p):
-    out = TensorElement(2)
-    for c, k, legs in terms:
-        coeff = c * (p**k if k else 1)
-        if coeff:
-            out._add(coeff, legs)
-    return out
+    return TensorElement.of(2, *((c * (p**k if k else 1), legs) for c, k, legs in terms))
 
 
 def double_cross_check(f, g, a0_id):

@@ -104,21 +104,12 @@ def premutate(qp, i):
         for a in ins:
             new_arrows.append(Arrow(composite_name(b.id, a.id), a.source, b.target))
     Qm = Quiver(Q.vertices, new_arrows, name=f"premut_{i}({Q.name})")
-    W = Potential.zero()
-    for w, c in qp.potential.terms.items():
-        fused = _bracket_syms(Q, w.syms, i)
-        W = W + Potential.of_word(cyclic_normal_form(Qm, Path(fused)), c)
+    terms = [(Path(_bracket_syms(Q, w.syms, i)), c) for w, c in qp.potential.terms.items()]
     for b in outs:
         for a in ins:
-            p = Path(
-                (
-                    Sym(composite_name(b.id, a.id)),
-                    Sym(reversed_name(a.id)),
-                    Sym(reversed_name(b.id)),
-                )
-            )
-            W = W + Potential.of_word(cyclic_normal_form(Qm, p), 1)
-    return QuiverWithPotential(Qm, W)
+            ba, a_star, b_star = composite_name(b.id, a.id), reversed_name(a.id), reversed_name(b.id)
+            terms.append((Path((Sym(ba), Sym(a_star), Sym(b_star))), 1))
+    return QuiverWithPotential(Qm, Potential.from_paths(Qm, terms))
 
 
 class MutationReport(NamedTuple):

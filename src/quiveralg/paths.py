@@ -13,7 +13,6 @@ across the cyclic seam).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
     PreconditionError,
     UnsupportedReductionError,
 )
+from .poly import Combination
 
 
 class Sym(NamedTuple):
@@ -134,68 +134,21 @@ def compose(Q, left, right):
     return Path(syms)
 
 
-class NCPoly:
+class NCPoly(Combination):
     """Finite Q-linear combination of paths (no zero coefficients stored)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for p, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[p] = c
-
-    @staticmethod
-    def zero():
-        return NCPoly()
+    __slots__ = ()
 
     @staticmethod
     def of_path(p, c=1):
-        return NCPoly({p: Fraction(c)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            s = out.get(p, Fraction(0)) + c
-            if s:
-                out[p] = s
-            else:
-                del out[p]
-        r = NCPoly.__new__(NCPoly)
-        r.terms = out
-        return r
-
-    def __neg__(self):
-        r = NCPoly.__new__(NCPoly)
-        r.terms = {p: -c for p, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        r = NCPoly.__new__(NCPoly)
-        r.terms = {p: cc * c for p, cc in self.terms.items()} if c else {}
-        return r
+        return NCPoly({p: c})
 
     def mul(self, other, Q):
-        out = NCPoly()
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                out = out + NCPoly.of_path(compose(Q, p1, p2), c1 * c2)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, NCPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0].sort_key())))
+        return NCPoly.from_pairs(
+            (compose(Q, p1, p2), c1 * c2)
+            for p1, c1 in self.terms.items()
+            for p2, c2 in other.terms.items()
+        )
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
@@ -256,6 +209,14 @@ def _cancel_cyclic(syms):
     return syms
 
 
+def least_rotation(syms):
+    """The lexicographically least rotation of a word, by (arrow id, inverse
+    flag), as a tuple; two words are rotations of each other exactly when
+    their least rotations are equal.  No composability is checked."""
+    syms = tuple(syms)
+    return min((syms[k:] + syms[:k] for k in range(len(syms))), default=())
+
+
 def cyclic_normal_form(Q, path):
     """Canonical cyclic word of a closed path.
 
@@ -272,73 +233,21 @@ def cyclic_normal_form(Q, path):
     syms = _cancel_cyclic(path.syms)
     if not syms:
         raise DegenerateTermError(f"cyclic word {path} cancels away completely")
-    key = lambda rot: tuple((s.arrow, s.inv) for s in rot)
-    best = min(
-        (tuple(syms[k:] + syms[:k]) for k in range(len(syms))),
-        key=key,
-    )
-    return CyclicWord(best)
+    return CyclicWord(least_rotation(syms))
 
 
-class Potential:
+class Potential(Combination):
     """Finite Q-linear combination of cyclic words."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[w] = c
-
-    @staticmethod
-    def zero():
-        return Potential()
+    __slots__ = ()
 
     @staticmethod
     def of_word(w, c=1):
-        return Potential({w: Fraction(c)})
+        return Potential({w: c})
 
     @staticmethod
     def from_paths(Q, path_coeffs):
-        W = Potential()
-        for p, c in path_coeffs:
-            W = W + Potential.of_word(cyclic_normal_form(Q, p), c)
-        return W
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        r = Potential.__new__(Potential)
-        r.terms = out
-        return r
-
-    def __neg__(self):
-        r = Potential.__new__(Potential)
-        r.terms = {w: -c for w, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        r = Potential.__new__(Potential)
-        r.terms = {w: cc * c for w, cc in self.terms.items()} if c else {}
-        return r
-
-    def __eq__(self, other):
-        return isinstance(other, Potential) and self.terms == other.terms
+        return Potential.from_pairs((cyclic_normal_form(Q, p), c) for p, c in path_coeffs)
 
     def arrows_used(self):
         out = set()

@@ -6,7 +6,12 @@ shuffle layer are ("x", vertex, slot) -- printed x[vertex,slot] -- and
 one-letter formal variables such as ("z",).  Monomials are tuples of
 (variable, exponent) pairs sorted by variable; term order for printing and
 normalization is graded lexicographic (degree first, then the exponent
-vector over the ascending variable order), ties broken by variable name.
+vector over the ascending variable order).
+
+`Combination` is the one storage format of the algebra layers: a dict from
+key to non-zero Fraction, with its sums, negation, scaling and equality.
+`Poly` here, and `NCPoly`, `Potential` and `TensorElement` above it, are
+its subclasses.
 
 Rational functions are kept in factored form (a rational coefficient and a
 multiset of monic polynomial factors with integer exponents).  Every
@@ -52,37 +57,92 @@ def _mono_degree(mono):
     return sum(e for _, e in mono)
 
 
-def _grlex_greater(m1, m2):
-    """True if m1 > m2 in graded-lex order."""
-    d1, d2 = _mono_degree(m1), _mono_degree(m2)
-    if d1 != d2:
-        return d1 > d2
-    e1, e2 = dict(m1), dict(m2)
-    for v in sorted(set(e1) | set(e2)):
-        a, b = e1.get(v, 0), e2.get(v, 0)
-        if a != b:
-            return a > b
-    return False
+def _grlex_key(mono):
+    """Sort key under which the graded-lex greater monomial comes first:
+    higher degree, then, at the first variable (ascending) where the
+    exponents differ, the higher exponent."""
+    return -_mono_degree(mono), tuple((v, -e) for v, e in mono)
 
 
-class Poly:
-    """Sparse polynomial: dict from monomial to non-zero Fraction."""
+class Combination:
+    """Finite Q-linear combination: a dict from key to non-zero Fraction.
+
+    Subclasses fix the key type and the printing.  Values of different
+    subclasses are never equal and do not add.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {}
         if terms:
-            for m, c in terms.items():
+            for k, c in terms.items():
                 c = Fraction(c)
                 if c:
-                    self.terms[m] = c
+                    self.terms[k] = c
+
+    @classmethod
+    def from_pairs(cls, pairs):
+        """The sum of c * key over the (key, c) pairs, built as repeated `+`
+        would build it."""
+        out = {}
+        for k, c in pairs:
+            c = out.get(k, 0) + Fraction(c)
+            if c:
+                out[k] = c
+            else:
+                out.pop(k, None)
+        return cls._of(out)
+
+    @classmethod
+    def _of(cls, terms):
+        """Wrap a dict that has no zero coefficient, without copying it."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._of({})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return self._of(out)
+
+    def __neg__(self):
+        return self._of({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return self._of({k: v * c for k, v in self.terms.items()} if c else {})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class Poly(Combination):
+    """Sparse polynomial: dict from monomial to non-zero Fraction."""
+
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero():
-        return Poly()
 
     @staticmethod
     def const(c):
@@ -101,9 +161,6 @@ class Poly:
         return Poly.var(vb) - Poly.var(va)
 
     # -- basic queries ------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def is_constant(self):
         return all(m == () for m in self.terms)
@@ -139,10 +196,7 @@ class Poly:
         """(monomial, coefficient) maximal in graded-lex order."""
         if not self.terms:
             raise InternalConsistencyError("leading term of zero polynomial")
-        best = None
-        for m in self.terms:
-            if best is None or _grlex_greater(m, best):
-                best = m
+        best = min(self.terms, key=_grlex_key)
         return best, self.terms[best]
 
     # -- arithmetic ----------------------------------------------------------
@@ -150,40 +204,16 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Combination.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        p = Poly.__new__(Poly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        return self + (-other)
 
     def __rsub__(self, other):
         return Poly.const(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Poly()
-            p = Poly.__new__(Poly)
-            p.terms = {m: cc * c for m, cc in self.terms.items()}
-            return p
+            return self.scale(other)
         out = {}
         for m1, c1 in self.terms.items():
             d1 = dict(m1)
@@ -197,9 +227,7 @@ class Poly:
                     out[key] = s
                 else:
                     del out[key]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._of(out)
 
     __rmul__ = __mul__
 
@@ -218,10 +246,9 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
-        return isinstance(other, Poly) and self.terms == other.terms
+        return Combination.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+    __hash__ = Combination.__hash__
 
     # -- substitution ---------------------------------------------------------
 
@@ -239,9 +266,7 @@ class Poly:
                 out[key] = s
             else:
                 del out[key]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._of(out)
 
     def negate_var(self, var):
         """Substitute var -> -var."""
@@ -249,9 +274,7 @@ class Poly:
         for m, c in self.terms.items():
             e = dict(m).get(var, 0)
             out[m] = -c if e % 2 else c
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._of(out)
 
     # -- division ---------------------------------------------------------------
 
@@ -268,7 +291,7 @@ class Poly:
         while not r.is_zero() and r.degree_in(var) >= d:
             k = r.degree_in(var)
             head = r.coeff_of_power(var, k)
-            qterm = head * Fraction(1, 1) * (Fraction(1) / lcv)
+            qterm = head.scale(Fraction(1) / lcv)
             qterm = qterm * Poly.var(var, k - d) if k - d > 0 else qterm
             q = q + qterm
             r = r - qterm * den
@@ -319,15 +342,12 @@ class Poly:
                 if ka:
                     extra.append((va, ka))
                 out[tuple(sorted(rest + tuple(extra)))] = c
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._of(out)
 
     # -- printing ---------------------------------------------------------------
 
     def sorted_terms(self):
-        monos = sorted(self.terms, key=lambda m: _sort_key_total(m), reverse=True)
-        return [(m, self.terms[m]) for m in monos]
+        return [(m, self.terms[m]) for m in sorted(self.terms, key=_grlex_key)]
 
     def __str__(self):
         if not self.terms:
@@ -336,13 +356,13 @@ class Poly:
         for m, c in self.sorted_terms():
             frag = _mono_str(m)
             if m == ():
-                piece = _frac_str(c)
+                piece = str(c)
             elif c == 1:
                 piece = frag
             elif c == -1:
                 piece = "-" + frag
             else:
-                piece = f"{_frac_str(c)}*{frag}"
+                piece = f"{c}*{frag}"
             parts.append(piece)
         out = parts[0]
         for piece in parts[1:]:
@@ -350,32 +370,6 @@ class Poly:
         return out
 
     __repr__ = __str__
-
-
-def _frac_str(c):
-    return str(c)  # Fraction prints p/q in lowest terms
-
-
-def _sort_key_total(m):
-    """Total sort key implementing graded-lex with variable-name ties."""
-    deg = _mono_degree(m)
-    allvars = sorted({v for v, _ in m})
-    d = dict(m)
-    vec = tuple((v, d[v]) for v in allvars)
-    # Encode so that, at equal degree, lexicographically greater exponent
-    # vectors (earlier variable, higher power) sort first under reverse=True.
-    return (deg, tuple((_neg_key(v), e) for v, e in vec))
-
-
-def _neg_key(v):
-    # invert variable order so earlier variables rank higher in reverse sort
-    return tuple(-ord(ch) if isinstance(ch, str) else -ch for part in v for ch in _flat(part))
-
-
-def _flat(part):
-    if isinstance(part, int):
-        return [part]
-    return list(part)
 
 
 def residue_at_infinity_poly(num, den, var):
@@ -394,7 +388,7 @@ def residue_at_infinity_poly(num, den, var):
         return Poly()  # polynomial in var (up to constant den): no residue
     _, r = num.divmod_in(var, den)
     lc = den.coeff_of_power(var, d).constant_value()
-    return -(r.coeff_of_power(var, d - 1) * (Fraction(1) / lc))
+    return -r.coeff_of_power(var, d - 1).scale(Fraction(1) / lc)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +399,7 @@ def _normalize_factor(p):
     """Monic-normalize a non-zero polynomial: returns (content, key_poly)
     with key_poly = p/content having leading graded-lex coefficient 1."""
     _, c = p.leading()
-    return c, p * (Fraction(1) / c)
+    return c, p.scale(Fraction(1) / c)
 
 
 def _key_of(p):

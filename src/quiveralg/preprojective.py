@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .contraction import contract_qp, contract_quiver, hat_word
+from .contraction import contract_qp, contract_quiver, expand_hatted, hat_word
 from .errors import PreconditionError
 from .paths import (
     CyclicWord,
@@ -24,7 +24,7 @@ from .paths import (
     Potential,
     Sym,
     cyclic_derivative,
-    cyclic_normal_form,
+    least_rotation,
     reduce_syms,
 )
 from .qp import QuiverWithPotential
@@ -44,13 +44,12 @@ def triple_qp(Q):
     D = double_quiver(Q)
     arrows = list(D.arrows) + [Arrow(loop_name(v), v, v) for v in Q.vertices]
     T = Quiver(Q.vertices, arrows, name=f"triple({Q.name})")
-    W = Potential.zero()
+    terms = []
     for a in Q.arrows:
         plus = Path((Sym(a.id), Sym(dual_name(a.id)), Sym(loop_name(a.target))))
         minus = Path((Sym(dual_name(a.id)), Sym(a.id), Sym(loop_name(a.source))))
-        W = W + Potential.of_word(cyclic_normal_form(T, plus), 1)
-        W = W + Potential.of_word(cyclic_normal_form(T, minus), -1)
-    return QuiverWithPotential(T, W)
+        terms += [(plus, 1), (minus, -1)]
+    return QuiverWithPotential(T, Potential.from_paths(T, terms))
 
 
 class RelationSet(NamedTuple):
@@ -115,14 +114,10 @@ def contract_triple_check(Q, a0_id):
     T = triple_qp(Q)
     lhs = contract_qp(T, a0_id)
     _, hat_map_T, expansion_T = contract_quiver(T.quiver, a0_id)
-    expanded = Potential.zero()
-    for w, c in lhs.potential.terms.items():
-        syms = []
-        for s in w.syms:
-            syms.extend(expansion_T[s.arrow])
-        expanded = expanded + Potential.of_word(
-            cyclic_normal_form(T.quiver, Path(tuple(syms))), c
-        )
+    expanded = Potential.from_paths(
+        T.quiver,
+        ((Path(expand_hatted(w.syms, expansion_T)), c) for w, c in lhs.potential.terms.items()),
+    )
     if expanded != T.potential:
         return False
     Qhat, hat_map_Q, _ = contract_quiver(Q, a0_id)
@@ -134,18 +129,11 @@ def contract_triple_check(Q, a0_id):
         rename[hat_map_T[a.id]] = hat_map_Q[a.id]
         rename[hat_map_T[dual_name(a.id)]] = dual_name(hat_map_Q[a.id])
     rename[hat_map_T[loop_name(im)]] = loop_name(ip)
-    key = lambda rot: tuple((s.arrow, s.inv) for s in rot)
-    acc = {}
-    for w, c in lhs.potential.terms.items():
-        syms = tuple(Sym(rename.get(s.arrow, s.arrow), s.inv) for s in w.syms)
-        best = min((syms[k:] + syms[:k] for k in range(len(syms))), key=key)
-        cw = CyclicWord(best)
-        total = acc.get(cw, 0) + c
-        if total:
-            acc[cw] = total
-        else:
-            acc.pop(cw, None)
-    return acc == rhs.potential.terms
+    renamed = Potential.from_pairs(
+        (CyclicWord(least_rotation(Sym(rename.get(s.arrow, s.arrow), s.inv) for s in w.syms)), c)
+        for w, c in lhs.potential.terms.items()
+    )
+    return renamed == rhs.potential
 
 
 def adhm_elimination_check(Q, a0_id):

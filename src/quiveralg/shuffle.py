@@ -121,7 +121,7 @@ class SymPoly:
         return SymPoly(self.quiver, self.gamma, self.poly - other.poly)
 
     def scale(self, c):
-        return SymPoly(self.quiver, self.gamma, self.poly * Poly.const(Fraction(c)))
+        return SymPoly(self.quiver, self.gamma, self.poly.scale(c))
 
     def _check_same_sector(self, other):
         if self.quiver != other.quiver or self.gamma != other.gamma:

@@ -196,6 +196,15 @@ def test_non_prime_env_field_is_precondition(tmp_path, capsys, monkeypatch, fiel
     assert err == f"error: bad environment override: {bad} is not prime\n"
 
 
+@pytest.mark.parametrize("fields", ["", " , "])
+def test_env_fields_without_a_prime_is_precondition(pairq, capsys, monkeypatch, fields):
+    """An empty QUIVERALG_FIELDS is a bad override, not a search over no fields."""
+    monkeypatch.setenv("QUIVERALG_FIELDS", fields)
+    code, out, err = run(capsys, "walls", "--max-gamma", "1=1,2=1", pairq)
+    assert (code, out) == (3, "")
+    assert err == f"error: bad environment override: QUIVERALG_FIELDS names no prime: {fields!r}\n"
+
+
 def test_env_fields_admit_other_primes(pairq, capsys, monkeypatch):
     monkeypatch.setenv("QUIVERALG_FIELDS", "2,5")
     code, out, _ = run(capsys, "walls", "--max-gamma", "1=1,2=1", "--field", "5", pairq)

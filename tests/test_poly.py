@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, strategies as st
 
 from quiveralg.errors import InternalConsistencyError
-from quiveralg.poly import Poly, Rat, fvar, residue_at_infinity_poly, xvar
+from quiveralg.hopf import PsiWord, TensorElement
+from quiveralg.paths import CyclicWord, NCPoly, Path, Potential, Sym
+from quiveralg.poly import Poly, Rat, fvar, residue_at_infinity_poly, var_str, xvar
 
 
 X1 = xvar("1", 1)
@@ -154,3 +157,80 @@ def test_poly_str_deterministic():
     assert str(p) == "x[1,1] + x[1,2] + 1"
     q = Poly.var(X1) ** 2 - Poly.const(Fraction(1, 2)) * Poly.var(X2)
     assert str(q) == "x[1,1]^2 - 1/2*x[1,2]"
+    # the vertex name i is a proper prefix of i+, and the slot 43 is ord("+")
+    r = Poly.var(xvar("i", 43)) + Poly.var(xvar("i+", 1))
+    assert str(r) == "x[i,43] + x[i+,1]"
+    assert r.leading() == (((xvar("i", 43), 1),), 1)
+
+
+def _grlex_cmp(m1, m2):
+    """Graded lex, written out: negative when m1 is the greater monomial."""
+    d1, d2 = sum(e for _, e in m1), sum(e for _, e in m2)
+    if d1 != d2:
+        return d2 - d1
+    e1, e2 = dict(m1), dict(m2)
+    for v in sorted(set(e1) | set(e2)):
+        if e1.get(v, 0) != e2.get(v, 0):
+            return e2.get(v, 0) - e1.get(v, 0)
+    return 0
+
+
+_VARS = [xvar(v, k) for v in ("i", "i+", "1", "10", "a", "ab") for k in (1, 2, 9, 43, 98, 100)]
+_VARS += [fvar("u"), fvar("z")]
+_MONOS = st.dictionaries(st.sampled_from(_VARS), st.integers(1, 3), max_size=3)
+
+
+@given(st.lists(_MONOS, min_size=1, max_size=8))
+def test_print_order_matches_independent_grlex(monos):
+    monos = {tuple(sorted(m.items())) for m in monos}
+    p = Poly({m: 1 for m in monos})
+    want = sorted(monos, key=cmp_to_key(_grlex_cmp))
+    assert [m for m, _ in p.sorted_terms()] == want
+    assert p.leading() == (want[0], 1)
+    pieces = ("*".join(var_str(v) + (f"^{e}" if e > 1 else "") for v, e in m) for m in want)
+    assert str(p) == " + ".join(piece or "1" for piece in pieces)
+
+
+# One sample per Combination subclass: three distinct keys of its key type.
+_KEYS = {
+    Poly: [((X1, 1),), ((X2, 2),), ()],
+    NCPoly: [Path((Sym("a"),)), Path((Sym("b"), Sym("a"))), Path.idempotent("1")],
+    Potential: [
+        CyclicWord((Sym("a"),)),
+        CyclicWord((Sym("a"), Sym("b"))),
+        CyclicWord((Sym("c"),)),
+    ],
+    TensorElement: [
+        (PsiWord.unit(), PsiWord("psi", {("1", 1): 1})),
+        (PsiWord("psi", {("1", 1): 1}), PsiWord.unit()),
+        (PsiWord("psi", {("2", 1): 2}), PsiWord("psi", {("1", 1): -1})),
+    ],
+}
+
+
+@pytest.mark.parametrize("cls", list(_KEYS), ids=lambda c: c.__name__)
+def test_combination_contract(cls):
+    """The dict-of-non-zero-Fraction contract every subclass inherits.  It
+    fails for a base that keeps zero sums, hashes in insertion order, or
+    lets values of two subclasses compare equal."""
+    k1, k2, k3 = _KEYS[cls]
+    a = cls({k1: 1, k2: Fraction(-2, 3), k3: 0})
+    assert a.terms == {k1: 1, k2: Fraction(-2, 3)}
+    assert all(type(c) is Fraction for c in a.terms.values())
+    assert (a + cls({k1: -1, k2: Fraction(2, 3)})).terms == {}
+    assert cls.from_pairs([(k1, 1), (k2, 2), (k1, -1), (k3, 0)]).terms == {k2: 2}
+    assert a - a == cls.zero() and (a - a).terms == {}
+    assert a.scale(0) == cls.zero() and a.scale(0).terms == {}
+    assert a.scale(3) == cls({k1: 3, k2: -2})
+    assert -(-a) == a and -a != a
+    assert (a + a.scale(-1)).is_zero() and not a.is_zero()
+    b = cls({k2: Fraction(-2, 3), k1: 1})
+    assert list(a.terms) != list(b.terms)
+    assert a == b and hash(a) == hash(b)
+    assert hash(a + cls({k3: 1}) - cls({k3: 1})) == hash(a)
+    for other in _KEYS:
+        if other is not cls:
+            assert cls.zero() != other.zero()
+            assert a != other(a.terms)
+            with pytest.raises(TypeError):
+                a + other.zero()
