@@ -101,15 +101,16 @@ def hat_word(word_syms, a0_id, hat_map, expansion=None):
 
 
 def contract_potential(Q, Qhat, W, a0_id, hat_map, expansion):
-    What = Potential.zero()
-    for w, c in W.terms.items():
-        syms = hat_word(w.syms, a0_id, hat_map, expansion)
-        if not syms:
-            raise UnsupportedReductionError(
-                f"potential term {w} contracts to a length-0 cycle"
-            )
-        What = What + Potential.of_word(cyclic_normal_form(Qhat, Path(syms)), c)
-    return What
+    def terms():
+        for w, c in W.terms.items():
+            syms = hat_word(w.syms, a0_id, hat_map, expansion)
+            if not syms:
+                raise UnsupportedReductionError(
+                    f"potential term {w} contracts to a length-0 cycle"
+                )
+            yield cyclic_normal_form(Qhat, Path(syms)), c
+
+    return Potential.from_pairs(terms())
 
 
 def contract_qp(qp, a0_id):

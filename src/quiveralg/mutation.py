@@ -228,12 +228,14 @@ def _apply_renaming(qp, rename, twisted, vertex_map):
         for a in Q.arrows
     ]
     Qr = Quiver(vertices, arrows, name=Q.name)
-    W = Potential.zero()
-    for w, c in qp.potential.terms.items():
-        sign = -1 if sum(1 for s in w.syms if s.arrow in twisted) % 2 else 1
-        syms = tuple(Sym(rename.get(s.arrow, s.arrow), s.inv) for s in w.syms)
-        W = W + Potential.of_word(cyclic_normal_form(Qr, Path(syms)), c * sign)
-    return QuiverWithPotential(Qr, W)
+
+    def terms():
+        for w, c in qp.potential.terms.items():
+            sign = -1 if sum(1 for s in w.syms if s.arrow in twisted) % 2 else 1
+            syms = tuple(Sym(rename.get(s.arrow, s.arrow), s.inv) for s in w.syms)
+            yield cyclic_normal_form(Qr, Path(syms)), c * sign
+
+    return QuiverWithPotential(Qr, Potential.from_pairs(terms()))
 
 
 def _qp_diff(lhs, rhs):

@@ -277,24 +277,18 @@ def cyclic_derivative(Q, W, arrow_id):
     so that occurrence comes first and delete it; the remainder is an open
     path from t(arrow) back to s(arrow) read in word order.
     """
-    out = NCPoly()
-    for w, c in W.terms.items():
-        n = len(w.syms)
-        for k in range(n):
-            s = w.syms[k]
-            if s.arrow == arrow_id and not s.inv:
-                rot = w.syms[k:] + w.syms[:k]  # occurrence is rot[0]
-                rest = rot[1:]
-                if rest:
-                    p = Path(reduce_syms(rest))
-                    if not p.syms:
-                        a = Q.arrow(arrow_id)
-                        p = Path.idempotent(a.target)
-                else:
-                    a = Q.arrow(arrow_id)
-                    p = Path.idempotent(a.target)
-                out = out + NCPoly.of_path(p, c)
-    return out
+
+    def terms():
+        for w, c in W.terms.items():
+            for k, s in enumerate(w.syms):
+                if s.arrow == arrow_id and not s.inv:
+                    rest = w.syms[k + 1:] + w.syms[:k]  # the word rotated past s
+                    if rest:
+                        yield Path(reduce_syms(rest)), c
+                    else:
+                        yield Path.idempotent(Q.arrow(arrow_id).target), c
+
+    return NCPoly.from_pairs(terms())
 
 
 def substitute_arrow(Q, value, assignments):
@@ -330,19 +324,17 @@ def substitute_arrow(Q, value, assignments):
                 results = [(prefix + (s,), c) for prefix, c in results]
         return results
 
-    if isinstance(value, NCPoly):
-        out = NCPoly()
+    def path_terms():
         for p, c in value.terms.items():
             if p.is_idempotent():
-                out = out + NCPoly.of_path(p, c)
+                yield p, c
                 continue
             src = p.source(Q)
             for syms, cc in expand_word(p.syms, c):
                 syms = reduce_syms(syms)
-                out = out + NCPoly.of_path(Path(syms) if syms else Path.idempotent(src), cc)
-        return out
-    if isinstance(value, Potential):
-        out = Potential()
+                yield (Path(syms) if syms else Path.idempotent(src)), cc
+
+    def word_terms():
         for w, c in value.terms.items():
             for syms, cc in expand_word(w.syms, c):
                 syms = _cancel_cyclic(syms)
@@ -350,10 +342,12 @@ def substitute_arrow(Q, value, assignments):
                     raise DegenerateTermError(
                         f"substitution degenerated the cyclic word {w}"
                     )
-                out = out + Potential.of_word(
-                    cyclic_normal_form(Q, Path(syms)), cc
-                )
-        return out
+                yield cyclic_normal_form(Q, Path(syms)), cc
+
+    if isinstance(value, NCPoly):
+        return NCPoly.from_pairs(path_terms())
+    if isinstance(value, Potential):
+        return Potential.from_pairs(word_terms())
     raise InternalConsistencyError(f"cannot substitute into {type(value).__name__}")
 
 

@@ -82,18 +82,15 @@ def cut_relations(Q, W, cut):
 
 def preprojective_relations(Q):
     """Per-vertex components of sum_a (a.a* - a*.a) over the double quiver."""
-    entries = []
-    for v in Q.vertices:
-        poly = NCPoly.zero()
+
+    def terms(v):
         for a in Q.arrows:
             if a.target == v:
-                p = Path((Sym(a.id), Sym(dual_name(a.id))))
-                poly = poly + NCPoly.of_path(p, 1)
+                yield Path((Sym(a.id), Sym(dual_name(a.id)))), 1
             if a.source == v:
-                p = Path((Sym(dual_name(a.id)), Sym(a.id)))
-                poly = poly + NCPoly.of_path(p, -1)
-        entries.append((v, poly))
-    return RelationSet(tuple(entries))
+                yield Path((Sym(dual_name(a.id)), Sym(a.id))), -1
+
+    return RelationSet(tuple((v, NCPoly.from_pairs(terms(v))) for v in Q.vertices))
 
 
 def contract_triple_check(Q, a0_id):
@@ -162,20 +159,20 @@ def adhm_elimination_check(Q, a0_id):
     }
 
     def rewrite(poly):
-        out = NCPoly.zero()
-        for p, c in poly.terms.items():
-            syms = hat_word(p.syms, a0_id, hat_map_D, expansion_D)
-            syms = tuple(Sym(star_fix.get(s.arrow, s.arrow), s.inv) for s in syms)
-            out = out + NCPoly.of_path(Path(syms), c)
-        return out
+        def terms():
+            for p, c in poly.terms.items():
+                syms = hat_word(p.syms, a0_id, hat_map_D, expansion_D)
+                yield Path(tuple(Sym(star_fix.get(s.arrow, s.arrow), s.inv) for s in syms)), c
+
+        return NCPoly.from_pairs(terms())
 
     def conjugate(poly):
-        out = NCPoly.zero()
-        for p, c in poly.terms.items():
-            syms = reduce_syms((Sym(a0_id, True),) + p.syms + (Sym(a0_id),))
-            path = Path(syms) if syms else Path.idempotent(ip)
-            out = out + NCPoly.of_path(path, c)
-        return out
+        def terms():
+            for p, c in poly.terms.items():
+                syms = reduce_syms((Sym(a0_id, True),) + p.syms + (Sym(a0_id),))
+                yield (Path(syms) if syms else Path.idempotent(ip)), c
+
+        return NCPoly.from_pairs(terms())
 
     for v in Q.vertices:
         if v in (ip, im):

@@ -27,6 +27,9 @@ class Quiver:
     # arrow id -> contracted quiver; shuffle.contract_shuffle gives a quiver
     # its own dict on first use, so quivers never contracted carry none
     _contracted = None
+    # (rank vector, degree) -> reduced Schur basis of the spherical span;
+    # shuffle.spherical_membership gives a quiver its own dict on first use
+    _spherical_bases = None
 
     def __init__(self, vertices, arrows, name="Q"):
         self.name = name

@@ -32,6 +32,25 @@ Contraction acts on these polynomials by the slotwise substitution
 x[i-,a] |-> x[i0,a], x[i+,a] |-> x[i0,a]; it is a homomorphism for the
 product above on the rank sectors with equal values at the two merged
 vertices.
+
+The spherical span, spanned by the word products x[w1]^k1 * ... *
+x[wm]^km of rank-one generators, is built with no shuffle product.  Such a
+product is Alt(x^k * A_w) / Vdm: A_w = prod_{p<q} (x[s(q)] - x[s(p)])^a_pq,
+a_pq the arrows from w_p to w_q and s(p) the slot of letter p, and Alt the
+signed sum over the slot permutations at every vertex.  Alt(x^e) / Vdm is 0
+if e repeats an exponent at a vertex, and otherwise the sign of sorting e
+times the product over vertices of the Schur polynomials s_lambda, lambda
+= sorted(e) - (0, 1, ...).  So a product is a sparse integer vector over
+multipartitions, its Schur coordinates.  Products are homogeneous; each
+degree is row-reduced in Schur coordinates, only its basis rows are
+expanded to monomials (Schur polynomials by the branching rule) and
+row-reduced again, and the degrees, which share no monomial, are merged in
+pivot order.  A reduced row echelon form is unique, so this is the basis
+that reducing every product over its monomials gives.  The first product
+of every span is also built by shuffle_mul as a check.  Membership reads
+f's Schur coordinates off f * Vdm, its coefficients on exponents strictly
+increasing at every vertex, and tests them against the reduced Schur basis
+of the rank and degree, kept on the quiver.
 """
 
 from __future__ import annotations
@@ -467,6 +486,18 @@ def _unit_gamma(Q, v):
     return {u: 1 if u == v else 0 for u in Q.vertices}
 
 
+def _word_product(Q, word, ks):
+    """x[w1]^k1 * x[w2]^k2 * ... by chained shuffle products, stopping at
+    the first zero partial product."""
+    prod = None
+    for v, k in zip(word, ks):
+        gen = SymPoly(Q, _unit_gamma(Q, v), Poly.var(xvar(v, 1), k))
+        prod = gen if prod is None else shuffle_mul(prod, gen)
+        if prod.is_zero():
+            break
+    return prod
+
+
 def spherical_products(Q, gamma, d):
     """All products of rank-one generator powers of total rank gamma and
     polynomial degree <= d (ordered words, left factor acting first in the
@@ -483,12 +514,7 @@ def spherical_products(Q, gamma, d):
         if bound < 0:
             continue
         for ks in _compositions_upto(m, bound):
-            prod = None
-            for v, k in zip(word, ks):
-                gen = SymPoly(Q, _unit_gamma(Q, v), Poly.var(xvar(v, 1), k))
-                prod = gen if prod is None else shuffle_mul(prod, gen)
-                if prod.is_zero():
-                    break
+            prod = _word_product(Q, word, ks)
             if prod is not None and not prod.is_zero():
                 out.append(prod)
     if not any(gamma.values()):
@@ -508,36 +534,235 @@ def _to_rows(polys):
     return monos, rows
 
 
+# -- spherical span in Schur coordinates -------------------------------------
+
+
+def _vertex_slices(Q, gamma, offset):
+    """(start, stop) of each vertex's slot positions, vertices of rank 0
+    left out."""
+    return [(offset[v], offset[v] + gamma[v]) for v in Q.vertices if gamma[v]]
+
+
+def _alternant_key(e, slices):
+    """(key, sign) with Alt(x^e) = sign * Alt(x^key): key sorts e increasing
+    within every vertex's slice, sign is the sign of that sort.  None if e
+    repeats an exponent at some vertex, where Alt(x^e) = 0."""
+    key = ()
+    inversions = 0
+    for lo, hi in slices:
+        part = e[lo:hi]
+        ordered = tuple(sorted(part))
+        if any(a == b for a, b in zip(ordered, ordered[1:])):
+            return None
+        inversions += sum(1 for a, b in combinations(part, 2) if a > b)
+        key += ordered
+    return key, -1 if inversions % 2 else 1
+
+
+def _schur_rows(Q, gamma, d):
+    """The word products of spherical_products in Schur coordinates, grouped
+    by degree: {degree: [row, ...]}, a row being {key: int} with no zero
+    value; products that vanish are left out.
+
+    The product of the word w with exponents k is Alt(x^k * A_w) / Vdm, A_w
+    being prod_{p<q} (x[s(q)] - x[s(p)])^a(w_p, w_q) with letter p in its
+    standard slot s(p), and Alt(x^key) / Vdm is the product over vertices
+    of s_lambda, lambda = key - (0, 1, ...) on the vertex's slice.  A_w is
+    multiplied out once per word; its degree is sum(k) - sum_{p<q}
+    chi(w_p, w_q).  The first product is also built by shuffle_mul, and
+    its Schur coordinates must agree."""
+    check_dimvec(Q, gamma, what="rank vector")
+    if not any(gamma.values()):
+        return {0: [{(): 1}]}
+    offset, variables = _slots(Q, gamma)
+    n = len(variables)
+    slices = _vertex_slices(Q, gamma, offset)
+    alternants = {}  # exponent tuple -> _alternant_key, for this call
+    blocks = {}
+    unchecked = True
+    for word in _vertex_words(Q, gamma):
+        m = len(word)
+        filled = dict.fromkeys(Q.vertices, 0)
+        slot = []
+        for v in word:
+            slot.append(offset[v] + filled[v])
+            filled[v] += 1
+        chi_sum = 0
+        arrows = {(0,) * n: 1}
+        for p, q in combinations(range(m), 2):
+            a_pq = Q.arrow_count(word[p], word[q])
+            chi_sum += (word[p] == word[q]) - a_pq
+            for _ in range(a_pq):
+                arrows = _times_diff(arrows, slot[q], slot[p])
+        bound = d + chi_sum
+        if bound < 0:
+            continue
+        terms = list(arrows.items())
+        for ks in _compositions_upto(m, bound):
+            shift = [0] * n
+            for s, k in zip(slot, ks):
+                shift[s] = k
+            row = {}
+            for e, c in terms:
+                e = tuple(map(add, e, shift))
+                hit = alternants.get(e, False)
+                if hit is False:
+                    hit = alternants[e] = _alternant_key(e, slices)
+                if hit:
+                    key, sign = hit
+                    row[key] = row.get(key, 0) + sign * c
+            row = {key: c for key, c in row.items() if c}
+            if unchecked:
+                if _schur_coordinates(_word_product(Q, word, ks)) != row:
+                    raise InternalConsistencyError(
+                        f"Schur coordinates of the word {word} with exponents {ks}"
+                        " disagree with its shuffle product"
+                    )
+                unchecked = False
+            if row:
+                blocks.setdefault(sum(ks) - chi_sum, []).append(row)
+    return blocks
+
+
+def _schur_poly(lam, memo):
+    """s_lam(x_1..x_n), n = len(lam), for lam weakly decreasing padded with
+    zeros, as {exponent tuple: int}.  Branching rule: s_lam is the sum, over
+    mu with lam_{i+1} <= mu_i <= lam_i (lam/mu a horizontal strip), of
+    s_mu(x_1..x_{n-1}) * x_n^(|lam| - |mu|)."""
+    if not lam:
+        return {(): 1}
+    if lam not in memo:
+        out = {}
+        size = sum(lam)
+        for mu in product(*(range(lam[i + 1], lam[i] + 1) for i in range(len(lam) - 1))):
+            top = (size - sum(mu),)
+            for e, c in _schur_poly(mu, memo).items():
+                out[e + top] = out.get(e + top, 0) + c
+        memo[lam] = out
+    return memo[lam]
+
+
+def _schur_expansion(key, slices, memo):
+    """Alt(x^key) / Vdm on exponent tuples: the product over vertices of
+    s_lambda, lambda = key - (0, 1, ...) on the vertex's slice."""
+    out = {(): 1}
+    for lo, hi in slices:
+        part = key[lo:hi]
+        lam = tuple(part[i] - i for i in reversed(range(hi - lo)))
+        s = _schur_poly(lam, memo)
+        out = {e + f: c * b for e, c in out.items() for f, b in s.items()}
+    return out
+
+
+def _row_reduce(rows):
+    """rref over Q; a single row is only divided by its first non-zero
+    entry, which is its reduced form."""
+    if len(rows) == 1:
+        row = rows[0]
+        pivot = next(i for i, c in enumerate(row) if c)
+        return (tuple(Fraction(c) / row[pivot] for c in row),), (pivot,)
+    return rref(QQ, rows)
+
+
+def _dense_rows(rows):
+    """The sorted keys of the rows {key: coefficient} and the rows as
+    tuples over them."""
+    keys = sorted({key for row in rows for key in row})
+    return keys, [tuple(row.get(key, 0) for key in keys) for row in rows]
+
+
 def spherical_span(Q, gamma, d):
     """Row-reduced basis of the degree-<=d slice generated by rank-one
-    elements, as SymPoly values."""
-    products = spherical_products(Q, gamma, d)
-    if not products:
-        return []
-    monos, rows = _to_rows([p.poly for p in products])
-    reduced, _pivots = rref(QQ, rows)
+    elements, as SymPoly values: the reduced row echelon form of the span
+    of spherical_products, columns in the order (len(m), m) of monomials.
+
+    Each degree is row-reduced in Schur coordinates; only its basis rows
+    are expanded to monomials, and row-reduced once more.  Degrees have
+    disjoint monomials, so their reduced rows, merged in order of pivot,
+    are the reduced form of the whole span."""
+    blocks = _schur_rows(Q, gamma, d)
+    offset, variables = _slots(Q, gamma)
+    slices = _vertex_slices(Q, gamma, offset)
+    schur_polys = {}
+    expansions = {}
     basis = []
-    for row in reduced:
-        terms = {m: c for m, c in zip(monos, row) if c}
-        if terms:
+    for rows in blocks.values():
+        keys, dense = _dense_rows(rows)
+        polys = []
+        for row in _row_reduce(dense)[0]:
+            L = lcm(*(c.denominator for c in row))
+            terms = {}
+            for key, c in zip(keys, row):
+                if not c:
+                    continue
+                if key not in expansions:
+                    expansions[key] = _schur_expansion(key, slices, schur_polys)
+                c = c.numerator * (L // c.denominator)
+                for e, b in expansions[key].items():
+                    terms[e] = terms.get(e, 0) + c * b
+            polys.append(_from_dense({e: c for e, c in terms.items() if c}, 1, variables))
+        monos, mono_rows = _to_rows(polys)
+        reduced, pivots = _row_reduce(mono_rows)
+        for row, pivot in zip(reduced, pivots):
             p = Poly.zero()
-            p.terms.update(terms)
-            basis.append(SymPoly(Q, gamma, p))
-    return basis
+            p.terms.update((m, c) for m, c in zip(monos, row) if c)
+            basis.append(((len(monos[pivot]), monos[pivot]), p))
+    basis.sort(key=itemgetter(0))
+    return [SymPoly(Q, gamma, p) for _, p in basis]
+
+
+def _schur_basis(Q, gamma, d):
+    """(column index, rref rows, pivots) of the Schur coordinates of every
+    word product of (gamma, d), all degrees in one reduction.  Memoized per
+    (gamma, d) on the quiver instance, like _contracted_quiver: the memo is
+    the quiver's own dict, made on first use, and dies with it."""
+    memo = Q._spherical_bases
+    if memo is None:
+        memo = Q._spherical_bases = {}
+    sector = (tuple(gamma[v] for v in Q.vertices), d)
+    if sector not in memo:
+        blocks = _schur_rows(Q, gamma, d).values()
+        keys, dense = _dense_rows([row for rows in blocks for row in rows])
+        reduced, pivots = rref(QQ, dense)
+        memo[sector] = ({key: i for i, key in enumerate(keys)}, reduced, pivots)
+    return memo[sector]
+
+
+def _schur_coordinates(f):
+    """f's Schur coordinates, scaled to integers: the coefficients of f * Vdm
+    on the monomials strictly increasing on every vertex's slice (f * Vdm =
+    sum_key c_key Alt(x^key), and Alt(x^key) has x^key with coefficient 1)."""
+    Q, gamma = f.quiver, f.gamma
+    offset, variables = _slots(Q, gamma)
+    p, _L = _to_dense(f.poly, {v: i for i, v in enumerate(variables)}, len(variables))
+    for v in Q.vertices:
+        for a, b in combinations(range(offset[v], offset[v] + gamma[v]), 2):
+            p = _times_diff(p, b, a)
+    slices = _vertex_slices(Q, gamma, offset)
+    return {
+        e: c
+        for e, c in p.items()
+        if all(x < y for lo, hi in slices for x, y in zip(e[lo:hi - 1], e[lo + 1:hi]))
+    }
 
 
 def spherical_membership(f, d=None):
     """True / False / INCONCLUSIVE membership of f in the span of rank-one
     generator products.  Exact below the degree bound; degrees above the
-    bound cannot be decided by the truncated span."""
+    bound cannot be decided by the truncated span.  f's Schur coordinates
+    are tested against the reduced Schur basis of (gamma, d), which is
+    reduced once per quiver instance."""
     if d is None:
         d = f.poly.total_degree()
     if f.poly.total_degree() > d:
         return INCONCLUSIVE
     if f.poly.is_zero():
         return True
-    products = spherical_products(f.quiver, f.gamma, d)
-    polys = [p.poly for p in products] + [f.poly]
-    _monos, rows = _to_rows(polys)
-    reduced, pivots = rref(QQ, rows[:-1])
-    return in_span(QQ, reduced, pivots, rows[-1])
+    index, reduced, pivots = _schur_basis(f.quiver, f.gamma, d)
+    coords = _schur_coordinates(f)
+    if any(key not in index for key in coords):
+        return False
+    v = [0] * len(index)
+    for key, c in coords.items():
+        v[index[key]] = c
+    return in_span(QQ, reduced, pivots, v)

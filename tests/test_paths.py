@@ -22,10 +22,15 @@ from quiveralg.paths import (
     cyclic_normal_form,
     substitute_arrow,
 )
+from quiveralg.contraction import contract_qp
+from quiveralg.mutation import theorem_check_366
+from quiveralg.poly import Combination
+from quiveralg.preprojective import adhm_elimination_check, preprojective_relations
 from quiveralg.qp import QuiverWithPotential, reduce_trivial
 from quiveralg.quiver import Arrow, Quiver
 
 from conftest import showcase_qp, word
+from test_mutation import family_case_a
 
 
 def seam_quiver():
@@ -185,6 +190,54 @@ def test_substitute_endpoint_mismatch():
     p = NCPoly.of_path(word("a", "b"))
     with pytest.raises(PreconditionError):
         substitute_arrow(Q, p, {"b": NCPoly.of_path(word("d"))})
+
+
+def test_substitute_degenerate_word_raises():
+    """A loop replaced by its vertex's idempotent leaves an empty cyclic
+    word, which is refused while the sum is being built."""
+    Q = Quiver(["1"], [Arrow("a", "1", "1")])
+    W = Potential.from_paths(Q, [(word("a"), 1)])
+    with pytest.raises(DegenerateTermError, match="degenerated the cyclic word"):
+        substitute_arrow(Q, W, {"a": NCPoly.of_path(Path.idempotent("1"))})
+
+
+def _fold(cls, pairs):
+    """The sum of the pairs by repeated `+` of one-term combinations."""
+    out = cls.zero()
+    for k, c in pairs:
+        out = out + cls({k: c})
+    return out
+
+
+def test_sums_equal_a_repeated_plus_fold(monkeypatch):
+    """Every sum built from (key, coefficient) pairs has the terms, in the
+    same order, that a repeated `+` gives; in the substitutions a key
+    cancels and then comes back, so it moves to the end."""
+    loops = Quiver(["1"], [Arrow(a, "1", "1") for a in "abcde"])
+    paths = [(word("a", "d"), 1), (word("c", "d"), 1), (word("e", "d"), 1), (word("b", "d"), 1)]
+    swap = {"a": NCPoly.of_path(word("b")), "e": NCPoly.of_path(word("b"), -1)}
+    value = NCPoly.from_pairs(paths)
+    W = Potential.from_paths(loops, paths)
+    twice = Potential.from_paths(loops, [(word("a", "b", "a", "c"), 2), (word("a", "c"), -1)])
+    qp = showcase_qp()
+    cases = {
+        "substitute paths": lambda: substitute_arrow(loops, value, swap),
+        "substitute words": lambda: substitute_arrow(loops, W, swap),
+        "cyclic derivative": lambda: cyclic_derivative(loops, twice, "a"),
+        "contract potential": lambda: contract_qp(qp, "a0").potential,
+        "preprojective": lambda: preprojective_relations(qp.quiver).at("i-"),
+        "mutation renaming": lambda: theorem_check_366(family_case_a()[0], "a0").lhs.potential,
+    }
+    built = {name: list(make().terms.items()) for name, make in cases.items()}
+    assert built["substitute paths"] == [(word("c", "d"), 1), (word("b", "d"), 1)]
+    assert [w for w, _c in built["substitute words"]] == [
+        cyclic_normal_form(loops, word("c", "d")), cyclic_normal_form(loops, word("b", "d"))
+    ]
+    adhm = adhm_elimination_check(qp.quiver, "a0")
+
+    monkeypatch.setattr(Combination, "from_pairs", classmethod(_fold))
+    assert {name: list(make().terms.items()) for name, make in cases.items()} == built
+    assert adhm_elimination_check(qp.quiver, "a0") == adhm
 
 
 def test_reduce_trivial_pure_quadratic():

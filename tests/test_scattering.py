@@ -212,6 +212,17 @@ def test_genericity_errors():
         path_ordered_product(D, PathSpec.of([(1, 1), (0, 2), (-1, 1)]), 3)
 
 
+def test_breakpoint_ending_a_segment_on_a_wall_is_not_generic():
+    """A breakpoint on a wall is the crossing at t = 1 of the segment it
+    ends, and is refused there, before the next segment, which here runs
+    inside that wall, is looked at.  test_genericity_errors has only
+    breakpoints the next segment refuses at t = 0, and path_ordered_product
+    refuses a wall under the path's last endpoint before any segment."""
+    D = diagram_noncommuting()
+    with pytest.raises(PreconditionError, match=r"touches the wall \(0, 1\) at a breakpoint"):
+        path_ordered_product(D, PathSpec.of([(1, 1), (1, 0), (-1, 0), (-1, 1)]), 3)
+
+
 def test_segment_inside_wall_is_not_generic():
     w = Wall((1, 0, 0), e(T3, (1, 0, 0)), halfspaces=((0, 1, 0), (0, 0, 1)))
     D = GComplex(T3, [w])

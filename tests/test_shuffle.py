@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -10,15 +11,19 @@ import pytest
 
 import quiveralg.shuffle as shuffle_module
 from quiveralg.errors import InternalConsistencyError, PreconditionError
+from quiveralg.linalg import QQ, in_span, rref
 from quiveralg.poly import Poly, Rat, xvar
 from quiveralg.quiver import Arrow, Quiver, euler_form
 from quiveralg.shuffle import (
     INCONCLUSIVE,
     ShuffleElement,
     SymPoly,
+    _alternant_key,
     _arrow_factors,
+    _compositions_upto,
     _divide_diff,
     _from_dense,
+    _schur_poly,
     _slots,
     _split_term,
     _standard_blocks,
@@ -623,3 +628,240 @@ def test_vertex_words_large_rank_is_immediate():
     A2 = a2_quiver()
     words = _vertex_words(A2, {"1": 11, "2": 1})
     assert len(words) == 12 and words == sorted(words)
+
+
+def test_generator_power_zero_is_the_unit():
+    for Q in (jordan_quiver(), a2_quiver(), point_quiver()):
+        for v in Q.vertices:
+            assert SymPoly.generator(Q, v, 0) == SymPoly.one(Q, unit(Q, v))
+            assert SymPoly.generator(Q, v, 2).poly == x(v, 1, 2)
+
+
+# ------------------------------------------------------------- Schur route
+
+
+def _reference_spherical_span(Q, gamma, d):
+    """The span as one rref over the monomials of every word product, the
+    columns ordered by (len(m), m): spherical_span before it moved to Schur
+    coordinates."""
+    products = spherical_products(Q, gamma, d)
+    if not products:
+        return []
+    monos = sorted({m for p in products for m in p.poly.terms}, key=lambda m: (len(m), m))
+    rows = [tuple(p.poly.terms.get(m, Fraction(0)) for m in monos) for p in products]
+    basis = []
+    for row in rref(QQ, rows)[0]:
+        p = Poly.zero()
+        p.terms.update((m, c) for m, c in zip(monos, row) if c)
+        basis.append(SymPoly(Q, gamma, p))
+    return basis
+
+
+def _reference_spherical_membership(f, d=None):
+    """Membership by reducing f together with every word product, on every
+    call: spherical_membership before Schur coordinates."""
+    if d is None:
+        d = f.poly.total_degree()
+    if f.poly.total_degree() > d:
+        return INCONCLUSIVE
+    if f.poly.is_zero():
+        return True
+    polys = [p.poly for p in spherical_products(f.quiver, f.gamma, d)] + [f.poly]
+    monos = sorted({m for p in polys for m in p.terms}, key=lambda m: (len(m), m))
+    rows = [tuple(p.terms.get(m, Fraction(0)) for m in monos) for p in polys]
+    reduced, pivots = rref(QQ, rows[:-1])
+    return in_span(QQ, reduced, pivots, rows[-1])
+
+
+def _partitions(size, parts, largest=None):
+    """Partitions of size into at most `parts` parts, padded with zeros."""
+    largest = size if largest is None else largest
+    if parts == 0:
+        if size == 0:
+            yield ()
+        return
+    for first in range(min(size, largest), -1, -1):
+        for rest in _partitions(size - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def test_schur_poly_is_the_bialternant():
+    """The branching-rule Schur polynomial equals a_{lam+delta} / a_delta,
+    the alternant divided by the Vandermonde one linear factor at a time:
+    every lam with |lam| <= 6 in 1-4 variables."""
+    checked = 0
+    for n in range(1, 5):
+        for size in range(7):
+            for lam in _partitions(size, n):
+                kappa = [lam[n - 1 - i] + i for i in range(n)]
+                alternant = {}
+                for perm in permutations(range(n)):
+                    e = [0] * n
+                    for i, j in enumerate(perm):
+                        e[j] = kappa[i]
+                    inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+                    alternant[tuple(e)] = -1 if inversions % 2 else 1
+                quotient = alternant
+                for a, b in combinations(range(n), 2):
+                    quotient = _divide_diff(quotient, b, a)
+                assert _schur_poly(lam, {}) == quotient, lam
+                checked += 1
+    assert checked == 7 + 16 + 23 + 27  # partitions of 0..6 into at most n parts
+
+
+def _word_census(Q, gamma, d):
+    """(number of (word, exponents) pairs, whether some word's degree bound
+    is negative) for spherical_products(Q, gamma, d)."""
+    pairs = 0
+    negative = False
+    for word in _vertex_words(Q, gamma):
+        chi_sum = sum(
+            euler_form(Q, unit(Q, word[p]), unit(Q, word[q]))
+            for p, q in combinations(range(len(word)), 2)
+        )
+        if d + chi_sum < 0:
+            negative = True
+        else:
+            pairs += sum(1 for _ in _compositions_upto(len(word), d + chi_sum))
+    return pairs, negative
+
+
+def test_spherical_span_matches_reference(rng):
+    """spherical_span equals the rref over the monomials of every product,
+    by Poly equality and by str, on 160 seeded (Q, gamma, d)."""
+    seen = Counter()
+    cases = 0
+    while cases < 160:
+        Q = random_quiver(rng, max_vertices=3, max_arrows=4)
+        gamma = {v: rng.choice((0, 0, 1, 1, 2, 3)) for v in Q.vertices}
+        if sum(gamma.values()) > 4:
+            continue
+        d = rng.randint(-2, 3 if sum(gamma.values()) < 4 else 1)
+        got = spherical_span(Q, gamma, d)
+        want = _reference_spherical_span(Q, gamma, d)
+        assert got == want, (Q.arrows, gamma, d)
+        assert [str(b) for b in got] == [str(b) for b in want]
+        cases += 1
+        arrows = [(a.source, a.target) for a in Q.arrows]
+        seen["loop"] += any(s == t for s, t in arrows)
+        seen["parallel"] += len(set(arrows)) < len(arrows)
+        seen["2-cycle"] += any(s != t and (t, s) in arrows for s, t in arrows)
+        if not any(gamma.values()):
+            seen["gamma 0"] += 1
+            continue
+        pairs, negative = _word_census(Q, gamma, d)
+        seen["negative bound"] += negative
+        seen["empty"] += not got
+        seen["vanishing product"] += pairs > len(spherical_products(Q, gamma, d))
+        seen["rank > 1"] += len(got) > 1
+    assert all(seen[k] >= 3 for k in (
+        "loop", "parallel", "2-cycle", "gamma 0", "negative bound", "empty",
+        "vanishing product", "rank > 1",
+    )), seen
+
+
+def test_span_degree_blocks_merge_in_pivot_order():
+    """A span with several degrees whose (len(m), m) column order
+    interleaves them: the basis is the one rref, not the blocks in turn."""
+    J = jordan_quiver()
+    gamma = {"1": 2}
+    got = spherical_span(J, gamma, 3)
+    assert got == _reference_spherical_span(J, gamma, 3)
+    degrees = [b.poly.total_degree() for b in got]
+    assert degrees != sorted(degrees)
+
+
+def test_span_checks_its_first_product_against_the_shuffle_kernel(monkeypatch):
+    """The Schur route is checked on every call against the shuffle product
+    of its first word: dropping the sign of the sort is caught there."""
+    J = jordan_quiver()
+
+    def unsigned(e, slices):
+        hit = _alternant_key(e, slices)
+        return hit and (hit[0], 1)
+
+    monkeypatch.setattr(shuffle_module, "_alternant_key", unsigned)
+    with pytest.raises(InternalConsistencyError, match="disagree with its shuffle product"):
+        spherical_span(J, {"1": 2}, 1)
+
+
+def _criterion_9_queries():
+    """The 98 membership queries of acceptance criterion 9: the images of
+    the routed products and of every spherical product of C3 at rank
+    (1, 1, 1) and degree 4, contracted along a0, on a fresh quiver."""
+    c3 = Quiver(
+        ("1", "2", "3"),
+        [Arrow("a1", "1", "2"), Arrow("a2", "2", "3"), Arrow("a0", "3", "1")],
+        name="C3",
+    )
+    gamma = {"1": 1, "2": 1, "3": 1}
+    queries = []
+    for order in (("2", "3", "1"), ("3", "1", "2")):
+        for ks in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            prod = None
+            for v, k in zip(order, ks):
+                gen = SymPoly(c3, unit(c3, v), x(v, 1, k))
+                prod = gen if prod is None else shuffle_mul(prod, gen)
+            if not prod.is_zero():
+                queries.append(contract_shuffle(prod, "a0"))
+    queries += [contract_shuffle(f, "a0") for f in spherical_products(c3, gamma, 4)]
+    return queries
+
+
+def test_membership_matches_reference_on_criterion_9_queries():
+    queries = _criterion_9_queries()
+    assert len(queries) == 98
+    verdicts = [spherical_membership(f, 4) for f in queries]
+    assert verdicts == [_reference_spherical_membership(f, 4) for f in queries]
+    assert all(v is True for v in verdicts)
+
+
+def test_membership_reduces_once_per_sector(monkeypatch):
+    """Criterion 9's queries all ask about one (contracted quiver, rank,
+    degree): one reduction serves them all."""
+    queries = _criterion_9_queries()
+    sectors = {(id(f.quiver), f.gamma_key()) for f in queries}
+    calls = []
+
+    def counting_rref(p, rows):
+        calls.append(len(rows))
+        return rref(p, rows)
+
+    monkeypatch.setattr(shuffle_module, "rref", counting_rref)
+    for f in queries:
+        spherical_membership(f, 4)
+    assert len(sectors) == 1
+    assert len(calls) == 1
+    spherical_membership(next(f for f in queries if not f.is_zero()), 5)  # another sector
+    assert len(calls) == 2
+
+
+def test_membership_matches_reference_on_seeded_elements(rng):
+    """Members (rational combinations of products), random symmetric
+    polynomials, zero, elements above the degree bound, and the default
+    degree: the verdicts of the Schur route and of the reference agree."""
+    verdicts = Counter()
+    cases = 0
+    while cases < 120:
+        Q = random_quiver(rng, max_vertices=3, max_arrows=4)
+        gamma = {v: rng.choice((0, 1, 1, 2)) for v in Q.vertices}
+        if sum(gamma.values()) > 3:
+            continue
+        d = rng.randint(0, 3)
+        products = spherical_products(Q, gamma, d)
+        candidates = [
+            random_sympoly(rng, Q, gamma, max_deg=d + 1, nterms=3, coeffs=RATIONALS),
+            SymPoly(Q, gamma, Poly.zero()),
+        ]
+        if products:
+            member = Poly.zero()
+            for p in rng.sample(products, min(3, len(products))):
+                member = member + p.poly.scale(rng.choice(RATIONALS))
+            candidates.append(SymPoly(Q, gamma, member))
+        for f in candidates:
+            for degree in (d, None):
+                got = spherical_membership(f, degree)
+                assert got == _reference_spherical_membership(f, degree), (Q.arrows, gamma, d, f)
+                verdicts[got] += 1
+        cases += 1
+    assert verdicts[True] and verdicts[False] and verdicts[INCONCLUSIVE], verdicts
