@@ -18,20 +18,26 @@ block1+block2 -> 1..n, times the sign.  The sum is then divided by the
 Vandermonde one linear factor at a time, by synthetic division; a non-zero
 remainder is an internal bug, never a data error.
 
-shuffle_mul does all of this on dense exponent vectors with integer
-coefficients.  The product's sum(gamma) slot variables get positions once:
+All of this runs on dense exponent tuples with integer coefficients.  The
+sum(gamma) slot variables of a sector get positions (its _layout):
 vertices in Q.vertices order, slots ascending, so x[v,slot] sits at
-offset[v] + slot - 1.  f and g are scaled by the lcm of their coefficient
-denominators, and a polynomial is a dict {exponent tuple: int}.  Renaming
-for a shuffle is one operator.itemgetter over a precomputed position
-permutation, and the divisions are exact in the integers.  Fractions come
-back only at the end: the result's coefficients are c / L, L the product of
-the two lcms, when its Poly is built.
+offset[v] + slot - 1.  A SymPoly holds either a Poly or such a dense form
+({exponent tuple: int}, L), meaning the sum of c/L * x^e; products and
+contractions are built dense, and a Poly is made only when asked for
+(printing, hopf, ==); a parsed element's dense form is made for each
+product or contraction and not kept.  shuffle_mul moves f's tuples into block 1 and g's into block
+2 by position, renames for each shuffle by one operator.itemgetter over a
+precomputed position permutation, and divides exactly in the integers; the
+result's L is the product of f's and g's.  The layouts, their adjacent-swap
+getters (the symmetry check of a dense form) and the shuffle renamings with
+their signs depend only on the vertex tuple and the ranks, and are cached
+by those.
 
 Contraction acts on these polynomials by the slotwise substitution
-x[i-,a] |-> x[i0,a], x[i+,a] |-> x[i0,a]; it is a homomorphism for the
-product above on the rank sectors with equal values at the two merged
-vertices.
+x[i-,a] |-> x[i0,a], x[i+,a] |-> x[i0,a]: on exponent tuples, the exponent
+at x[i-,a] is added onto x[i+,a] and i-'s positions are dropped.  It is a
+homomorphism for the product above on the rank sectors with equal values
+at the two merged vertices.
 
 The spherical span, spanned by the word products x[w1]^k1 * ... *
 x[wm]^km of rank-one generators, is built with no shuffle product.  Such a
@@ -55,7 +61,9 @@ of the rank and degree, kept on the quiver.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
 from operator import add, itemgetter
@@ -72,25 +80,37 @@ INCONCLUSIVE = "inconclusive"
 class SymPoly:
     """Symmetric polynomial attached to a quiver and a rank vector.
 
+    An element holds the form it was built from: a Poly (parsed or user
+    input), or dense=(terms, L), the sum of c/L * x^e over the items e: c of
+    terms, e an exponent tuple over the slot layout of (Q.vertices, ranks)
+    (see _layout) and c a non-zero int, L a positive int.  Products and
+    contractions are built dense.  The other form is made on first use:
+    .poly for printing, hopf and ==/hash, .dense for the shuffle kernel;
+    .poly is kept once made, a dense form made from a Poly is not.
+
     Invariance under slot permutations at every vertex is validated at
-    construction (adjacent transpositions suffice); asymmetric input is
-    rejected, not symmetrized.
+    construction, on the form given (adjacent transpositions suffice);
+    asymmetric input is rejected, not symmetrized.
     """
 
-    __slots__ = ("quiver", "gamma", "poly")
+    __slots__ = ("quiver", "gamma", "_poly", "_dense")
 
-    def __init__(self, quiver, gamma, poly):
+    def __init__(self, quiver, gamma, poly=None, *, dense=None):
         check_dimvec(quiver, gamma, what="rank vector")
-        if not isinstance(poly, Poly):
-            poly = Poly.const(poly)
         self.quiver = quiver
         self.gamma = dict(gamma)
-        self.poly = poly
-        self._validate()
+        if dense is None:
+            self._poly = poly if isinstance(poly, Poly) else Poly.const(poly)
+            self._dense = None
+            self._validate_poly()
+        else:
+            self._poly = None
+            self._dense = dense
+            self._validate_dense()
 
-    def _validate(self):
+    def _validate_poly(self):
         gamma = self.gamma
-        for v in self.poly.variables():
+        for v in self._poly.variables():
             if len(v) != 3 or v[0] != "x":
                 raise PreconditionError(f"foreign variable {v!r}")
             _, vertex, slot = v
@@ -102,7 +122,7 @@ class SymPoly:
                 )
         # Swapping two slots is a bijection on monomials, so the polynomial
         # is invariant iff every term's swapped monomial has its coefficient.
-        terms = self.poly.terms
+        terms = self._poly.terms
         for vertex, n in gamma.items():
             for a in range(1, n):
                 va, vb = xvar(vertex, a), xvar(vertex, a + 1)
@@ -114,6 +134,25 @@ class SymPoly:
                             f"polynomial is not symmetric in the slots of {vertex!r}"
                         )
 
+    def _validate_dense(self):
+        """The checks of _validate_poly on exponent tuples: one entry per
+        slot, no zero coefficient, and invariance under each adjacent slot
+        swap, in gamma's vertex order."""
+        terms, _L = self._dense
+        layout = self.layout()
+        n = len(layout.variables)
+        if any(map(n.__ne__, map(len, terms))) or 0 in terms.values():
+            raise PreconditionError(
+                f"dense terms need {n}-entry exponent tuples and non-zero coefficients"
+            )
+        get = terms.get
+        for vertex in self.gamma:
+            for swap in layout.swaps[vertex]:
+                if any(get(swap(e)) != c for e, c in terms.items()):
+                    raise PreconditionError(
+                        f"polynomial is not symmetric in the slots of {vertex!r}"
+                    )
+
     @staticmethod
     def one(quiver, gamma):
         return SymPoly(quiver, gamma, Poly.const(1))
@@ -121,23 +160,52 @@ class SymPoly:
     @staticmethod
     def generator(quiver, vertex, power=1):
         """x[vertex,1]^power in the rank-one sector e_vertex."""
-        gamma = {v: 1 if v == vertex else 0 for v in quiver.vertices}
-        poly = Poly.var(xvar(vertex, 1), power) if power else Poly.const(1)
-        return SymPoly(quiver, gamma, poly)
+        return SymPoly(quiver, _unit_gamma(quiver, vertex), dense=({(power,): 1}, 1))
 
     def gamma_key(self):
-        return tuple(self.gamma[v] for v in self.quiver.vertices)
+        return tuple(map(self.gamma.__getitem__, self.quiver.vertices))
+
+    def layout(self):
+        return _layout(self.quiver.vertices, self.gamma_key())
+
+    @property
+    def poly(self):
+        if self._poly is None:
+            self._poly = _from_dense(*self._dense, self.layout())
+        return self._poly
+
+    @property
+    def dense(self):
+        """(terms, L) over the slot layout; made anew from a Poly."""
+        if self._dense is None:
+            return _to_dense(self._poly, self.layout())
+        return self._dense
 
     def is_zero(self):
-        return self.poly.is_zero()
+        if self._dense is not None:
+            return not self._dense[0]
+        return self._poly.is_zero()
 
     def __add__(self, other):
-        self._check_same_sector(other)
-        return SymPoly(self.quiver, self.gamma, self.poly + other.poly)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other, on dense forms."""
         self._check_same_sector(other)
-        return SymPoly(self.quiver, self.gamma, self.poly - other.poly)
+        (p, Lp), (q, Lq) = self.dense, other.dense
+        L = lcm(Lp, Lq)
+        out = {e: c * (L // Lp) for e, c in p.items()}
+        scale = sign * (L // Lq)
+        for e, c in q.items():
+            s = out.get(e, 0) + c * scale
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return SymPoly(self.quiver, self.gamma, dense=(out, L))
 
     def scale(self, c):
         return SymPoly(self.quiver, self.gamma, self.poly.scale(c))
@@ -210,9 +278,10 @@ def _arrow_factors(Q, block1, block2):
     """Arrow part of fac(block1|block2), as (vb, va, a_ij): one entry per
     arrow class i->j, va in block1[i] and vb in block2[j], standing for
     (vb - va)**a_ij.  A block maps a vertex to its list of variables."""
+    counts = Counter((a.source, a.target) for a in Q.arrows)
     for i, vas in block1.items():
         for j, vbs in block2.items():
-            a_ij = Q.arrow_count(i, j)
+            a_ij = counts[i, j]
             if not a_ij:
                 continue
             for va in vas:
@@ -251,21 +320,53 @@ def fac_kernel(Q, g1, g2):
 # -- dense kernel: {exponent tuple: int}, position offset[v] + slot - 1 ------
 
 
-def _slots(Q, gamma):
-    """Positions of the slot variables: vertex v's slots start at offset[v],
-    vertices in Q.vertices order.  Returns (offset, variables), with
-    variables[i] the variable at position i."""
-    offset = {}
-    variables = []
-    for v in Q.vertices:
-        offset[v] = len(variables)
-        variables.extend(xvar(v, a) for a in range(1, gamma[v] + 1))
-    return offset, variables
+def _picker(positions):
+    """The map taking a tuple to the tuple of its entries at `positions`."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda e: (e[p],)
+    if not positions:
+        return lambda e: ()
+    return itemgetter(*positions)
 
 
-def _to_dense(poly, index, n):
+class _Layout:
+    """Positions of the slot variables of the sector with ranks[k] slots at
+    vertices[k]: vertex v's slots start at offset[v], vertices in the
+    quiver's order, slots ascending.  It depends only on these two tuples,
+    so _layout caches it for every quiver; its dicts are never changed."""
+
+    __slots__ = ("offset", "variables", "index", "swaps", "names", "to_names")
+
+    def __init__(self, vertices, ranks):
+        self.offset = {}  # vertex -> position of its slot 1
+        variables = []
+        for v, r in zip(vertices, ranks):
+            self.offset[v] = len(variables)
+            variables.extend(xvar(v, a) for a in range(1, r + 1))
+        n = len(variables)
+        self.variables = tuple(variables)
+        self.index = {x: i for i, x in enumerate(variables)}
+        self.swaps = {}  # vertex -> one exponent-tuple map per adjacent slot swap
+        for v, r in zip(vertices, ranks):
+            self.swaps[v] = []
+            for p in range(self.offset[v], self.offset[v] + r - 1):
+                perm = list(range(n))
+                perm[p], perm[p + 1] = p + 1, p
+                self.swaps[v].append(itemgetter(*perm))
+        order = sorted(range(n), key=variables.__getitem__)
+        self.names = tuple(variables[i] for i in order)  # as in a Poly monomial
+        self.to_names = _picker(order)  # exponent tuple -> entries in names' order
+
+
+_layout = lru_cache(maxsize=1024)(_Layout)
+
+
+def _to_dense(poly, layout):
     """poly scaled to integers: ({exponent tuple: int}, L), L the lcm of the
-    coefficient denominators, variable v at position index[v]."""
+    coefficient denominators."""
+    index = layout.index
+    n = len(index)
     L = lcm(*(c.denominator for c in poly.terms.values()))
     out = {}
     for m, c in poly.terms.items():
@@ -276,14 +377,12 @@ def _to_dense(poly, index, n):
     return out, L
 
 
-def _from_dense(terms, L, variables):
+def _from_dense(terms, L, layout):
     """The Poly sum of c/L * x^e, its monomials sorted by variable."""
-    order = sorted(range(len(variables)), key=variables.__getitem__)
-    names = [variables[i] for i in order]
-    reorder = itemgetter(*order) if len(order) > 1 else lambda e: e
+    names, to_names = layout.names, layout.to_names
     p = Poly.zero()
     p.terms.update(
-        (tuple((v, k) for v, k in zip(names, reorder(e)) if k), Fraction(c, L))
+        (tuple((v, k) for v, k in zip(names, to_names(e)) if k), Fraction(c, L))
         for e, c in terms.items()
     )
     return p
@@ -342,20 +441,59 @@ def _divide_diff(p, b, a):
     return out
 
 
-def _split_term(f, g, offset, n):
+def _inversions(block1, block2):
+    return sum(1 for s in block1 for t in block2 if t < s)
+
+
+@lru_cache(maxsize=1024)
+def _shuffle_plan(vertices, ranks1, ranks2):
+    """How a product of ranks1 by ranks2 moves exponent tuples, positions
+    only.  Returns (place, renamings): place takes e1 + e2, e1 over ranks1's
+    layout and e2 over ranks2's, to the product's layout with e1 in block 1
+    (the first ranks1 slots of every vertex) and e2 in block 2; renamings
+    has one (rename, sign) per split, the split's term being the standard
+    one's renamed and times sign (rename None for the identity)."""
+    g1 = dict(zip(vertices, ranks1))
+    offset1 = _layout(vertices, ranks1).offset
+    offset2 = _layout(vertices, ranks2).offset
+    n1 = sum(ranks1)
+    gamma = {v: a + b for v, a, b in zip(vertices, ranks1, ranks2)}
+    offset = _layout(vertices, tuple(gamma.values())).offset
+    source = []
+    for v, a, b in zip(vertices, ranks1, ranks2):
+        source.extend(range(offset1[v], offset1[v] + a))
+        source.extend(range(n1 + offset2[v], n1 + offset2[v] + b))
+    identity = list(range(len(source)))
+    renamings = []
+    for blocks in product(*(combinations(range(gamma[v]), g1[v]) for v in vertices)):
+        rename = identity[:]
+        sign = 1
+        for v, b1 in zip(vertices, blocks):
+            b2 = tuple(s for s in range(gamma[v]) if s not in b1)
+            for std, slot in enumerate(b1 + b2):
+                rename[offset[v] + slot] = offset[v] + std
+            if _inversions(b1, b2) % 2:
+                sign = -sign
+        renamings.append((None if rename == identity else itemgetter(*rename), sign))
+    return _picker(source), tuple(renamings)
+
+
+def _split_term(f, g, ranks1, ranks2):
     """Numerator term of the standard split, the one whose block 1 is the
     first g1^i slots at every vertex i, scaled to integers:
 
         f * g(shifted into block 2) * Vdm(block 1) * Vdm(block 2) * arrows,
 
     that is fac_kernel(Q, g1, g2) times the full Vandermonde prod_i
-    Vdm(x[i,1..n_i]), times f and the shifted g.  Returns (term, L), the
-    term being L times that polynomial."""
+    Vdm(x[i,1..n_i]), times f and the shifted g, ranks1 and ranks2 being
+    their gamma_key().  Returns (term, L), the term being L times that
+    polynomial over the product's layout."""
     Q = f.quiver
-    g1, g2 = f.gamma, g.gamma
-    block1 = {v: [offset[v] + s for s in range(g1[v])] for v in Q.vertices}
-    block2 = {v: [offset[v] + g1[v] + s for s in range(g2[v])] for v in Q.vertices}
-    kernel = {(0,) * n: 1}
+    offset = _layout(Q.vertices, tuple(map(add, ranks1, ranks2))).offset
+    block1 = {v: range(offset[v], offset[v] + r) for v, r in zip(Q.vertices, ranks1)}
+    block2 = {v: range(offset[v] + r, offset[v] + r + r2)
+              for v, r, r2 in zip(Q.vertices, ranks1, ranks2)}
+    kernel = {(0,) * (sum(ranks1) + sum(ranks2)): 1}
     for v in Q.vertices:
         for block in (block1[v], block2[v]):
             for a, b in combinations(block, 2):
@@ -363,33 +501,10 @@ def _split_term(f, g, offset, n):
     for b, a, a_ij in _arrow_factors(Q, block1, block2):
         for _ in range(a_ij):
             kernel = _times_diff(kernel, b, a)
-    f_index = {xvar(v, s + 1): p for v in Q.vertices for s, p in enumerate(block1[v])}
-    g_index = {xvar(v, s + 1): p for v in Q.vertices for s, p in enumerate(block2[v])}
-    fd, Lf = _to_dense(f.poly, f_index, n)
-    gd, Lg = _to_dense(g.poly, g_index, n)
-    return _dense_mul(_dense_mul(fd, gd), kernel), Lf * Lg
-
-
-def _inversions(block1, block2):
-    return sum(1 for s in block1 for t in block2 if t < s)
-
-
-def _shuffles(Q, g1, gamma, offset):
-    """(source, sign) for every split: the split's term is the standard
-    one with position source[t] moved to position t, times sign.  source
-    is None for the identity."""
-    identity = list(range(sum(gamma.values())))
-    choices = [combinations(range(gamma[v]), g1[v]) for v in Q.vertices]
-    for blocks in product(*choices):
-        source = identity[:]
-        sign = 1
-        for v, b1 in zip(Q.vertices, blocks):
-            b2 = tuple(s for s in range(gamma[v]) if s not in b1)
-            for std, slot in enumerate(b1 + b2):
-                source[offset[v] + slot] = offset[v] + std
-            if _inversions(b1, b2) % 2:
-                sign = -sign
-        yield (None if source == identity else source), sign
+    place = _shuffle_plan(Q.vertices, ranks1, ranks2)[0]
+    (fd, Lf), (gd, Lg) = f.dense, g.dense
+    fg = {place(e1 + e2): c1 * c2 for e1, c1 in fd.items() for e2, c2 in gd.items()}
+    return _dense_mul(fg, kernel), Lf * Lg
 
 
 def shuffle_mul(f, g):
@@ -397,28 +512,28 @@ def shuffle_mul(f, g):
     if f.quiver != g.quiver:
         raise PreconditionError("shuffle product requires a common quiver")
     Q = f.quiver
-    g1, g2 = f.gamma, g.gamma
-    gamma = {v: g1[v] + g2[v] for v in Q.vertices}
-    if f.poly.is_zero() or g.poly.is_zero():
-        return SymPoly(Q, gamma, Poly.zero())
+    ranks1, ranks2 = f.gamma_key(), g.gamma_key()
+    gamma = dict(zip(Q.vertices, map(add, ranks1, ranks2)))
+    if f.is_zero() or g.is_zero():
+        return SymPoly(Q, gamma, dense=({}, 1))
 
-    offset, variables = _slots(Q, gamma)
-    term, L = _split_term(f, g, offset, len(variables))
+    term, L = _split_term(f, g, ranks1, ranks2)
     exps = list(term)
     plus = list(term.values())
     minus = [-c for c in plus]
     numerator = {}
     get = numerator.get
-    for source, sign in _shuffles(Q, g1, gamma, offset):
-        renamed = exps if source is None else map(itemgetter(*source), exps)
+    for rename, sign in _shuffle_plan(Q.vertices, ranks1, ranks2)[1]:
+        renamed = exps if rename is None else map(rename, exps)
         for e, c in zip(renamed, plus if sign == 1 else minus):
             numerator[e] = get(e, 0) + c
 
     result = {e: c for e, c in numerator.items() if c}
+    offset = _layout(Q.vertices, tuple(gamma.values())).offset
     for v in Q.vertices:
         for a, b in combinations(range(offset[v], offset[v] + gamma[v]), 2):
             result = _divide_diff(result, b, a)
-    return SymPoly(Q, gamma, _from_dense(result, L, variables))
+    return SymPoly(Q, gamma, dense=(result, L))
 
 
 def _contracted_quiver(Q, a0_id):
@@ -431,6 +546,22 @@ def _contracted_quiver(Q, a0_id):
     if a0_id not in memo:
         memo[a0_id] = contract_quiver(Q, a0_id)[0]
     return memo[a0_id]
+
+
+@lru_cache(maxsize=1024)
+def _merge_plan(vertices, ranks, ip, im):
+    """The map on exponent tuples of contracting the arrow ip -> im: the
+    contracted layout drops im's slots, and x[ip,a] gets the exponents of
+    x[ip,a] and x[im,a] added."""
+    offset = _layout(vertices, ranks).offset
+    r = ranks[vertices.index(ip)]
+    n = sum(ranks)
+    kept = [p for v, rv in zip(vertices, ranks) if v != im
+            for p in range(offset[v], offset[v] + rv)]
+    added = [offset[im] + p - offset[ip] if offset[ip] <= p < offset[ip] + r else n
+             for p in kept]
+    keep, extra = _picker(kept), _picker(added)
+    return lambda e: tuple(map(add, keep(e), extra(e + (0,))))
 
 
 def contract_shuffle(f, a0_id):
@@ -447,8 +578,18 @@ def contract_shuffle(f, a0_id):
         )
     Qhat = _contracted_quiver(Q, a0_id)
     ghat = {v: f.gamma[v] for v in Qhat.vertices}
-    ren = {xvar(im, a): xvar(ip, a) for a in range(1, f.gamma[im] + 1)}
-    return SymPoly(Qhat, ghat, f.poly.rename_vars(ren))
+    terms, L = f.dense
+    merge = _merge_plan(Q.vertices, f.gamma_key(), ip, im)
+    out = {}
+    get = out.get
+    for e, c in terms.items():
+        e = merge(e)
+        s = get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return SymPoly(Qhat, ghat, dense=(out, L))
 
 
 def _vertex_words(Q, gamma):
@@ -491,7 +632,7 @@ def _word_product(Q, word, ks):
     the first zero partial product."""
     prod = None
     for v, k in zip(word, ks):
-        gen = SymPoly(Q, _unit_gamma(Q, v), Poly.var(xvar(v, 1), k))
+        gen = SymPoly.generator(Q, v, k)
         prod = gen if prod is None else shuffle_mul(prod, gen)
         if prod.is_zero():
             break
@@ -517,7 +658,7 @@ def spherical_products(Q, gamma, d):
             prod = _word_product(Q, word, ks)
             if prod is not None and not prod.is_zero():
                 out.append(prod)
-    if not any(gamma.values()):
+    if not any(gamma.values()) and d >= 0:
         out.append(SymPoly.one(Q, gamma))
     return out
 
@@ -573,9 +714,10 @@ def _schur_rows(Q, gamma, d):
     its Schur coordinates must agree."""
     check_dimvec(Q, gamma, what="rank vector")
     if not any(gamma.values()):
-        return {0: [{(): 1}]}
-    offset, variables = _slots(Q, gamma)
-    n = len(variables)
+        return {0: [{(): 1}]} if d >= 0 else {}
+    layout = _layout(Q.vertices, tuple(gamma[v] for v in Q.vertices))
+    offset = layout.offset
+    n = len(layout.variables)
     slices = _vertex_slices(Q, gamma, offset)
     alternants = {}  # exponent tuple -> _alternant_key, for this call
     blocks = {}
@@ -681,8 +823,8 @@ def spherical_span(Q, gamma, d):
     disjoint monomials, so their reduced rows, merged in order of pivot,
     are the reduced form of the whole span."""
     blocks = _schur_rows(Q, gamma, d)
-    offset, variables = _slots(Q, gamma)
-    slices = _vertex_slices(Q, gamma, offset)
+    layout = _layout(Q.vertices, tuple(gamma[v] for v in Q.vertices))
+    slices = _vertex_slices(Q, gamma, layout.offset)
     schur_polys = {}
     expansions = {}
     basis = []
@@ -700,7 +842,7 @@ def spherical_span(Q, gamma, d):
                 c = c.numerator * (L // c.denominator)
                 for e, b in expansions[key].items():
                     terms[e] = terms.get(e, 0) + c * b
-            polys.append(_from_dense({e: c for e, c in terms.items() if c}, 1, variables))
+            polys.append(_from_dense({e: c for e, c in terms.items() if c}, 1, layout))
         monos, mono_rows = _to_rows(polys)
         reduced, pivots = _row_reduce(mono_rows)
         for row, pivot in zip(reduced, pivots):
@@ -733,8 +875,8 @@ def _schur_coordinates(f):
     on the monomials strictly increasing on every vertex's slice (f * Vdm =
     sum_key c_key Alt(x^key), and Alt(x^key) has x^key with coefficient 1)."""
     Q, gamma = f.quiver, f.gamma
-    offset, variables = _slots(Q, gamma)
-    p, _L = _to_dense(f.poly, {v: i for i, v in enumerate(variables)}, len(variables))
+    offset = f.layout().offset
+    p, _L = f.dense
     for v in Q.vertices:
         for a, b in combinations(range(offset[v], offset[v] + gamma[v]), 2):
             p = _times_diff(p, b, a)

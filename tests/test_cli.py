@@ -1,14 +1,20 @@
 """Command dispatch: exit codes, canonical byte-stable output, suites."""
 
+import hashlib
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from quiveralg import cli
 from quiveralg.cli import EXAMPLE31, main
 from quiveralg.errors import ScopeError
+from quiveralg.qpformat import print_element
 from quiveralg.quiver import Arrow, Quiver
 from quiveralg.scattering import Limits, king_semistable_exists
+
+from conftest import random_quiver, random_sympoly
 
 A2_ELEMENTS = """\
 quiver pairq
@@ -147,6 +153,83 @@ def test_spherical_span(pairq, capsys):
     lines = out.splitlines()
     assert lines[-1] == "rank: 6"
     assert lines[0] == "gamma: 1=1,2=1; poly: 1"
+
+
+def test_spherical_span_rank_zero_below_degree_zero_is_empty(pairq, capsys):
+    """The rank-0 slice of degree <= d holds the constant 1 from d = 0 on,
+    and nothing below, like every other rank at d < 0."""
+    for degree, expected in (("-3", "rank: 0\n"), ("-1", "rank: 0\n"),
+                             ("0", "gamma: 1=0,2=0; poly: 1\nrank: 1\n")):
+        code, out, _ = run(capsys, "spherical-span", "--gamma", "1=0,2=0",
+                           "--degree", degree, pairq)
+        assert (code, out) == (0, expected)
+    code, out, _ = run(capsys, "spherical-span", "--gamma", "1=1,2=0",
+                       "--degree", "-1", pairq)
+    assert (code, out) == (0, "rank: 0\n")
+
+
+# sha256 (first 16 hex digits) of the stdout of shuffle-mul and of
+# contract-shuffle on each of _element_inputs(), recorded with the
+# implementation that multiplied and contracted through Poly renaming; the
+# exponent-tuple route must print the same bytes.
+ELEMENT_STDOUT_SHA256 = (
+    "7410bd0851b04321", "3ff49d1e8b83ed4b", "de3efec1fb6d7192", "16b8144e91bf491e",
+    "6a7f70a70c6cb285", "76a170834d632c37", "ce81eed0efa3ff9f", "5a1769bfd81ebb2b",
+    "933cfb5b68e919ff", "88f72cd0ce955151", "512b99b9d008703d", "e45ea593b441e1f6",
+    "88812417ae24f1a9", "051b56a1f491c643", "eb7e51d55e51280d", "1d115bcf42df2b24",
+    "bec32d7a5163e203", "41804d83e56c800e", "f2ab4e647bba1d51", "a1fb912213b623f3",
+    "fe58f6fade88d4e6", "8e9213f6dfad4f4a", "f6537690fdd73b2a", "f53672559fc4d7e1",
+    "d345c02706dea873", "332be25af8419531", "52c3282223ff6559", "3cb96f99b8df101e",
+    "b807e5e3ee7935c8", "454688698de3645c", "853f911cb43dcedd", "6442e639440dadbc",
+    "f63e0275d6004828", "7b80099ec12a2027", "a7ee85cea9951508", "2a7fb45add28dd9e",
+    "9a4037c231db3c29", "65fdb59653c59097", "aaaba961de456f5a", "06f077b0f0d14349",
+)
+
+
+def _element_inputs(count=20, seed=1605):
+    """(.qp text, arrow to contract) pairs: seeded quivers with loops,
+    parallel arrows and 2-cycles, two elements of ranks 0-2 equal at the
+    ends of the arrow, rational coefficients."""
+    rng = random.Random(seed)
+    coeffs = (Fraction(1, 2), Fraction(-2, 3), 1, -2, 3)
+    out = []
+    while len(out) < count:
+        Q = random_quiver(rng, max_vertices=4, max_arrows=6)
+        candidates = [a for a in Q.arrows if a.source != a.target]
+        if not candidates:
+            continue
+        a0 = rng.choice(candidates)
+        g1 = {v: rng.randint(0, 2) for v in Q.vertices}
+        g2 = {v: rng.randint(0, 2) for v in Q.vertices}
+        g1[a0.target] = g1[a0.source]
+        g2[a0.target] = g2[a0.source]
+        arrow_pairs = sum(g1[a.source] * g2[a.target] for a in Q.arrows)
+        if arrow_pairs > 6 or sum(g1.values()) + sum(g2.values()) > 6:
+            continue
+        f = random_sympoly(rng, Q, g1, max_deg=3, nterms=3, coeffs=coeffs)
+        g = random_sympoly(rng, Q, g2, max_deg=2, coeffs=coeffs)
+        lines = [
+            "quiver R",
+            "vertices: " + ", ".join(Q.vertices),
+            "arrows: " + "; ".join(f"{a.id}: {a.source} -> {a.target}" for a in Q.arrows),
+            print_element(f),
+            print_element(g),
+        ]
+        out.append(("\n".join(lines) + "\n", a0.id))
+    return out
+
+
+def test_element_commands_print_recorded_bytes(tmp_path, capsys):
+    digests = []
+    for k, (text, arrow) in enumerate(_element_inputs()):
+        path = tmp_path / f"elements{k}.qp"
+        path.write_text(text)
+        for argv in (("shuffle-mul", str(path)),
+                     ("contract-shuffle", "--arrow", arrow, str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), (argv, text)
+            digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(digests) == ELEMENT_STDOUT_SHA256
 
 
 # ---------------------------------------------------------------- stability

@@ -98,6 +98,36 @@ def test_scalar_part_is_e0_coefficient():
     assert x.scalar_part() == {0: Fraction(5, 2)}
 
 
+def test_str_prints_laurent_coefficients():
+    """L, L^2, -L, 2*L and L^(1/2) as coefficients, and a sum of powers:
+    half exponent 2 is L, a coefficient of +-1 is written as a sign."""
+    x = (
+        e(A2, (1, 0), halfexp=2)
+        + e(A2, (0, 1), halfexp=4)
+        + e(A2, (1, 1), coeff=-1, halfexp=2)
+        + e(A2, (2, 0), coeff=2, halfexp=2)
+        + e(A2, (0, 2), halfexp=1)
+        + e(A2, (2, 2), coeff=Fraction(-3, 2), halfexp=0)
+        + e(A2, (2, 2), coeff=-1, halfexp=-2)
+    )
+    assert str(x) == (
+        "(L^2)*e(0, 1) + (L)*e(1, 0) + (L^(1/2))*e(0, 2) + (-L)*e(1, 1)"
+        " + (2*L)*e(2, 0) + (-L^-1 - 3/2)*e(2, 2)"
+    )
+    assert str(QT.zero(A2)) == "0"
+
+
+def test_elements_over_equal_quivers_add():
+    """Equal but distinct quiver instances hold the same elements; only
+    different vertex tuples refuse to add."""
+    twin = Quiver(("1", "2"), [Arrow("a", "1", "2")], name="A2")
+    assert twin is not A2
+    total = e(A2, (1, 0)) + e(twin, (1, 0), coeff=2)
+    assert total == e(A2, (1, 0), coeff=3)
+    with pytest.raises(PreconditionError, match="different quivers"):
+        e(A2, (1, 0)) + e(T3, (1, 0, 0))
+
+
 def test_exp_low_truncation_is_affine():
     x = e(A2, (1, 0), coeff=Fraction(5, 2))
     assert exp_truncated(x, 1) == QT.one(A2) + x

@@ -23,10 +23,12 @@ from quiveralg.shuffle import (
     _compositions_upto,
     _divide_diff,
     _from_dense,
+    _layout,
+    _merge_plan,
     _schur_poly,
-    _slots,
     _split_term,
     _standard_blocks,
+    _to_dense,
     _vertex_words,
     contract_shuffle,
     fac_kernel,
@@ -119,6 +121,51 @@ def test_sympoly_symmetry_check_matches_renaming(rng):
     assert verdicts == {True, False}
 
 
+def test_dense_symmetry_check_matches_the_poly_check(rng):
+    """The same polynomials as above, built dense: SymPoly accepts exactly
+    those the Poly check accepts, and refuses the others with the same
+    message, naming the first asymmetric vertex in gamma's own order."""
+    verdicts = set()
+    for _ in range(300):
+        Q = random_quiver(rng, max_vertices=3, max_arrows=0)
+        ranks = [rng.randint(0, 3) for _ in Q.vertices]
+        poly = random_sympoly(
+            rng, Q, dict(zip(Q.vertices, ranks)), max_deg=3, nterms=3, coeffs=RATIONALS
+        ).poly
+        if poly.terms:
+            m = rng.choice(sorted(poly.terms))
+            if rng.random() < 0.5:
+                poly = poly + Poly({m: Fraction(1, 3)})
+            else:
+                poly = poly - Poly({m: poly.terms[m]})
+        pairs = list(zip(Q.vertices, ranks))
+        gamma = dict(reversed(pairs) if rng.random() < 0.5 else pairs)
+        dense = _to_dense(poly, _layout(Q.vertices, tuple(ranks)))
+        try:
+            SymPoly(Q, gamma, poly)
+            want = None
+        except PreconditionError as err:
+            want = str(err)
+        try:
+            SymPoly(Q, gamma, dense=dense)
+            got = None
+        except PreconditionError as err:
+            got = str(err)
+        assert got == want, (gamma, poly)
+        verdicts.add(want)
+    assert None in verdicts and len(verdicts) > 2, verdicts
+
+
+def test_dense_form_checks_its_slots():
+    """A dense form needs one exponent per slot and no zero coefficient."""
+    J = jordan_quiver()
+    for terms in ({(1,): 1}, {(1, 1, 0): 1}, {(0, 0): 0}):
+        with pytest.raises(PreconditionError, match="2-entry exponent tuples"):
+            SymPoly(J, {"1": 2}, dense=(terms, 1))
+    p = SymPoly(J, {"1": 2}, dense=({(1, 1): 3}, 2))
+    assert p.poly == x("1", 1) * x("1", 2) * Fraction(3, 2)
+
+
 # ------------------------------------------------------------- fac
 
 
@@ -170,9 +217,9 @@ def test_split_term_is_fac_kernel_times_vandermonde(rng):
         ])
         full = Rat.from_poly(f.poly * g.poly.rename_vars(shift)) * fac_kernel(Q, g1, g2) * vdm
         assert full.is_polynomial()
-        offset, variables = _slots(Q, {v: g1[v] + g2[v] for v in Q.vertices})
-        term, L = _split_term(f, g, offset, len(variables))
-        assert _from_dense(term, L, variables) == full.num()
+        term, L = _split_term(f, g, f.gamma_key(), g.gamma_key())
+        layout = _layout(Q.vertices, tuple(g1[v] + g2[v] for v in Q.vertices))
+        assert _from_dense(term, L, layout) == full.num()
         done += 1
 
 
@@ -528,6 +575,95 @@ def test_contract_homomorphism_random(rng):
         done += 1
 
 
+def _reference_contract_shuffle(f, a0_id):
+    """The image under contraction by renaming x[i-,a] to x[i+,a] in
+    f's Poly: contract_shuffle before it worked on exponent tuples."""
+    Q = f.quiver
+    a0 = Q.arrow(a0_id)
+    Qhat = shuffle_module._contracted_quiver(Q, a0_id)
+    ren = {xvar(a0.target, a): xvar(a0.source, a) for a in range(1, f.gamma[a0.target] + 1)}
+    return SymPoly(Qhat, {v: f.gamma[v] for v in Qhat.vertices}, f.poly.rename_vars(ren))
+
+
+def test_contract_shuffle_matches_rename_reference(rng):
+    """Seeded quivers with loops, parallel arrows and 2-cycles; elements
+    built from a Poly and shuffle products built dense: the image by
+    exponent positions equals the renamed Poly, by == and by str."""
+    seen = Counter()
+    done = 0
+    while done < 120:
+        Q = random_quiver(rng, max_vertices=4, max_arrows=6)
+        candidates = [a for a in Q.arrows if a.source != a.target]
+        if not candidates:
+            continue
+        a0 = rng.choice(candidates)
+        g1 = {v: rng.randint(0, 2) for v in Q.vertices}
+        g2 = {v: rng.randint(0, 1) for v in Q.vertices}
+        g1[a0.target] = g1[a0.source]
+        g2[a0.target] = g2[a0.source]
+        if sum(g1[a.source] * g2[a.target] for a in Q.arrows) > 6:
+            continue
+        f = random_sympoly(rng, Q, g1, max_deg=3, nterms=3, coeffs=RATIONALS)
+        g = random_sympoly(rng, Q, g2, max_deg=2, coeffs=RATIONALS)
+        for h in (f, shuffle_mul(f, g)):
+            got = contract_shuffle(h, a0.id)
+            want = _reference_contract_shuffle(h, a0.id)
+            assert got == want and str(got) == str(want), (Q.arrows, a0, h)
+            seen["non-zero"] += not got.is_zero()
+        arrows = [(a.source, a.target) for a in Q.arrows]
+        seen["loop"] += any(s == t for s, t in arrows)
+        seen["parallel"] += len(set(arrows)) < len(arrows)
+        seen["2-cycle"] += any(s != t and (t, s) in arrows for s, t in arrows)
+        seen["rank 2 merged"] += g1[a0.source] == 2
+        done += 1
+    assert all(seen[k] >= 5 for k in (
+        "loop", "parallel", "2-cycle", "rank 2 merged", "non-zero")), seen
+
+
+def test_merge_plan_adds_each_slot_onto_its_own(rng):
+    """The position map of contract_shuffle on arbitrary exponent tuples,
+    not only symmetric sums of them: x[i-,a] lands on x[i+,a] for every
+    slot a, as renaming the monomial does.  (On a symmetric element any
+    bijection of the i- slots gives the same image.)"""
+    checked = 0
+    while checked < 200:
+        Q = random_quiver(rng, max_vertices=4, max_arrows=4)
+        candidates = [a for a in Q.arrows if a.source != a.target]
+        if not candidates:
+            continue
+        a0 = rng.choice(candidates)
+        ip, im = a0.source, a0.target
+        gamma = {v: rng.randint(0, 3) for v in Q.vertices}
+        gamma[im] = gamma[ip] = rng.randint(1, 3)
+        ranks = tuple(gamma[v] for v in Q.vertices)
+        e = tuple(rng.randint(0, 3) for _ in range(sum(ranks)))
+        ren = {xvar(im, a): xvar(ip, a) for a in range(1, gamma[im] + 1)}
+        want = _from_dense({e: 1}, 1, _layout(Q.vertices, ranks)).rename_vars(ren)
+        hat = tuple(v for v in Q.vertices if v != im)
+        hat_layout = _layout(hat, tuple(gamma[v] for v in hat))
+        got = _from_dense({_merge_plan(Q.vertices, ranks, ip, im)(e): 1}, 1, hat_layout)
+        assert got == want, (Q.vertices, ranks, ip, im, e)
+        checked += 1
+
+
+def test_dense_sums_match_poly_sums(rng):
+    """Sums and differences, on dense forms with different denominators,
+    of shuffle products and of elements built from a Poly, equal the sums
+    of their Polys."""
+    done = 0
+    while done < 30:
+        pair = _random_pair(rng, range(2, 6), 2, 20, 4, coeffs=RATIONALS)
+        if pair is None:
+            continue
+        f, g = pair
+        f2 = random_sympoly(rng, f.quiver, f.gamma, coeffs=RATIONALS)
+        for p, q in ((shuffle_mul(f, g), shuffle_mul(f2, g)), (f, f2)):
+            assert (p + q).poly == p.poly + q.poly
+            assert (p - q).poly == p.poly - q.poly
+            assert (p - p).is_zero() and (p - p).poly.is_zero()
+        done += 1
+
+
 # ------------------------------------------------------------- spherical
 
 
@@ -628,6 +764,19 @@ def test_vertex_words_large_rank_is_immediate():
     A2 = a2_quiver()
     words = _vertex_words(A2, {"1": 11, "2": 1})
     assert len(words) == 12 and words == sorted(words)
+
+
+def test_rank_zero_slice_is_empty_below_degree_zero():
+    """The unit has degree 0: the rank-0 slice of degree <= d is empty for
+    d < 0, as every slice of positive rank is, and is the unit from d = 0."""
+    for Q in (jordan_quiver(), a2_quiver()):
+        zero = dict.fromkeys(Q.vertices, 0)
+        for d in (-3, -1):
+            assert spherical_products(Q, zero, d) == []
+            assert spherical_span(Q, zero, d) == []
+        for d in (0, 2):
+            assert spherical_products(Q, zero, d) == [SymPoly.one(Q, zero)]
+            assert spherical_span(Q, zero, d) == [SymPoly.one(Q, zero)]
 
 
 def test_generator_power_zero_is_the_unit():
