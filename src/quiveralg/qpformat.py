@@ -466,8 +466,7 @@ class _Parser:
                 pos += 1
         term = Poly.const(coeff)
         for var, exp in factors:
-            for _ in range(exp):
-                term = term * Poly.var(var)
+            term = term * Poly.var(var, exp)
         return term
 
     def parse_element(self, parts, Q):

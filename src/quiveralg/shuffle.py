@@ -663,18 +663,6 @@ def spherical_products(Q, gamma, d):
     return out
 
 
-def _to_rows(polys):
-    monos = sorted({m for p in polys for m in p.terms}, key=lambda m: (len(m), m))
-    index = {m: k for k, m in enumerate(monos)}
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(monos)
-        for m, c in p.terms.items():
-            row[index[m]] = c
-        rows.append(tuple(row))
-    return monos, rows
-
-
 # -- spherical span in Schur coordinates -------------------------------------
 
 
@@ -806,11 +794,16 @@ def _row_reduce(rows):
     return rref(QQ, rows)
 
 
-def _dense_rows(rows):
+def _dense_rows(rows, key=None):
     """The sorted keys of the rows {key: coefficient} and the rows as
     tuples over them."""
-    keys = sorted({key for row in rows for key in row})
-    return keys, [tuple(row.get(key, 0) for key in keys) for row in rows]
+    keys = sorted({k for row in rows for k in row}, key=key)
+    return keys, [tuple(row.get(k, 0) for k in keys) for row in rows]
+
+
+def _monomial_order(m):
+    """Columns of the span: monomials by number of variables, then as tuples."""
+    return len(m), m
 
 
 def spherical_span(Q, gamma, d):
@@ -825,12 +818,13 @@ def spherical_span(Q, gamma, d):
     blocks = _schur_rows(Q, gamma, d)
     layout = _layout(Q.vertices, tuple(gamma[v] for v in Q.vertices))
     slices = _vertex_slices(Q, gamma, layout.offset)
+    names, to_names = layout.names, layout.to_names
     schur_polys = {}
     expansions = {}
     basis = []
     for rows in blocks.values():
         keys, dense = _dense_rows(rows)
-        polys = []
+        expanded = []
         for row in _row_reduce(dense)[0]:
             L = lcm(*(c.denominator for c in row))
             terms = {}
@@ -842,13 +836,17 @@ def spherical_span(Q, gamma, d):
                 c = c.numerator * (L // c.denominator)
                 for e, b in expansions[key].items():
                     terms[e] = terms.get(e, 0) + c * b
-            polys.append(_from_dense({e: c for e, c in terms.items() if c}, 1, layout))
-        monos, mono_rows = _to_rows(polys)
+            # the integer row over Poly monomials, named as _from_dense names them
+            expanded.append({
+                tuple((v, k) for v, k in zip(names, to_names(e)) if k): c
+                for e, c in terms.items() if c
+            })
+        monos, mono_rows = _dense_rows(expanded, key=_monomial_order)
         reduced, pivots = _row_reduce(mono_rows)
         for row, pivot in zip(reduced, pivots):
             p = Poly.zero()
             p.terms.update((m, c) for m, c in zip(monos, row) if c)
-            basis.append(((len(monos[pivot]), monos[pivot]), p))
+            basis.append((_monomial_order(monos[pivot]), p))
     basis.sort(key=itemgetter(0))
     return [SymPoly(Q, gamma, p) for _, p in basis]
 

@@ -1,8 +1,10 @@
-"""Shared fixtures: small named quivers and random generators."""
+"""Shared fixtures: small named quivers, random generators and the
+reference row reduction."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -154,6 +156,33 @@ def random_sympoly(rng, Q, gamma, max_deg=2, nterms=2, coeffs=None):
             budget -= k
         poly = poly + term
     return SymPoly(Q, gamma, poly)
+
+
+def reference_rref(rows):
+    """Reduced row echelon form over Q by Gauss-Jordan on Fractions, column
+    by column, every row rewritten at every pivot: the (nonzero rows, pivot
+    columns) that ``linalg.rref(QQ, rows)`` must return."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    if not rows:
+        return (), ()
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        top = rows[r] = [inv * x for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [x - f * y for x, y in zip(row, top)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
 
 
 @pytest.fixture

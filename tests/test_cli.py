@@ -232,6 +232,55 @@ def test_element_commands_print_recorded_bytes(tmp_path, capsys):
     assert tuple(digests) == ELEMENT_STDOUT_SHA256
 
 
+# sha256 (first 16 hex digits) of the stdout of spherical-span on each of
+# _span_inputs(), recorded with the Gauss-Jordan rref on Fractions; the
+# fraction-free rref must print the same bytes.
+SPAN_STDOUT_SHA256 = (
+    "2d6505b43bfff260", "65b235d93b16689d", "0ac81cd7f887f09e", "72f4ccfd6e03c941",
+    "4536e16cd8422537", "debd3c5155858510", "b0fc8303bd6d4320", "45bd5d6ad0da0230",
+    "f13558e0fadc59b3", "45bd5d6ad0da0230", "86a155ca8b61e701", "b6dd7cd3e0cbf757",
+    "91e1fc7ab7e852e5", "d82a8a1c98861a78", "d9b12a8ad534db92", "673cc39e95e89778",
+    "436f75090fed460d", "d3611be6e88ffe65", "c5faa648bc7c7430", "45bd5d6ad0da0230",
+)
+
+
+def _span_inputs(count=20, seed=1705):
+    """(quiver, ranks, degree) triples: seeded quivers of 1-3 vertices with
+    loops, parallel arrows and 2-cycles, ranks 0-2 per vertex of total 2-4,
+    degrees 0 to 4, and -1 for every tenth."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        Q = random_quiver(rng, max_vertices=3, max_arrows=4)
+        gamma = {v: rng.randint(0, 2) for v in Q.vertices}
+        if 2 <= sum(gamma.values()) <= 4:
+            out.append((Q, gamma, -1 if len(out) % 10 == 9 else rng.randint(0, 4)))
+    return out
+
+
+def test_spherical_span_prints_recorded_bytes(tmp_path, capsys):
+    inputs = _span_inputs()
+    ends = [[(a.source, a.target) for a in Q.arrows] for Q, _, _ in inputs]
+    assert any(s == t for e in ends for s, t in e)
+    assert any(len(e) != len(set(e)) for e in ends)
+    assert any((t, s) in e for e in ends for s, t in e if s != t)
+    assert any(max(gamma.values()) > 1 for _, gamma, _ in inputs)
+    assert any(d < 0 for _, _, d in inputs)
+    digests = []
+    for k, (Q, gamma, d) in enumerate(inputs):
+        path = tmp_path / f"span{k}.qp"
+        path.write_text(
+            f"quiver R\nvertices: {', '.join(Q.vertices)}\narrows: "
+            + "; ".join(f"{a.id}: {a.source} -> {a.target}" for a in Q.arrows) + "\n"
+        )
+        ranks = ",".join(f"{v}={n}" for v, n in gamma.items())
+        code, out, err = run(capsys, "spherical-span", "--gamma", ranks, "--degree", str(d),
+                             str(path))
+        assert (code, err) == (0, ""), (Q.arrows, gamma, d)
+        digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(digests) == SPAN_STDOUT_SHA256
+
+
 # ---------------------------------------------------------------- stability
 
 

@@ -1,13 +1,18 @@
 """Exact linear algebra over Q and F_p: fields are characteristics, and every
-routine agrees with sympy's ``DomainMatrix`` on seeded random matrices."""
+routine agrees with sympy's ``DomainMatrix`` on seeded random matrices; the
+fraction-free rref over Q also agrees with the Fraction Gauss-Jordan
+``conftest.reference_rref``."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import reference_rref
 from quiveralg.errors import PreconditionError
-from quiveralg.linalg import GF, QQ, in_span, mat_inverse, mat_mul, mat_vec, reduce, rref
+from quiveralg.linalg import (
+    GF, QQ, _normalise, in_span, mat_inverse, mat_mul, mat_vec, reduce, rref,
+)
 
 FIELDS = (QQ, 2, 3, 5, 7)
 
@@ -145,3 +150,81 @@ def test_products_and_inverse_match_sympy(p):
             with pytest.raises(ZeroDivisionError):
                 mat_inverse(p, S)
     assert singular >= 10
+
+
+# ------------------------------------------------- fraction-free rref over Q
+
+
+def _tall_matrices():
+    """Seeded n x m matrices, n up to 30 and m up to 6, with their kind:
+    integer rows, rows mixing ints and Fractions, and entries up to 10^6;
+    about half are built from fewer than m independent rows (rank-deficient),
+    the rest mostly have full column rank, where rref stops reading."""
+    rng = random.Random("linalg-fraction-free")
+    for k in range(240):
+        kind = ("int", "mixed", "large")[k % 3]
+        bound = 10**6 if kind == "large" else 9
+        m = rng.randint(1, 6)
+        n = rng.randint(m, 30) if k % 2 else rng.randint(1, 30)
+
+        def entry():
+            if rng.random() < 0.3:
+                return 0
+            x = rng.randint(-bound, bound)
+            if kind == "mixed" and rng.random() < 0.5:
+                return Fraction(x, rng.randint(1, 12))
+            return x
+
+        if k % 2:
+            rows = [tuple(entry() for _ in range(m)) for _ in range(n)]
+        else:
+            base = [tuple(entry() for _ in range(m)) for _ in range(rng.randint(0, m - 1))]
+            rows = [
+                tuple(sum((rng.randint(-3, 3) * b[j] for b in base), 0) for j in range(m))
+                for _ in range(n)
+            ]
+        yield kind, tuple(rows)
+
+
+def test_fraction_free_rref_matches_fraction_gauss_jordan():
+    """Caught here: a copy that stops once the rank equals the number of
+    rows read (not of columns), and one that skips clearing a new pivot
+    column from the earlier pivot rows."""
+    full = deficient = 0
+    for kind, A in _tall_matrices():
+        got = rref(QQ, A)
+        assert got == reference_rref(A), (kind, A)
+        assert all(type(x) is Fraction for row in got[0] for x in row)
+        if len(got[1]) == len(A[0]):
+            full += 1
+        else:
+            deficient += 1
+    assert full >= 80 and deficient >= 80
+
+
+def test_fraction_free_rref_matches_sympy():
+    oracle = Oracle(QQ)
+    for kind, A in _tall_matrices():
+        rows, pivots = rref(QQ, A)
+        R, want_pivots = oracle.dm(A, len(A[0])).rref()
+        assert pivots == tuple(want_pivots), (kind, A)
+        assert rows == oracle.rows(R)[: len(pivots)], (kind, A)
+
+
+def test_rref_stops_reading_at_full_column_rank():
+    rows = iter([(0, 0), (2, 4), (Fraction(1, 2), 3), (5, 7), (1, 1)])
+    assert rref(QQ, rows) == (((1, 0), (0, 1)), (0, 1))
+    assert next(rows) == (5, 7)
+    rows = iter([(2, 4), (1, 2), (3, 5), (1, 1)])
+    assert rref(5, rows) == (((1, 0), (0, 1)), (0, 1))
+    assert next(rows) == (1, 1)
+
+
+def test_pivot_rows_are_primitive_with_positive_pivot():
+    """The sign and content of a pivot row do not show in rref's result,
+    which divides by the pivot; the normal form is checked here.  Caught
+    here: a copy that drops the sign normalisation of the pivot."""
+    assert _normalise(QQ, [0, -6, 4, -2], 1) == [0, 3, -2, 1]
+    assert _normalise(QQ, [0, -1, 5], 1) == [0, 1, -5]
+    assert _normalise(QQ, [3, 5], 0) == [3, 5]
+    assert _normalise(7, [0, 3, 6], 1) == [0, 1, 2]

@@ -302,6 +302,28 @@ def test_element_diagnostics():
         assert any(fragment in d.message for d in ds), (text, ds)
 
 
+def test_high_powers_parse_with_one_product_per_factor(monkeypatch):
+    """x^k is built in one step: the parse multiplies once per factor, not
+    once per unit of exponent."""
+    calls = []
+    mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    u1 = xvar("u", 1)
+    doc = parse_qp("vertices: u\narrows:\ngamma: u=1; poly: x[u,1]^2000\n")
+    assert doc.elements[0].poly == Poly.var(u1, 2000)
+    assert len(calls) <= 1
+    calls.clear()
+    text = " + ".join(f"{k}*x[u,1]^{k}" for k in range(1, 2001))
+    doc = parse_qp(f"vertices: u\narrows:\ngamma: u=1; poly: {text}\n")
+    assert len(calls) <= 2000
+    assert doc.elements[0].poly == Poly({((u1, k),): k for k in range(1, 2001)})
+
+
 def test_multiple_elements_in_document_order():
     text = (
         "vertices: u\narrows:\n"

@@ -11,7 +11,7 @@ import pytest
 
 import quiveralg.shuffle as shuffle_module
 from quiveralg.errors import InternalConsistencyError, PreconditionError
-from quiveralg.linalg import QQ, in_span, rref
+from quiveralg.linalg import rref
 from quiveralg.poly import Poly, Rat, xvar
 from quiveralg.quiver import Arrow, Quiver, euler_form
 from quiveralg.shuffle import (
@@ -46,6 +46,7 @@ from conftest import (
     point_quiver,
     random_quiver,
     random_sympoly,
+    reference_rref,
     showcase_qp,
 )
 
@@ -799,7 +800,7 @@ def _reference_spherical_span(Q, gamma, d):
     monos = sorted({m for p in products for m in p.poly.terms}, key=lambda m: (len(m), m))
     rows = [tuple(p.poly.terms.get(m, Fraction(0)) for m in monos) for p in products]
     basis = []
-    for row in rref(QQ, rows)[0]:
+    for row in reference_rref(rows)[0]:
         p = Poly.zero()
         p.terms.update((m, c) for m, c in zip(monos, row) if c)
         basis.append(SymPoly(Q, gamma, p))
@@ -807,8 +808,9 @@ def _reference_spherical_span(Q, gamma, d):
 
 
 def _reference_spherical_membership(f, d=None):
-    """Membership by reducing f together with every word product, on every
-    call: spherical_membership before Schur coordinates."""
+    """Membership by rank, reduced on every call: f is in the span when its
+    row leaves the rank of the word products unchanged.  The verdicts of
+    spherical_membership before Schur coordinates."""
     if d is None:
         d = f.poly.total_degree()
     if f.poly.total_degree() > d:
@@ -818,8 +820,7 @@ def _reference_spherical_membership(f, d=None):
     polys = [p.poly for p in spherical_products(f.quiver, f.gamma, d)] + [f.poly]
     monos = sorted({m for p in polys for m in p.terms}, key=lambda m: (len(m), m))
     rows = [tuple(p.terms.get(m, Fraction(0)) for m in monos) for p in polys]
-    reduced, pivots = rref(QQ, rows[:-1])
-    return in_span(QQ, reduced, pivots, rows[-1])
+    return len(reference_rref(rows)[1]) == len(reference_rref(rows[:-1])[1])
 
 
 def _partitions(size, parts, largest=None):
