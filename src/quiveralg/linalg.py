@@ -6,7 +6,8 @@ Fractions over Q and ints in range(p) over F_p (ints are also accepted over
 Q).  Every matrix-vector product, row reduction and span test of the
 package goes through here: representation contraction (``mat_mul``,
 ``mat_inverse``), the spherical span over Q (``rref``, ``in_span``) and the
-King stability search over F_p (``mat_vec``, ``reduce``, ``in_span``).
+King stability search over F_p (``mat_vec``, ``in_span``, and ``reduce``
+for Harder-Narasimhan quotients).
 
 One Gauss-Jordan loop serves both fields.  Over Q it is fraction-free: rows
 are scaled to integers and kept primitive, and only the result is divided
@@ -152,5 +153,15 @@ def reduce(p, rows, pivots, v):
 
 
 def in_span(p, rows, pivots, v):
-    """Is v in the row space of an rref basis?"""
-    return not any(reduce(p, rows, pivots, v))
+    """Is v in the row space of an rref basis?  A member is the combination
+    of the rows with its own entries at the pivots, so v is rebuilt from
+    those and compared: O(r*n), with no vector built on the way."""
+    v = tuple(v)
+    if not rows:
+        return not any(v)
+    if len(rows) == len(v):
+        return True
+    coeffs = [v[c] for c in pivots]
+    if p:
+        return v == tuple(sum(map(mul, coeffs, column)) % p for column in zip(*rows))
+    return v == tuple(sum(map(mul, coeffs, column), _ZERO) for column in zip(*rows))

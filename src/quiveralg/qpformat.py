@@ -67,6 +67,7 @@ _ID_RE = re.compile(r"[^\s#.,;:=<>]+\Z")
 _SECTION_RE = re.compile(r"(quiver)(\s+|$)|(vertices|arrows|potential|invert|gamma):")
 _RAT_RE = re.compile(r"-?\d+(?:/\d+)?")
 _XVAR_RE = re.compile(r"x\[([^\],]+),(\d+)\](?:\^(\d+))?")
+_TERM_SEP_RE = re.compile(r" [+-] ")
 
 
 class _Src:
@@ -396,30 +397,25 @@ class _Parser:
         return gamma
 
     def parse_poly(self, src, Q, gamma):
-        poly = Poly.zero()
-        first = True
-        # Split on " + " / " - " by scanning, keeping _Src slices.
+        """The sum of the signed terms, built in one pass over their
+        (monomial, coefficient) pairs."""
+        # Split on " + " / " - " from left to right, keeping _Src slices.
         pieces = []
         start = 0
         sign = 1
-        k = 0
-        while True:
-            plus = src.text.find(" + ", k)
-            minus = src.text.find(" - ", k)
-            cut = min(x for x in (plus, minus) if x >= 0) if max(plus, minus) >= 0 else -1
-            if cut < 0:
-                pieces.append((sign, src.slice(start, len(src.text)).strip()))
-                break
-            pieces.append((sign, src.slice(start, cut).strip()))
-            sign = 1 if src.text[cut + 1] == "+" else -1
-            start = cut + 3
-            k = cut + 3
+        for cut in _TERM_SEP_RE.finditer(src.text):
+            pieces.append((sign, src.slice(start, cut.start()).strip()))
+            sign = 1 if cut.group() == " + " else -1
+            start = cut.end()
+        pieces.append((sign, src.slice(start, len(src.text)).strip()))
+        pairs = []
+        first = True
         for sign, piece in pieces:
             term = self.parse_poly_term(piece, Q, gamma, first)
             first = False
             if term is not None:
-                poly = poly + term if sign > 0 else poly - term
-        return poly
+                pairs += ((m, c if sign > 0 else -c) for m, c in term.terms.items())
+        return Poly.from_pairs(pairs)
 
     def parse_poly_term(self, piece, Q, gamma, allow_leading_minus):
         text = piece.text

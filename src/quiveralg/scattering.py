@@ -21,12 +21,25 @@ Conventions used throughout this module:
 King's criterion is searched by brute force, pruned by dimension vector: a
 representation of dimension gamma is unstable exactly when it has an
 arrow-stable subspace tuple whose dimension vector d <= gamma has
-kappa(d) > 0.  That "destabilizing" set is computed once per query from
-kappa scaled to integers, and each representation -- enumerated lazily, in
-a fixed order that decides the witness -- is searched only for subspace
-tuples of those dimensions.  The verdict depends on kappa only through the
-set, so one ``wall_support_scan`` or ``eta_embedding_check`` call searches
-each (gamma, set) pair once.
+kappa(d) > 0.  That "destabilizing" set is read off one cached table of the
+d <= gamma with an integer positive multiple of kappa (a "direction"), and
+each d comes with its own cached search: the subspaces of rank d at every
+vertex and the arrows that can fail, those whose source subspace is not
+zero and whose target subspace is not everything.  When a d has no such
+arrow, every representation has a subrepresentation of dimension d, and
+the verdict is false with no enumeration.  Otherwise representations are
+enumerated lazily, in a fixed order that decides the witness, and
+``_stable_tuples``, the one stability check (it also serves
+``hn_filtration``), chooses subspaces vertex by vertex and checks each
+arrow once both its ends are chosen.  A representation's images M u are
+computed once for all of its searches, and membership in a subspace
+(``linalg.in_span``) rebuilds the image from its entries at the pivots.
+The verdict depends on kappa only through the destabilizing set, so one
+``wall_support_scan`` or ``eta_embedding_check`` call searches each
+(gamma, set) pair once.  Both stay in integers: a scan projects every
+sample to an integer direction and removes repeats there, and the eta
+check lifts directions by ``_eta_lift``; Fractions are built only for the
+kappas a scan reports.
 """
 
 from __future__ import annotations
@@ -87,7 +100,10 @@ def _by_vertices(Q, vec):
 
 
 def _vec(Q, v):
-    t = tuple(Fraction(x) for x in _by_vertices(Q, v))
+    try:
+        t = tuple(map(Fraction, _by_vertices(Q, v)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"vector {v} has an entry that is not rational: {exc}") from None
     if len(t) != len(Q.vertices):
         raise PreconditionError(
             f"vector {v} has {len(t)} slots, quiver has {len(Q.vertices)} vertices"
@@ -96,7 +112,13 @@ def _vec(Q, v):
 
 
 def _gamma_tuple(Q, gamma):
-    t = tuple(int(x) for x in _by_vertices(Q, gamma))
+    entries = tuple(_by_vertices(Q, gamma))
+    try:
+        t = tuple(map(int, entries))
+    except (TypeError, ValueError, OverflowError):
+        t = None
+    if t != entries:
+        raise PreconditionError(f"dimension vector {gamma} has an entry that is not an integer")
     if len(t) != len(Q.vertices):
         raise PreconditionError(
             f"dimension vector {gamma} has {len(t)} slots, "
@@ -472,7 +494,7 @@ def consistency_check(D, loops, k):
 # subspaces and subrepresentations over F_p (arithmetic in ``linalg``)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _subspaces(n, p):
     """All subspaces of F_p^n as (rref_rows, pivots) pairs, grouped by
     rank: entry r holds the subspaces of dimension r."""
@@ -499,28 +521,72 @@ def _subspaces(n, p):
 
 def _arrow_slots(Q):
     """(arrow id, source slot, target slot) for every arrow."""
-    index = {v: i for i, v in enumerate(Q.vertices)}
-    return tuple((a.id, index[a.source], index[a.target]) for a in Q.arrows)
+    return _slots(Q.vertices, Q.arrows)
 
 
-def _stable_tuples(slots, rep, candidates, p):
+@lru_cache(maxsize=64)
+def _slots(vertices, arrows):
+    index = {v: i for i, v in enumerate(vertices)}
+    return tuple((a.id, index[a.source], index[a.target]) for a in arrows)
+
+
+def _levels(n, slots):
+    """The arrow slots grouped by the later of their two ends: entry k holds
+    the arrows that a vertex-by-vertex choice of subspaces can check once
+    vertex k is chosen."""
+    levels = [[] for _ in range(n)]
+    for slot in slots:
+        levels[max(slot[1], slot[2])].append(slot)
+    return tuple(map(tuple, levels))
+
+
+def _stable_tuples(levels, rep, candidates, p, images=None):
     """Arrow-stable tuples of subspaces, one drawn from each vertex's
-    candidates, as tuples of (rows, pivots)."""
-    for choice in itertools.product(*candidates):
-        if all(
-            in_span(p, *choice[ti], mat_vec(p, rep[aid], u))
-            for aid, si, ti in slots
-            for u in choice[si][0]
-        ):
-            yield choice
+    candidates, as tuples of (rows, pivots), in the order of
+    ``itertools.product(*candidates)``.
+
+    A tuple is chosen vertex by vertex, and the arrows in ``levels[k]`` (see
+    ``_levels``) are checked as soon as vertex k is chosen.  The image M u
+    of a basis vector u under an arrow's matrix is computed once and kept in
+    ``images`` under (arrow id, u); a search of one representation for
+    several dimension vectors passes them all one dict."""
+    if not candidates:
+        yield ()
+        return
+    if images is None:
+        images = {}
+    last = len(candidates) - 1
+    choice = [None] * len(candidates)
+    pending = [None] * len(candidates)  # the candidates left at each vertex
+    pending[0] = iter(candidates[0])
+    k = 0
+    while k >= 0:
+        for sub in pending[k]:
+            choice[k] = sub
+            if not levels[k] or _maps_into(p, rep, images, levels[k], choice):
+                break
+        else:
+            k -= 1
+            continue
+        if k == last:
+            yield tuple(choice)
+        else:
+            k += 1
+            pending[k] = iter(candidates[k])
 
 
-def _subrepresentations(Q, gamma, rep, p):
-    """All arrow-stable tuples of subspaces, as tuples of (rows, pivots)."""
-    candidates = [
-        tuple(itertools.chain.from_iterable(_subspaces(g, p))) for g in gamma
-    ]
-    return _stable_tuples(_arrow_slots(Q), rep, candidates, p)
+def _maps_into(p, rep, images, arrows, choice):
+    """Does every arrow in ``arrows`` map the subspace chosen at its source
+    into the one chosen at its target?"""
+    for aid, si, ti in arrows:
+        rows, pivots = choice[ti]
+        for u in choice[si][0]:
+            v = images.get((aid, u))
+            if v is None:
+                v = images[aid, u] = mat_vec(p, rep[aid], u)
+            if not in_span(p, rows, pivots, v):
+                return False
+    return True
 
 
 class KingVerdict(NamedTuple):
@@ -539,8 +605,7 @@ def _check_enumeration_bounds(Q, gamma, p, limits):
             f"total dimension {total} exceeds the brute-force bound "
             f"{limits.max_total_dim}"
         )
-    index = {v: i for i, v in enumerate(Q.vertices)}
-    entries = sum(gamma[index[a.target]] * gamma[index[a.source]] for a in Q.arrows)
+    entries = sum(gamma[ti] * gamma[si] for _, si, ti in _arrow_slots(Q))
     if p**entries > limits.max_enumeration:
         raise ScopeError(
             f"{p}^{entries} representations exceed the enumeration bound "
@@ -548,19 +613,40 @@ def _check_enumeration_bounds(Q, gamma, p, limits):
         )
 
 
+def _check_representation(Q, gamma, rep, p):
+    """A representation of dimension gamma over F_p is a dict giving every
+    arrow, and nothing else, a gamma[target] x gamma[source] matrix with
+    entries in range(p)."""
+    ids = [a.id for a in Q.arrows]
+    if not isinstance(rep, dict) or set(rep) != set(ids):
+        got = sorted(rep) if isinstance(rep, dict) else type(rep).__name__
+        raise PreconditionError(
+            f"representation must give a matrix for each of the arrows {ids}, got {got}"
+        )
+    for aid, si, ti in _arrow_slots(Q):
+        M, rows, cols = rep[aid], gamma[ti], gamma[si]
+        try:
+            shaped = len(M) == rows and all(len(row) == cols for row in M)
+        except TypeError:
+            shaped = False
+        if not shaped:
+            raise PreconditionError(f"arrow {aid!r} needs a {rows}x{cols} matrix, got {M!r}")
+        if not all(isinstance(x, int) and 0 <= x < p for row in M for x in row):
+            raise PreconditionError(f"arrow {aid!r} has an entry outside range({p}): {M!r}")
+
+
 def _all_representations(Q, gamma, p):
     """Every representation of dimension gamma over F_p as {arrow id:
     matrix}, generated lazily in lexicographic order of the arrows'
     row-major entries (the order that fixes which witness is reported)."""
-    shapes = [(aid, gamma[ti], gamma[si]) for aid, si, ti in _arrow_slots(Q)]
-    entries = sum(rows * cols for _, rows, cols in shapes)
-    for flat in itertools.product(range(p), repeat=entries):
-        rep = {}
-        at = 0
-        for aid, rows, cols in shapes:
-            rep[aid] = tuple(flat[at + r * cols : at + (r + 1) * cols] for r in range(rows))
-            at += rows * cols
-        yield rep
+    layout = []  # (arrow id, the slice of each matrix row in the flat entries)
+    at = 0
+    for aid, si, ti in _arrow_slots(Q):
+        cols = gamma[si]
+        layout.append((aid, [slice(at + r * cols, at + (r + 1) * cols) for r in range(gamma[ti])]))
+        at += gamma[ti] * cols
+    for flat in itertools.product(range(p), repeat=at):
+        yield {aid: tuple(map(flat.__getitem__, rows)) for aid, rows in layout}
 
 
 def _kappa_of_dims(kappa, dims):
@@ -573,16 +659,33 @@ def _clear_denominators(vec):
     return m, tuple(x.numerator * (m // x.denominator) for x in vec)
 
 
+@lru_cache(maxsize=256)
+def _dims_below(gamma):
+    """Every dimension vector d <= gamma, in product order."""
+    return tuple(itertools.product(*(range(g + 1) for g in gamma)))
+
+
+@lru_cache(maxsize=1024)
+def _search_table(slots, gamma, d, p):
+    """The search for subrepresentations of dimension d in representations
+    of dimension gamma over F_p: the subspaces of rank d[k] at each vertex k,
+    and the ``_levels`` of the arrows that can fail, those whose source
+    subspace is not zero and whose target subspace is not all of its space.
+    None when no arrow can fail: then every representation has a
+    subrepresentation of dimension d."""
+    live = [slot for slot in slots if d[slot[1]] and d[slot[2]] < gamma[slot[2]]]
+    if not live:
+        return None
+    return tuple(_subspaces(g, p)[r] for g, r in zip(gamma, d)), _levels(len(gamma), live)
+
+
+@lru_cache(maxsize=256)
 def _destabilizing(gamma, direction):
     """Dimension vectors d <= gamma with kappa(d) > 0, for kappa any positive
     multiple of the integer vector ``direction``: a representation of
     dimension gamma is unstable exactly when it has a subrepresentation of
     one of these dimensions."""
-    return tuple(
-        d
-        for d in itertools.product(*(range(g + 1) for g in gamma))
-        if sum(map(operator.mul, direction, d)) > 0
-    )
+    return tuple(d for d in _dims_below(gamma) if sum(map(operator.mul, direction, d)) > 0)
 
 
 def king_semistable_exists(Q, gamma, kappa, p, *, limits=LIMITS):
@@ -592,7 +695,8 @@ def king_semistable_exists(Q, gamma, kappa, p, *, limits=LIMITS):
 
     The witness is the first semistable representation in the order of
     ``_all_representations``.  Each representation is searched only for
-    subrepresentations whose dimension vector destabilizes."""
+    subrepresentations whose dimension vector destabilizes, and the images
+    of its matrices are computed once for all of those searches."""
     gamma = _gamma_tuple(Q, gamma)
     kappa = _vec(Q, kappa)
     _, direction = _clear_denominators(kappa)
@@ -600,14 +704,14 @@ def king_semistable_exists(Q, gamma, kappa, p, *, limits=LIMITS):
         raise PreconditionError(f"kappa(gamma) = {_kappa_of_dims(kappa, gamma)} != 0")
     _check_enumeration_bounds(Q, gamma, p, limits)
     slots = _arrow_slots(Q)
-    by_dims = [
-        [_subspaces(g, p)[r] for g, r in zip(gamma, d)]
-        for d in _destabilizing(gamma, direction)
-    ]
+    searches = [_search_table(slots, gamma, d, p) for d in _destabilizing(gamma, direction)]
+    if None in searches:
+        return KingVerdict(False, None)
     for rep in _all_representations(Q, gamma, p):
+        images = {}
         if not any(
-            next(_stable_tuples(slots, rep, candidates, p), None) is not None
-            for candidates in by_dims
+            next(_stable_tuples(levels, rep, candidates, p, images), None) is not None
+            for candidates, levels in searches
         ):
             return KingVerdict(True, rep)
     return KingVerdict(False, None)
@@ -616,12 +720,14 @@ def king_semistable_exists(Q, gamma, kappa, p, *, limits=LIMITS):
 def _exists_once(memo, Q, gamma, kappa, direction, p, limits):
     """``king_semistable_exists(Q, gamma, kappa, p, limits=limits).exists``,
     searched once per (gamma, destabilizing dimension vectors) in ``memo``:
-    the verdict depends on kappa only through that set.  ``direction`` is a
-    positive integer multiple of kappa."""
+    the verdict depends on kappa only through that set.  The search is
+    given ``direction``, a positive integer multiple of kappa, which has
+    the same set."""
     key = (gamma, _destabilizing(gamma, direction))
-    if key not in memo:
-        memo[key] = king_semistable_exists(Q, gamma, kappa, p, limits=limits).exists
-    return memo[key]
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo[key] = king_semistable_exists(Q, gamma, direction, p, limits=limits).exists
+    return verdict
 
 
 def _quotient_rep(Q, gamma, rep, choice, p):
@@ -656,11 +762,14 @@ def hn_filtration(Q, gamma, rep, kappa, p, *, limits=LIMITS):
     """
     gamma = _gamma_tuple(Q, gamma)
     kappa = _vec(Q, kappa)
+    _check_representation(Q, gamma, rep, p)
     _check_enumeration_bounds(Q, gamma, p, limits)
+    levels = _levels(len(gamma), _arrow_slots(Q))
     factors = []
     while sum(gamma):
+        candidates = [tuple(itertools.chain.from_iterable(_subspaces(g, p))) for g in gamma]
         best = None
-        for choice in _subrepresentations(Q, gamma, rep, p):
+        for choice in _stable_tuples(levels, rep, candidates, p):
             dims = tuple(len(rows) for rows, _ in choice)
             total = sum(dims)
             if total == 0:
@@ -694,6 +803,12 @@ class WallScanEntry(NamedTuple):
         return any(v for _, v in self.verdicts)
 
 
+@lru_cache(maxsize=1024)
+def _ratio(n, d):
+    """Fraction(n, d), cached: the kappas of a scan repeat a few values."""
+    return Fraction(n, d)
+
+
 def wall_support_scan(Q, maxgamma, samples, p=2, *, limits=LIMITS):
     """For every non-zero gamma <= maxgamma, project each sample point onto
     the hyperplane gamma-perp and record whether a semistable representation
@@ -704,33 +819,35 @@ def wall_support_scan(Q, maxgamma, samples, p=2, *, limits=LIMITS):
     checked before the first search, so an over-cap scan refuses at once,
     with the error of the first such gamma in product order."""
     maxgamma = _gamma_tuple(Q, maxgamma)
-    samples = [_clear_denominators(_vec(Q, s)) for s in samples]
+    samples = [_vec(Q, s) for s in samples]
+    # the samples times m, the lcm of all their denominators
+    m = math.lcm(*(x.denominator for s in samples for x in s))
+    samples = [tuple(x.numerator * (m // x.denominator) for x in s) for s in samples]
     queries = []
-    for gamma in itertools.product(*(range(m + 1) for m in maxgamma)):
+    for gamma in itertools.product(*(range(g + 1) for g in maxgamma)):
         if not any(gamma):
             continue
         gg = sum(g * g for g in gamma)
+        # gg * m times the projection kappa = s - (s.gamma / gamma.gamma) gamma
+        # of each sample s: one integer vector per kappa, kept in sample order
+        # as the keys of a dict
         directions = {}
-        for m, s in samples:
-            # the projection kappa = s - (s.gamma / gamma.gamma) gamma of the
-            # sample s / m, times gg * m
+        for s in samples:
             sg = sum(map(operator.mul, s, gamma))
-            direction = tuple(gg * x - sg * g for x, g in zip(s, gamma))
-            if not any(direction):
-                continue
-            kappa = tuple(Fraction(x, gg * m) for x in direction)
-            directions.setdefault(kappa, direction)
+            direction = tuple(map(operator.sub, map(gg.__mul__, s), map(sg.__mul__, gamma)))
+            if any(direction):
+                directions[direction] = None
         if directions:
             _check_enumeration_bounds(Q, gamma, p, limits)
-        queries.append((gamma, directions))
+        queries.append((gamma, gg * m, directions))
     memo = {}
     entries = []
-    for gamma, directions in queries:
-        verdicts = tuple(
-            (kappa, _exists_once(memo, Q, gamma, kappa, direction, p, limits))
-            for kappa, direction in directions.items()
-        )
-        entries.append(WallScanEntry(gamma, gamma, verdicts))
+    for gamma, scale, directions in queries:
+        verdicts = []
+        for direction in directions:
+            kappa = tuple(map(_ratio, direction, itertools.repeat(scale)))
+            verdicts.append((kappa, _exists_once(memo, Q, gamma, kappa, direction, p, limits)))
+        entries.append(WallScanEntry(gamma, gamma, tuple(verdicts)))
     return entries
 
 
@@ -792,6 +909,25 @@ class EtaReport(NamedTuple):
     results: tuple
 
 
+def _eta_lift(vertices, hat_vertices, i0, ip, im, kparam):
+    """``eta_embed`` on integer vectors: ((slot, factor), ...) in
+    ``vertices`` order such that the vector of ``d[slot] * factor`` is a
+    positive multiple of eta_embed(d) for every vector d over
+    ``hat_vertices``.  With kparam = a/b (b > 0), eta_embed(d) times
+    |a + b| is: far entries times a + b, i+ takes b * d[i0] and i- takes
+    a * d[i0], all times the sign of a + b."""
+    kparam = Fraction(kparam)
+    a, b = kparam.numerator, kparam.denominator
+    if a + b == 0:
+        raise PreconditionError("kparam = -1 divides by zero")
+    sign = 1 if a + b > 0 else -1
+    slot = {v: i for i, v in enumerate(hat_vertices)}
+    factor = {ip: sign * b, im: sign * a}
+    return tuple(
+        (slot[i0 if v in factor else v], factor.get(v, sign * (a + b))) for v in vertices
+    )
+
+
 def eta_embedding_check(
     Q, a0_id, maxgamma_hat, samples, p=2, grid=DEFAULT_KPARAM_GRID, *, limits=LIMITS
 ):
@@ -800,7 +936,8 @@ def eta_embedding_check(
     Scans the contracted quiver's walls; for every scanned gamma_hat with
     at least one semistable sample, searches the kparam grid for a value
     such that every true sample point, mapped by eta_embed, again admits a
-    semistable representation for the equal-sector lift of gamma_hat.
+    semistable representation for the equal-sector lift of gamma_hat.  The
+    mapped points are searched as integer multiples (``_eta_lift``).
 
     The check is only as wide as the grid: ``DEFAULT_KPARAM_GRID`` holds
     positive values only, and some walls lift at kparam = 0 but at no grid
@@ -816,26 +953,16 @@ def eta_embedding_check(
     results = []
     all_ok = True
     for e in entries:
-        true_samples = [kappa for kappa, v in e.verdicts if v]
+        true_samples = [_clear_denominators(kappa)[1] for kappa, v in e.verdicts if v]
         if not true_samples:
             continue
         gamma = lift_gamma(_gamma_dict(Qhat, e.gamma), i0, ip, im)
         gamma_t = tuple(gamma[v] for v in Q.vertices)
         found = None
         for kparam in grid:
-            lifted = [
-                tuple(
-                    eta_embed(_gamma_dict(Qhat, kappa), i0, ip, im, kparam)[v]
-                    for v in Q.vertices
-                )
-                for kappa in true_samples
-            ]
-            if all(
-                _exists_once(
-                    memo, Q, gamma_t, kappa, _clear_denominators(kappa)[1], p, limits
-                )
-                for kappa in lifted
-            ):
+            lift = _eta_lift(Q.vertices, Qhat.vertices, i0, ip, im, kparam)
+            lifted = [tuple(d[i] * f for i, f in lift) for d in true_samples]
+            if all(_exists_once(memo, Q, gamma_t, k, k, p, limits) for k in lifted):
                 found = kparam
                 break
         ok = found is not None

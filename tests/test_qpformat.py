@@ -14,7 +14,7 @@ from conftest import (
 )
 from quiveralg.errors import QPParseError
 from quiveralg.paths import Path, Sym, cyclic_normal_form
-from quiveralg.poly import Poly, xvar
+from quiveralg.poly import Combination, Poly, xvar
 from quiveralg.qpformat import QPDocument, parse_qp, print_element, print_qp
 from quiveralg.contraction import contract_qp
 from quiveralg.mutation import mutate
@@ -322,6 +322,30 @@ def test_high_powers_parse_with_one_product_per_factor(monkeypatch):
     doc = parse_qp(f"vertices: u\narrows:\ngamma: u=1; poly: {text}\n")
     assert len(calls) <= 2000
     assert doc.elements[0].poly == Poly({((u1, k),): k for k in range(1, 2001)})
+
+
+def test_many_terms_parse_in_one_pass(monkeypatch):
+    """An element's terms are summed in one pass, not by one `+` per term,
+    so the parse is linear in the number of terms."""
+    calls = []
+    add = Combination.__add__
+
+    def counting_add(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(Combination, "__add__", counting_add)
+    u1 = xvar("u", 1)
+    text = " - ".join(f"x[u,1]^{k}" for k in range(1, 4001))
+    doc = parse_qp(f"vertices: u\narrows:\ngamma: u=1; poly: {text}\n")
+    assert len(calls) <= 10
+    expected = {((u1, k),): (1 if k == 1 else -1) for k in range(1, 4001)}
+    assert doc.elements[0].poly == Poly(expected)
+    # repeated and cancelling terms sum as they did term by term
+    text = "x[u,1] + 2 - x[u,1] + 1/2*x[u,1]^2 + 1"
+    doc = parse_qp(f"vertices: u\narrows:\ngamma: u=1; poly: {text}\n")
+    assert doc.elements[0].poly == Poly({((u1, 2),): Fraction(1, 2), (): 3})
+    assert list(doc.elements[0].poly.terms) == [(), ((u1, 2),)]
 
 
 def test_multiple_elements_in_document_order():

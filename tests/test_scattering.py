@@ -15,6 +15,7 @@ from quiveralg.errors import PreconditionError, ScopeError
 from quiveralg.linalg import GF, rref
 from quiveralg.quiver import Arrow, Quiver
 from quiveralg.scattering import (
+    DEFAULT_KPARAM_GRID,
     LIMITS,
     EtaReport,
     GComplex,
@@ -788,3 +789,223 @@ def test_cli_wall_and_eta_bytes_match_reference(tmp_path, capsys, monkeypatch):
         with on_reference(monkeypatch):
             slow = wall_support_scan(ETA_GRID_GAP, (1, 1, 1, 1), samples, p)
         assert wall_scan_lines(ETA_GRID_GAP, slow) == fast
+
+
+# ------------------------------------------- integer directions and kernel
+
+
+def test_eta_lift_is_a_positive_multiple_of_eta_embed():
+    """The integer lift of an integer multiple of kappa_hat is a positive
+    multiple of eta_embed(kappa_hat), for kparam on both sides of -1."""
+    rng = random.Random(61)
+    Q = Quiver(("u", "i+", "w", "i-"), [Arrow("a0", "i+", "i-")], name="L")
+    hat = ("u", "i+", "w")  # the contracted vertices; i+ is the merged one
+    kparams = [0, Fraction(1, 4), Fraction(-1, 4), Fraction(1, 3), 2, Fraction(-1, 2), -2, -3]
+    checked = 0
+    for _ in range(60):
+        kappa_hat = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for v in hat}
+        _, direction = scattering._clear_denominators(tuple(kappa_hat.values()))
+        for kparam in kparams:
+            lift = scattering._eta_lift(Q.vertices, hat, "i+", "i+", "i-", kparam)
+            got = tuple(direction[i] * f for i, f in lift)
+            image = eta_embed(kappa_hat, "i+", "i+", "i-", kparam)
+            want = scattering._clear_denominators(tuple(image[v] for v in Q.vertices))[1]
+            ratios = {Fraction(g, w) for g, w in zip(got, want) if w}
+            assert all(g == 0 for g, w in zip(got, want) if not w), (kappa_hat, kparam)
+            assert len(ratios) <= 1 and all(r > 0 for r in ratios), (kappa_hat, kparam)
+            checked += bool(ratios)
+    assert checked > 400
+    for lift in (
+        lambda: scattering._eta_lift(Q.vertices, hat, "i+", "i+", "i-", -1),
+        lambda: eta_embed({"u": 1, "i+": 1, "w": 1}, "i+", "i+", "i-", Fraction(-2, 2)),
+    ):
+        with pytest.raises(PreconditionError, match="kparam = -1 divides by zero"):
+            lift()
+
+
+def reference_eta_check(Q, a0_id, maxgamma_hat, samples, p, grid):
+    """eta_embedding_check on Fraction stability vectors: every lifted
+    point goes through eta_embed and the exhaustive reference."""
+    a0 = Q.arrow(a0_id)
+    ip, im = a0.source, a0.target
+    Qhat, _, _ = scattering.contract_quiver(Q, a0_id)
+    results = []
+    for e in wall_support_scan(Qhat, maxgamma_hat, samples, p):
+        true_samples = [kappa for kappa, v in e.verdicts if v]
+        if not true_samples:
+            continue
+        gamma = lift_gamma(dict(zip(Qhat.vertices, e.gamma)), ip, ip, im)
+        gamma_t = tuple(gamma[v] for v in Q.vertices)
+        found = None
+        for kparam in grid:
+            lifted = [
+                eta_embed(dict(zip(Qhat.vertices, k)), ip, ip, im, kparam) for k in true_samples
+            ]
+            if all(
+                reference_king(Q, gamma_t, [k[v] for v in Q.vertices], p).exists for k in lifted
+            ):
+                found = kparam
+                break
+        results.append((e.gamma, found, found is not None))
+    return EtaReport(all(ok for *_, ok in results), tuple(results))
+
+
+def test_eta_check_matches_eta_embed_reference():
+    """Grids with negative values, zero and -1: the integer lift gives the
+    reference's results, and -1 raises when the reference's eta_embed
+    would, not before."""
+    gap_samples = [(1, 0, 0), (0, 1, 0), (0, 0, -1), (-1, -1, 1)]
+    grids = [
+        (0,),
+        (Fraction(-1, 4), Fraction(1, 3), -2, Fraction(-1, 2), -3, 2),
+        (-3, -1, 0),  # -1 is reached on a wall that -3 does not lift
+        (0, -1),  # 0 lifts every wall, so -1 is never reached
+        DEFAULT_KPARAM_GRID,
+    ]
+    outcomes = []
+    for grid in grids:
+        for p in (2, 3):
+            case = (ETA_GRID_GAP, "a0", (1, 1, 1), gap_samples, p)
+            got = outcome(eta_embedding_check, *case, grid=grid)
+            want = outcome(reference_eta_check, *case, grid)
+            assert got[0] == want[0]
+            if got[0] == "value":
+                assert got[1].ok == want[1].ok
+                assert [tuple(r) for r in got[1].results] == list(want[1].results)
+            else:
+                assert got == want
+            outcomes.append(got[0])
+    assert "PreconditionError" in outcomes and "value" in outcomes
+
+
+def random_representation(rng, Q, gamma, p):
+    index = {v: i for i, v in enumerate(Q.vertices)}
+    return {
+        a.id: tuple(
+            tuple(rng.randrange(p) for _ in range(gamma[index[a.source]]))
+            for _ in range(gamma[index[a.target]])
+        )
+        for a in Q.arrows
+    }
+
+
+def reference_hn(Q, gamma, rep, kappa, p):
+    factors = []
+    while sum(gamma):
+        best = None
+        for choice in reference_subrepresentations(Q, gamma, rep, p):
+            dims = tuple(len(rows) for rows, _ in choice)
+            if sum(dims):
+                key = (sum(Fraction(k) * d for k, d in zip(kappa, dims)) / sum(dims), sum(dims))
+                if best is None or key > best[0]:
+                    best = (key, dims, choice)
+        (slope, _), dims, choice = best
+        factors.append((slope, dims))
+        if dims == gamma:
+            break
+        gamma, rep = scattering._quotient_rep(Q, gamma, rep, choice, p)
+    return tuple(factors)
+
+
+def test_stable_tuples_match_reference_subrepresentations():
+    """The one kernel, as the King search runs it (one dimension vector at
+    a time, the arrows that can fail, one image dict per representation)
+    and as hn_filtration runs it (every rank, in product order)."""
+    rng = random.Random(67)
+    limits = Limits(fields=(2, 3, 5))
+    cases = 0
+    parallel = 0
+    while cases < 90:
+        Q = random_king_quiver(rng)
+        p = (2, 3, 5)[cases % 3]
+        gamma = tuple(rng.randint(0, 2) for _ in Q.vertices)
+        if not 1 <= sum(gamma) <= 4 or reference_work(Q, gamma, p) > 4000:
+            continue
+        cases += 1
+        parallel += len({(a.source, a.target) for a in Q.arrows}) < len(Q.arrows)
+        slots = scattering._arrow_slots(Q)
+        everything = [tuple(itertools.chain.from_iterable(_subspaces(g, p))) for g in gamma]
+        for _ in range(3):
+            rep = random_representation(rng, Q, gamma, p)
+            want = list(reference_subrepresentations(Q, gamma, rep, p))
+            every_arrow = scattering._levels(len(gamma), slots)
+            got = list(scattering._stable_tuples(every_arrow, rep, everything, p))
+            assert got == want, (Q.arrows, gamma, rep, p)
+            realized = {tuple(len(rows) for rows, _ in choice) for choice in want}
+            images = {}
+            for d in scattering._dims_below(gamma):
+                table = scattering._search_table(slots, gamma, d, p)
+                if table is None:
+                    assert d in realized
+                    continue
+                candidates, levels = table
+                found = next(scattering._stable_tuples(levels, rep, candidates, p, images), None)
+                assert (found is not None) == (d in realized), (Q.arrows, gamma, rep, d)
+            kappa = random_projection(rng, gamma)
+            assert hn_filtration(Q, gamma, rep, kappa, p, limits=limits) == reference_hn(
+                Q, gamma, rep, kappa, p
+            )
+        if any(gamma) and reference_work(Q, gamma, p) <= 1500:
+            kappa = random_projection(rng, gamma)
+            assert king_semistable_exists(Q, gamma, kappa, p, limits=limits) == reference_king(
+                Q, gamma, kappa, p, limits=limits
+            )
+    assert parallel >= 10
+
+
+def test_wall_scan_drops_repeated_projections_of_rational_samples():
+    """Samples with different denominators that project to one kappa give
+    one verdict; distinct kappas that are multiples of each other stay."""
+    samples = [(1, 0), (2, 1), (Fraction(1, 2), Fraction(-1, 2)), (Fraction(3, 2), Fraction(1, 2))]
+    scan = {e.gamma: e.verdicts for e in wall_support_scan(A2, (1, 1), samples, 2)}
+    assert scan[(1, 1)] == (((Fraction(1, 2), Fraction(-1, 2)), True),)
+    assert [k for k, _ in scan[(1, 0)]] == [(0, 1), (0, Fraction(-1, 2)), (0, Fraction(1, 2))]
+
+
+def test_king_refuses_non_integral_dimension_vectors(tmp_path, capsys):
+    with pytest.raises(PreconditionError, match="not an integer"):
+        king_semistable_exists(A2, (1.5, 1), (1, -1), 2)
+    with pytest.raises(PreconditionError, match="not an integer"):
+        wall_support_scan(A2, (Fraction(3, 2), 1), AXES, 2)
+    for gamma in [(Fraction(2, 2), 1), {"1": 1, "2": Fraction(1)}, (True, 1)]:
+        assert king_semistable_exists(A2, gamma, (1, -1), 2).exists
+    f = tmp_path / "a2.qp"
+    f.write_text("vertices: 1, 2\narrows: a: 1 -> 2\n")
+    assert main(["walls", "--max-gamma", "1=1.5,2=1", str(f)]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_bad_stability_vectors_raise_precondition_errors():
+    for kappa in [(float("nan"), 1), ("x", 1), (float("inf"), -1), (None, 1)]:
+        with pytest.raises(PreconditionError, match="not rational") as info:
+            king_semistable_exists(A2, (1, 1), kappa, 2)
+        assert str(kappa) in str(info.value)
+        with pytest.raises(PreconditionError, match="not rational"):
+            wall_support_scan(A2, (1, 1), [(1, 0), kappa], 2)
+        with pytest.raises(PreconditionError, match="not rational"):
+            hn_filtration(A2, (1, 1), {"a": ((1,),)}, kappa, 2)
+
+
+def test_hn_filtration_validates_the_representation_before_searching(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(scattering, "_stable_tuples", no_search)
+    bad = [
+        ({}, "each of the arrows"),  # no matrix for a
+        ({"a": ((1,),), "b": ((1,),)}, "each of the arrows"),  # no arrow b
+        ({"a": ((1, 0),)}, "needs a 1x1 matrix"),
+        ({"a": ()}, "needs a 1x1 matrix"),
+        ({"a": 5}, "needs a 1x1 matrix"),
+        ({"a": ((5,),)}, "outside range"),
+        ({"a": ((-1,),)}, "outside range"),
+        ({"a": ((Fraction(1),),)}, "outside range"),
+        ([("a", ((1,),))], "each of the arrows"),
+    ]
+    for rep, message in bad:
+        with pytest.raises(PreconditionError, match=message):
+            hn_filtration(A2, (1, 1), rep, (1, -1), 2)
+    with pytest.raises(PreconditionError, match="outside range"):
+        hn_filtration(A2, (1, 1), {"a": ((2,),)}, (1, -1), 2)
+    monkeypatch.undo()
+    assert hn_filtration(A2, (1, 1), {"a": [[2]]}, (1, -1), 3) == ((Fraction(0), (1, 1)),)
