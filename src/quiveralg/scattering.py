@@ -35,11 +35,16 @@ arrow once both its ends are chosen.  A representation's images M u are
 computed once for all of its searches, and membership in a subspace
 (``linalg.in_span``) rebuilds the image from its entries at the pivots.
 The verdict depends on kappa only through the destabilizing set, so one
-``wall_support_scan`` or ``eta_embedding_check`` call searches each
-(gamma, set) pair once.  Both stay in integers: a scan projects every
-sample to an integer direction and removes repeats there, and the eta
-check lifts directions by ``_eta_lift``; Fractions are built only for the
-kappas a scan reports.
+``wall_support_scan`` or ``eta_embedding_check`` call decides each
+(gamma, set) pair once, from one cached table of the set's searches
+(``_searches``): a d with no arrow that can fail makes it false and an
+empty set makes it true, with no enumeration and no call of
+``king_semistable_exists``, which enumerates only where a representation
+must be searched.  That function, the witness API, reads the same table
+and keeps its own input checks, witness and errors.  Scans and eta checks
+stay in integers: a scan projects every sample to an integer direction and
+removes repeats there, and the eta check lifts directions by
+``_eta_lift``; Fractions are built only for the kappas a scan reports.
 """
 
 from __future__ import annotations
@@ -112,17 +117,22 @@ def _vec(Q, v):
 
 
 def _gamma_tuple(Q, gamma):
-    entries = tuple(_by_vertices(Q, gamma))
+    return _dimensions(gamma, tuple(_by_vertices(Q, gamma)), len(Q.vertices))
+
+
+def _dimensions(gamma, entries, slots=None):
+    """The entries of the dimension vector ``gamma`` as ints: each must be
+    an integer (equal to its ``int``) and non-negative, and there must be
+    ``slots`` of them when that is given."""
     try:
         t = tuple(map(int, entries))
     except (TypeError, ValueError, OverflowError):
         t = None
     if t != entries:
         raise PreconditionError(f"dimension vector {gamma} has an entry that is not an integer")
-    if len(t) != len(Q.vertices):
+    if slots is not None and len(t) != slots:
         raise PreconditionError(
-            f"dimension vector {gamma} has {len(t)} slots, "
-            f"quiver has {len(Q.vertices)} vertices"
+            f"dimension vector {gamma} has {len(t)} slots, quiver has {slots} vertices"
         )
     if any(x < 0 for x in t):
         raise PreconditionError(f"dimension vector {gamma} has a negative entry")
@@ -519,6 +529,16 @@ def _subspaces(n, p):
     return tuple(by_rank)
 
 
+def _subspace_count(n, p):
+    """The number of subspaces of F_p^n: the sum over r of the Gaussian
+    binomials [n, r]_p."""
+    total, binomial = 0, 1
+    for r in range(n + 1):
+        total += binomial
+        binomial = binomial * (p ** (n - r) - 1) // (p ** (r + 1) - 1)
+    return total
+
+
 def _arrow_slots(Q):
     """(arrow id, source slot, target slot) for every arrow."""
     return _slots(Q.vertices, Q.arrows)
@@ -594,7 +614,8 @@ class KingVerdict(NamedTuple):
     witness: dict | None
 
 
-def _check_enumeration_bounds(Q, gamma, p, limits):
+def _check_scope(gamma, p, limits):
+    """The field and total-dimension caps of every brute-force search."""
     if p not in limits.fields:
         raise ScopeError(f"stability brute force supports F_p for p in {limits.fields}")
     total = sum(gamma)
@@ -605,6 +626,11 @@ def _check_enumeration_bounds(Q, gamma, p, limits):
             f"total dimension {total} exceeds the brute-force bound "
             f"{limits.max_total_dim}"
         )
+
+
+def _check_enumeration_bounds(Q, gamma, p, limits):
+    """The caps of a search over every representation of dimension gamma."""
+    _check_scope(gamma, p, limits)
     entries = sum(gamma[ti] * gamma[si] for _, si, ti in _arrow_slots(Q))
     if p**entries > limits.max_enumeration:
         raise ScopeError(
@@ -679,6 +705,20 @@ def _search_table(slots, gamma, d, p):
     return tuple(_subspaces(g, p)[r] for g, r in zip(gamma, d)), _levels(len(gamma), live)
 
 
+@lru_cache(maxsize=1024)
+def _searches(slots, gamma, destabilizing, p):
+    """The ``_search_table`` of every destabilizing d, or None when some d
+    has no arrow that can fail: then no representation is semistable.  An
+    empty table means nothing destabilizes, so every representation is."""
+    searches = []
+    for d in destabilizing:
+        table = _search_table(slots, gamma, d, p)
+        if table is None:
+            return None
+        searches.append(table)
+    return tuple(searches)
+
+
 @lru_cache(maxsize=256)
 def _destabilizing(gamma, direction):
     """Dimension vectors d <= gamma with kappa(d) > 0, for kappa any positive
@@ -703,9 +743,8 @@ def king_semistable_exists(Q, gamma, kappa, p, *, limits=LIMITS):
     if sum(map(operator.mul, direction, gamma)) != 0:
         raise PreconditionError(f"kappa(gamma) = {_kappa_of_dims(kappa, gamma)} != 0")
     _check_enumeration_bounds(Q, gamma, p, limits)
-    slots = _arrow_slots(Q)
-    searches = [_search_table(slots, gamma, d, p) for d in _destabilizing(gamma, direction)]
-    if None in searches:
+    searches = _searches(_arrow_slots(Q), gamma, _destabilizing(gamma, direction), p)
+    if searches is None:
         return KingVerdict(False, None)
     for rep in _all_representations(Q, gamma, p):
         images = {}
@@ -719,14 +758,25 @@ def king_semistable_exists(Q, gamma, kappa, p, *, limits=LIMITS):
 
 def _exists_once(memo, Q, gamma, kappa, direction, p, limits):
     """``king_semistable_exists(Q, gamma, kappa, p, limits=limits).exists``,
-    searched once per (gamma, destabilizing dimension vectors) in ``memo``:
-    the verdict depends on kappa only through that set.  The search is
-    given ``direction``, a positive integer multiple of kappa, which has
-    the same set."""
-    key = (gamma, _destabilizing(gamma, direction))
+    decided once per (gamma, destabilizing dimension vectors) in ``memo``:
+    the verdict depends on kappa only through that set.  The ``_searches``
+    table decides it with no enumeration when some destabilizing d has no
+    arrow that can fail (false) and when nothing destabilizes (true);
+    otherwise ``king_semistable_exists`` searches ``direction``, a positive
+    integer multiple of kappa, which has the same set.  The caller has
+    checked the brute-force caps of gamma."""
+    destabilizing = _destabilizing(gamma, direction)
+    key = (gamma, destabilizing)
     verdict = memo.get(key)
     if verdict is None:
-        verdict = memo[key] = king_semistable_exists(Q, gamma, direction, p, limits=limits).exists
+        searches = _searches(_arrow_slots(Q), gamma, destabilizing, p)
+        if searches is None:
+            verdict = False
+        elif not searches:
+            verdict = True
+        else:
+            verdict = king_semistable_exists(Q, gamma, direction, p, limits=limits).exists
+        memo[key] = verdict
     return verdict
 
 
@@ -763,7 +813,12 @@ def hn_filtration(Q, gamma, rep, kappa, p, *, limits=LIMITS):
     gamma = _gamma_tuple(Q, gamma)
     kappa = _vec(Q, kappa)
     _check_representation(Q, gamma, rep, p)
-    _check_enumeration_bounds(Q, gamma, p, limits)
+    _check_scope(gamma, p, limits)
+    tuples = math.prod(_subspace_count(g, p) for g in gamma)
+    if tuples > limits.max_enumeration:
+        raise ScopeError(
+            f"{tuples} subspace tuples exceed the enumeration bound {limits.max_enumeration}"
+        )
     levels = _levels(len(gamma), _arrow_slots(Q))
     factors = []
     while sum(gamma):
@@ -892,9 +947,8 @@ def lift_gamma(gamma_hat, i0, ip, im):
     eta_embed image."""
     if i0 not in gamma_hat:
         raise PreconditionError(f"gamma_hat has no entry for the merged vertex {i0!r}")
-    gamma = {v: int(x) for v, x in gamma_hat.items() if v != i0}
-    gamma[ip] = int(gamma_hat[i0])
-    gamma[im] = int(gamma_hat[i0])
+    gamma = dict(zip(gamma_hat, _dimensions(gamma_hat, tuple(gamma_hat.values()))))
+    gamma[ip] = gamma[im] = gamma.pop(i0)
     return gamma
 
 
@@ -959,8 +1013,10 @@ def eta_embedding_check(
         gamma = lift_gamma(_gamma_dict(Qhat, e.gamma), i0, ip, im)
         gamma_t = tuple(gamma[v] for v in Q.vertices)
         found = None
-        for kparam in grid:
+        for n, kparam in enumerate(grid):
             lift = _eta_lift(Q.vertices, Qhat.vertices, i0, ip, im, kparam)
+            if n == 0:  # the caps of the lift, before its first query
+                _check_enumeration_bounds(Q, gamma_t, p, limits)
             lifted = [tuple(d[i] * f for i, f in lift) for d in true_samples]
             if all(_exists_once(memo, Q, gamma_t, k, k, p, limits) for k in lifted):
                 found = kparam

@@ -1009,3 +1009,111 @@ def test_hn_filtration_validates_the_representation_before_searching(monkeypatch
         hn_filtration(A2, (1, 1), {"a": ((2,),)}, (1, -1), 2)
     monkeypatch.undo()
     assert hn_filtration(A2, (1, 1), {"a": [[2]]}, (1, -1), 3) == ((Fraction(0), (1, 1)),)
+
+
+# ------------------------------------------- queries decided by the search table
+
+
+def test_exists_once_decides_settled_queries_without_searching(monkeypatch):
+    """Random in-cap queries over F_2 and F_3 on quivers with loops,
+    parallel arrows and 2-cycles: the table's verdict equals the witness
+    API's, and only queries with searches left call it.  Catches the two
+    settled verdicts swapped and ``searches is None`` read as ``not
+    searches`` (an empty table would then be false)."""
+    rng = random.Random(71)
+    searched = []
+    search = scattering.king_semistable_exists
+
+    def counting(*args, **kwargs):
+        searched.append(args)
+        return search(*args, **kwargs)
+
+    classes = {"none": 0, "empty": 0, "searched": 0}
+    loops = parallel = cycles = 0
+    while sum(classes.values()) < 300:
+        Q = random_king_quiver(rng)
+        gamma = tuple(rng.randint(0, 2) for _ in Q.vertices)
+        p = rng.choice((2, 3))
+        if not 1 <= sum(gamma) <= 4 or reference_work(Q, gamma, p) > 20000:
+            continue
+        kappa = random_projection(rng, gamma)
+        direction = scattering._clear_denominators(kappa)[1]
+        destabilizing = scattering._destabilizing(gamma, direction)
+        searches = scattering._searches(scattering._arrow_slots(Q), gamma, destabilizing, p)
+        kind = "none" if searches is None else ("searched" if searches else "empty")
+        classes[kind] += 1
+        pairs = [(a.source, a.target) for a in Q.arrows]
+        loops += any(s == t for s, t in pairs)
+        parallel += len(set(pairs)) < len(pairs)
+        cycles += any(s != t and (t, s) in pairs for s, t in pairs)
+        want = king_semistable_exists(Q, gamma, kappa, p).exists
+        with monkeypatch.context() as m:
+            m.setattr(scattering, "king_semistable_exists", counting)
+            got = scattering._exists_once({}, Q, gamma, kappa, direction, p, LIMITS)
+        assert got == want, (Q.arrows, gamma, kappa, p)
+        assert len(searched) == classes["searched"], kind
+    assert min(classes.values()) >= 30, classes
+    assert min(loops, parallel, cycles) >= 10
+
+
+def test_eta_check_checks_the_caps_of_each_lift():
+    """On i+ -> j (b), i+ -> i- (a0), contracting a0, gamma_hat = (1, 1)
+    is a wall within the caps and lifts to (1, 1, 1), beyond them.  Every
+    lifted query needs no search: the sink i- has a positive entry at each
+    grid value.  The check still refuses, with the search's message, before
+    the first of them."""
+    Q = Quiver(("j", "i+", "i-"), [Arrow("b", "i+", "j"), Arrow("a0", "i+", "i-")], name="fork")
+    limits = Limits(max_total_dim=2)
+    Qhat = scattering.contract_quiver(Q, "a0")[0]
+    top = {e.gamma: e for e in wall_support_scan(Qhat, (1, 1), AXES, 2, limits=limits)}[(1, 1)]
+    true_samples = [scattering._clear_denominators(k)[1] for k, v in top.verdicts if v]
+    assert true_samples
+    slots = scattering._arrow_slots(Q)
+    lifted_top = (1, 1, 1)
+    for kparam in DEFAULT_KPARAM_GRID:
+        lift = scattering._eta_lift(Q.vertices, Qhat.vertices, "i+", "i+", "i-", kparam)
+        for d in true_samples:
+            direction = tuple(d[i] * f for i, f in lift)
+            destabilizing = scattering._destabilizing(lifted_top, direction)
+            assert scattering._searches(slots, lifted_top, destabilizing, 2) is None
+    got = outcome(eta_embedding_check, Q, "a0", (1, 1), AXES, 2, limits=limits)
+    assert got == ("ScopeError", "total dimension 3 exceeds the brute-force bound 2")
+    report = eta_embedding_check(Q, "a0", (1, 1), AXES, 2, limits=Limits(max_total_dim=3))
+    assert [(r.gamma_hat, r.ok) for r in report.results][-1] == ((1, 1), False)
+
+
+def test_lift_gamma_refuses_entries_that_are_not_dimensions():
+    for gamma_hat, message in [
+        ({"j": 1.5, "i0": 1}, "not an integer"),
+        ({"j": 1, "i0": Fraction(1, 2)}, "not an integer"),
+        ({"j": "1", "i0": 1}, "not an integer"),
+        ({"j": None, "i0": 1}, "not an integer"),
+        ({"j": -1, "i0": 1}, "negative entry"),
+        ({"j": 1, "i0": -2}, "negative entry"),
+        ({"j": 1}, "no entry for the merged vertex"),
+    ]:
+        with pytest.raises(PreconditionError, match=message):
+            lift_gamma(gamma_hat, "i0", "i+", "i-")
+    got = lift_gamma({"j": Fraction(4, 2), "i0": 1.0}, "i0", "i+", "i-")
+    assert got == {"j": 2, "i+": 1, "i-": 1}
+    assert all(type(x) is int for x in got.values())
+
+
+def test_hn_filtration_bounds_the_subspace_tuples_it_searches():
+    """hn_filtration searches one representation, so its cap is the number
+    of subspace tuples, not of representations: K5 at (2, 2) over F_2 has
+    2^20 representations but 5 * 5 subspace tuples."""
+    for p in (2, 3):
+        for n in range(6):
+            count = sum(len(group) for group in _subspaces(n, p))
+            assert scattering._subspace_count(n, p) == count
+    K5 = Quiver(("1", "2"), [Arrow(f"a{k}", "1", "2") for k in range(5)], name="K5")
+    rep = {a.id: ((1, 0), (0, 1)) for a in K5.arrows}
+    assert hn_filtration(K5, (2, 2), rep, (1, -1), 2) == ((0, (2, 2)),)
+    with pytest.raises(ScopeError) as info:
+        hn_filtration(K5, (2, 2), rep, (1, -1), 2, limits=Limits(max_enumeration=24))
+    assert str(info.value) == "25 subspace tuples exceed the enumeration bound 24"
+    with pytest.raises(ScopeError, match="total dimension 5 exceeds the brute-force bound 4"):
+        hn_filtration(K5, (3, 2), {a.id: ((1, 0, 0), (0, 1, 0)) for a in K5.arrows}, (2, -3), 2)
+    with pytest.raises(ScopeError, match="for p in"):
+        hn_filtration(K5, (2, 2), rep, (1, -1), 5)
