@@ -9,14 +9,25 @@ the relabelled product f*g times the arrow/vertex kernel
               (x[j,a2] - x[i,a1])
           / prod_i prod_{a1 in block1(i), a2 in block2(i)} (x[i,a2] - x[i,a1]).
 
-The sum is assembled over the common denominator prod_i Vdm(x[i,*]).  Over
-it, the term of a split is f*g*Vdm(block1)*Vdm(block2)*arrows with the
-sign of the split's shuffle.  That polynomial is multiplied out once, for
-the standard split (block 1 = the first g1^i slots at each vertex i); every
-other split's term is its renaming by the increasing slot bijection
-block1+block2 -> 1..n, times the sign.  The sum is then divided by the
-Vandermonde one linear factor at a time, by synthetic division; a non-zero
-remainder is an internal bug, never a data error.
+Both the product and the spherical span are read off alternants: Alt(x^e)
+/ Vdm, Alt the signed sum over the slot permutations at every vertex, is 0
+if e repeats an exponent at a vertex, and otherwise the sign of sorting e
+times the product over vertices of the Schur polynomials s_lambda, lambda
+= sorted(e) - (0, 1, ...) (_alternant_key, _schur_expansion).  A sparse
+integer vector over these sorted keys is an element's Schur coordinates.
+
+Over the common denominator prod_i Vdm(x[i,*]), the term of a split is its
+shuffle's sign times f*g*Vdm(block1)*Vdm(block2)*arrows.  At a vertex with
+an empty block there is one split, and the other block's Vandermonde
+cancels against Vdm_i; call the other vertices mixed.  The numerator N is
+made once, for the standard split (block 1 = the first g1^i slots at each
+vertex i), with the block Vandermondes of the mixed vertices only.  N is
+antisymmetric inside each block at a mixed vertex, so the sum over
+shuffles is Alt(N) / (prod_{mixed i} Vdm_i * g1^i! * g2^i!), Alt and the
+sorting over the mixed vertices only.  So N's terms are folded into Schur
+coordinates, which are divided by the factorials and expanded.  The
+antisymmetry of N and the exactness of that division are checked on every
+product; a failure is an internal bug, never a data error.
 
 All of this runs on dense exponent tuples with integer coefficients.  The
 sum(gamma) slot variables of a sector get positions (its _layout):
@@ -25,13 +36,10 @@ offset[v] + slot - 1.  A SymPoly holds either a Poly or such a dense form
 ({exponent tuple: int}, L), meaning the sum of c/L * x^e; products and
 contractions are built dense, and a Poly is made only when asked for
 (printing, hopf, ==); a parsed element's dense form is made for each
-product or contraction and not kept.  shuffle_mul moves f's tuples into block 1 and g's into block
-2 by position, renames for each shuffle by one operator.itemgetter over a
-precomputed position permutation, and divides exactly in the integers; the
-result's L is the product of f's and g's.  The layouts, their adjacent-swap
-getters (the symmetry check of a dense form) and the shuffle renamings with
-their signs depend only on the vertex tuple and the ranks, and are cached
-by those.
+product or contraction and not kept.  A product's L is the product of f's
+and g's.  The layouts with their adjacent-swap getters (the symmetry check
+of a dense form), each product's block placement and mixed slices, and
+the Schur polynomials are cached.
 
 Contraction acts on these polynomials by the slotwise substitution
 x[i-,a] |-> x[i0,a], x[i+,a] |-> x[i0,a]: on exponent tuples, the exponent
@@ -42,21 +50,16 @@ at the two merged vertices.
 The spherical span, spanned by the word products x[w1]^k1 * ... *
 x[wm]^km of rank-one generators, is built with no shuffle product.  Such a
 product is Alt(x^k * A_w) / Vdm: A_w = prod_{p<q} (x[s(q)] - x[s(p)])^a_pq,
-a_pq the arrows from w_p to w_q and s(p) the slot of letter p, and Alt the
-signed sum over the slot permutations at every vertex.  Alt(x^e) / Vdm is 0
-if e repeats an exponent at a vertex, and otherwise the sign of sorting e
-times the product over vertices of the Schur polynomials s_lambda, lambda
-= sorted(e) - (0, 1, ...).  So a product is a sparse integer vector over
-multipartitions, its Schur coordinates.  Products are homogeneous; each
-degree is row-reduced in Schur coordinates, only its basis rows are
-expanded to monomials (Schur polynomials by the branching rule) and
-row-reduced again, and the degrees, which share no monomial, are merged in
-pivot order.  A reduced row echelon form is unique, so this is the basis
-that reducing every product over its monomials gives.  The first product
-of every span is also built by shuffle_mul as a check.  Membership reads
-f's Schur coordinates off f * Vdm, its coefficients on exponents strictly
-increasing at every vertex, and tests them against the reduced Schur basis
-of the rank and degree, kept on the quiver.
+a_pq the arrows from w_p to w_q and s(p) the slot of letter p.  Products
+are homogeneous; each degree is row-reduced in Schur coordinates, only its
+basis rows are expanded to monomials and row-reduced again, and the
+degrees, which share no monomial, are merged in pivot order.  A reduced
+row echelon form is unique, so this is the basis that reducing every
+product over its monomials gives.  The first product of every span is also
+built by shuffle_mul as a check.  Membership reads f's Schur coordinates
+off f * Vdm, its coefficients on exponents strictly increasing at every
+vertex, and tests them against the reduced Schur basis of the rank and
+degree, kept on the quiver.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import factorial, lcm
 from operator import add, itemgetter
 
 from .contraction import contract_quiver
@@ -409,85 +412,37 @@ def _times_diff(p, b, a):
     return {e: c for e, c in out.items() if c}
 
 
-def _divide_diff(p, b, a):
-    """Exact quotient p / (x_b - x_a); a non-zero remainder is a bug.
-
-    One pass of synthetic division in x_b: with p = sum_k c_k x_b^k, the
-    quotient's coefficients are q_{k-1} = c_k + x_a*q_k from the top power
-    down, and the remainder is c_0 + x_a*q_0.  The c_k are keyed by their
-    exponent tuples with position b zeroed."""
-    coeffs = {}  # power of x_b -> {exponent tuple with e[b] = 0: coefficient}
-    for e, c in p.items():
-        coeffs.setdefault(e[b], {})[e[:b] + (0,) + e[b + 1:]] = c
-    out = {}
-    q = {}
-    for k in range(max(coeffs, default=0), -1, -1):
-        carried = {e[:a] + (e[a] + 1,) + e[a + 1:]: c for e, c in q.items()}
-        for e, c in coeffs.get(k, {}).items():
-            s = carried.get(e, 0) + c
-            if s:
-                carried[e] = s
-            else:
-                del carried[e]
-        if k == 0:
-            if carried:
-                raise InternalConsistencyError(
-                    f"inexact division by the difference of positions {b} and {a}"
-                )
-            break
-        q = carried
-        for e, c in q.items():
-            out[e[:b] + (k - 1,) + e[b + 1:]] = c
-    return out
-
-
-def _inversions(block1, block2):
-    return sum(1 for s in block1 for t in block2 if t < s)
-
-
 @lru_cache(maxsize=1024)
-def _shuffle_plan(vertices, ranks1, ranks2):
-    """How a product of ranks1 by ranks2 moves exponent tuples, positions
-    only.  Returns (place, renamings): place takes e1 + e2, e1 over ranks1's
-    layout and e2 over ranks2's, to the product's layout with e1 in block 1
-    (the first ranks1 slots of every vertex) and e2 in block 2; renamings
-    has one (rename, sign) per split, the split's term being the standard
-    one's renamed and times sign (rename None for the identity)."""
-    g1 = dict(zip(vertices, ranks1))
+def _product_plan(vertices, ranks1, ranks2):
+    """(place, slices, swaps, divisor) of a product of ranks1 by ranks2,
+    positions only.  place takes e1 + e2 (over ranks1's and ranks2's
+    layouts) to the product's layout, e1 in block 1 and e2 in block 2.
+    slices are the (start, stop) of the mixed vertices, swaps their
+    adjacent slot swaps inside one block (_Layout.swaps without the swap
+    across the blocks), divisor prod_{mixed v} ranks1_v! * ranks2_v!."""
     offset1 = _layout(vertices, ranks1).offset
     offset2 = _layout(vertices, ranks2).offset
     n1 = sum(ranks1)
-    gamma = {v: a + b for v, a, b in zip(vertices, ranks1, ranks2)}
-    offset = _layout(vertices, tuple(gamma.values())).offset
+    layout = _layout(vertices, tuple(map(add, ranks1, ranks2)))
     source = []
+    slices = []
+    swaps = []
+    divisor = 1
     for v, a, b in zip(vertices, ranks1, ranks2):
         source.extend(range(offset1[v], offset1[v] + a))
         source.extend(range(n1 + offset2[v], n1 + offset2[v] + b))
-    identity = list(range(len(source)))
-    renamings = []
-    for blocks in product(*(combinations(range(gamma[v]), g1[v]) for v in vertices)):
-        rename = identity[:]
-        sign = 1
-        for v, b1 in zip(vertices, blocks):
-            b2 = tuple(s for s in range(gamma[v]) if s not in b1)
-            for std, slot in enumerate(b1 + b2):
-                rename[offset[v] + slot] = offset[v] + std
-            if _inversions(b1, b2) % 2:
-                sign = -sign
-        renamings.append((None if rename == identity else itemgetter(*rename), sign))
-    return _picker(source), tuple(renamings)
+        if a and b:
+            slices.append((layout.offset[v], layout.offset[v] + a + b))
+            swaps.extend(layout.swaps[v][:a - 1] + layout.swaps[v][a:])
+            divisor *= factorial(a) * factorial(b)
+    return _picker(source), tuple(slices), tuple(swaps), divisor
 
 
 def _split_term(f, g, ranks1, ranks2):
-    """Numerator term of the standard split, the one whose block 1 is the
-    first g1^i slots at every vertex i, scaled to integers:
-
-        f * g(shifted into block 2) * Vdm(block 1) * Vdm(block 2) * arrows,
-
-    that is fac_kernel(Q, g1, g2) times the full Vandermonde prod_i
-    Vdm(x[i,1..n_i]), times f and the shifted g, ranks1 and ranks2 being
-    their gamma_key().  Returns (term, L), the term being L times that
-    polynomial over the product's layout."""
+    """(N, L): L times the numerator of the standard split, f * g(shifted
+    into block 2) * arrows * Vdm(block 1) * Vdm(block 2) at every mixed
+    vertex, over the product's layout; that is fac_kernel(Q, g1, g2) times
+    f, the shifted g and Vdm(x[v,*]) at every mixed vertex v."""
     Q = f.quiver
     offset = _layout(Q.vertices, tuple(map(add, ranks1, ranks2))).offset
     block1 = {v: range(offset[v], offset[v] + r) for v, r in zip(Q.vertices, ranks1)}
@@ -495,20 +450,23 @@ def _split_term(f, g, ranks1, ranks2):
               for v, r, r2 in zip(Q.vertices, ranks1, ranks2)}
     kernel = {(0,) * (sum(ranks1) + sum(ranks2)): 1}
     for v in Q.vertices:
-        for block in (block1[v], block2[v]):
-            for a, b in combinations(block, 2):
-                kernel = _times_diff(kernel, b, a)
+        if block1[v] and block2[v]:
+            for block in (block1[v], block2[v]):
+                for a, b in combinations(block, 2):
+                    kernel = _times_diff(kernel, b, a)
     for b, a, a_ij in _arrow_factors(Q, block1, block2):
         for _ in range(a_ij):
             kernel = _times_diff(kernel, b, a)
-    place = _shuffle_plan(Q.vertices, ranks1, ranks2)[0]
+    place = _product_plan(Q.vertices, ranks1, ranks2)[0]
     (fd, Lf), (gd, Lg) = f.dense, g.dense
     fg = {place(e1 + e2): c1 * c2 for e1, c1 in fd.items() for e2, c2 in gd.items()}
     return _dense_mul(fg, kernel), Lf * Lg
 
 
 def shuffle_mul(f, g):
-    """The shuffle product f*g, exact, with polynomiality asserted."""
+    """The shuffle product f*g, exact, with polynomiality asserted: the
+    Schur coordinates of Alt(N) over the mixed vertices, N antisymmetric in
+    its blocks, divided exactly by the factorials and expanded."""
     if f.quiver != g.quiver:
         raise PreconditionError("shuffle product requires a common quiver")
     Q = f.quiver
@@ -518,22 +476,32 @@ def shuffle_mul(f, g):
         return SymPoly(Q, gamma, dense=({}, 1))
 
     term, L = _split_term(f, g, ranks1, ranks2)
-    exps = list(term)
-    plus = list(term.values())
-    minus = [-c for c in plus]
-    numerator = {}
-    get = numerator.get
-    for rename, sign in _shuffle_plan(Q.vertices, ranks1, ranks2)[1]:
-        renamed = exps if rename is None else map(rename, exps)
-        for e, c in zip(renamed, plus if sign == 1 else minus):
-            numerator[e] = get(e, 0) + c
-
-    result = {e: c for e, c in numerator.items() if c}
-    offset = _layout(Q.vertices, tuple(gamma.values())).offset
-    for v in Q.vertices:
-        for a, b in combinations(range(offset[v], offset[v] + gamma[v]), 2):
-            result = _divide_diff(result, b, a)
-    return SymPoly(Q, gamma, dense=(result, L))
+    _place, slices, swaps, divisor = _product_plan(Q.vertices, ranks1, ranks2)
+    if not slices:
+        return SymPoly(Q, gamma, dense=(term, L))
+    get = term.get
+    for swap in swaps:
+        if any(get(swap(e)) != -c for e, c in term.items()):
+            raise InternalConsistencyError(
+                "the numerator of a shuffle product is not antisymmetric in its blocks"
+            )
+    coordinates = {}
+    for e, c in term.items():
+        hit = _alternant_key(e, slices)
+        if hit:
+            key, sign = hit
+            coordinates[key] = coordinates.get(key, 0) + sign * c
+    result = {}
+    for key, c in coordinates.items():
+        c, remainder = divmod(c, divisor)
+        if remainder:
+            raise InternalConsistencyError(
+                f"Schur coordinate {key} of a shuffle product is not divisible by {divisor}"
+            )
+        if c:
+            for e, b in _schur_expansion(key, slices).items():
+                result[e] = result.get(e, 0) + c * b
+    return SymPoly(Q, gamma, dense=({e: c for e, c in result.items() if c}, L))
 
 
 def _contracted_quiver(Q, a0_id):
@@ -673,10 +641,13 @@ def _vertex_slices(Q, gamma, offset):
 
 
 def _alternant_key(e, slices):
-    """(key, sign) with Alt(x^e) = sign * Alt(x^key): key sorts e increasing
-    within every vertex's slice, sign is the sign of that sort.  None if e
-    repeats an exponent at some vertex, where Alt(x^e) = 0."""
+    """(key, sign) with Alt(x^e) = sign * Alt(x^key), Alt the signed sum over
+    the slot permutations inside every slice (start, stop): key sorts e
+    increasing within every slice and keeps the positions outside them,
+    sign is the sign of that sort.  None if e repeats an exponent within a
+    slice, where Alt(x^e) = 0."""
     key = ()
+    start = 0
     inversions = 0
     for lo, hi in slices:
         part = e[lo:hi]
@@ -684,8 +655,9 @@ def _alternant_key(e, slices):
         if any(a == b for a, b in zip(ordered, ordered[1:])):
             return None
         inversions += sum(1 for a, b in combinations(part, 2) if a > b)
-        key += ordered
-    return key, -1 if inversions % 2 else 1
+        key += e[start:lo] + ordered
+        start = hi
+    return key + e[start:], -1 if inversions % 2 else 1
 
 
 def _schur_rows(Q, gamma, d):
@@ -754,33 +726,40 @@ def _schur_rows(Q, gamma, d):
     return blocks
 
 
-def _schur_poly(lam, memo):
+@lru_cache(maxsize=1024)
+def _schur_poly(lam):
     """s_lam(x_1..x_n), n = len(lam), for lam weakly decreasing padded with
-    zeros, as {exponent tuple: int}.  Branching rule: s_lam is the sum, over
-    mu with lam_{i+1} <= mu_i <= lam_i (lam/mu a horizontal strip), of
-    s_mu(x_1..x_{n-1}) * x_n^(|lam| - |mu|)."""
+    zeros, as {exponent tuple: int}; the dict is cached, never changed.
+    Branching rule: s_lam is the sum, over mu with lam_{i+1} <= mu_i <=
+    lam_i (lam/mu a horizontal strip), of s_mu(x_1..x_{n-1}) *
+    x_n^(|lam| - |mu|)."""
     if not lam:
         return {(): 1}
-    if lam not in memo:
-        out = {}
-        size = sum(lam)
-        for mu in product(*(range(lam[i + 1], lam[i] + 1) for i in range(len(lam) - 1))):
-            top = (size - sum(mu),)
-            for e, c in _schur_poly(mu, memo).items():
-                out[e + top] = out.get(e + top, 0) + c
-        memo[lam] = out
-    return memo[lam]
+    out = {}
+    size = sum(lam)
+    for mu in product(*(range(lam[i + 1], lam[i] + 1) for i in range(len(lam) - 1))):
+        top = (size - sum(mu),)
+        for e, c in _schur_poly(mu).items():
+            out[e + top] = out.get(e + top, 0) + c
+    return out
 
 
-def _schur_expansion(key, slices, memo):
-    """Alt(x^key) / Vdm on exponent tuples: the product over vertices of
-    s_lambda, lambda = key - (0, 1, ...) on the vertex's slice."""
+def _schur_expansion(key, slices):
+    """Alt(x^key) / prod Vdm on exponent tuples, Alt and the Vandermondes
+    over the slices (start, stop): the product over slices of s_lambda,
+    lambda = key - (0, 1, ...) on the slice, times x^key at the positions
+    outside the slices."""
     out = {(): 1}
+    start = 0
     for lo, hi in slices:
+        kept = key[start:lo]
         part = key[lo:hi]
-        lam = tuple(part[i] - i for i in reversed(range(hi - lo)))
-        s = _schur_poly(lam, memo)
-        out = {e + f: c * b for e, c in out.items() for f, b in s.items()}
+        s = _schur_poly(tuple(part[i] - i for i in reversed(range(hi - lo))))
+        out = {e + kept + f: c * b for e, c in out.items() for f, b in s.items()}
+        start = hi
+    if start < len(key):
+        kept = key[start:]
+        out = {e + kept: c for e, c in out.items()}
     return out
 
 
@@ -819,7 +798,6 @@ def spherical_span(Q, gamma, d):
     layout = _layout(Q.vertices, tuple(gamma[v] for v in Q.vertices))
     slices = _vertex_slices(Q, gamma, layout.offset)
     names, to_names = layout.names, layout.to_names
-    schur_polys = {}
     expansions = {}
     basis = []
     for rows in blocks.values():
@@ -832,7 +810,7 @@ def spherical_span(Q, gamma, d):
                 if not c:
                     continue
                 if key not in expansions:
-                    expansions[key] = _schur_expansion(key, slices, schur_polys)
+                    expansions[key] = _schur_expansion(key, slices)
                 c = c.numerator * (L // c.denominator)
                 for e, b in expansions[key].items():
                     terms[e] = terms.get(e, 0) + c * b

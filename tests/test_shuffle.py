@@ -21,7 +21,6 @@ from quiveralg.shuffle import (
     _alternant_key,
     _arrow_factors,
     _compositions_upto,
-    _divide_diff,
     _from_dense,
     _layout,
     _merge_plan,
@@ -44,6 +43,7 @@ from conftest import (
     jordan_quiver,
     kronecker_quiver,
     point_quiver,
+    power_sum,
     random_quiver,
     random_sympoly,
     reference_rref,
@@ -199,8 +199,10 @@ def test_fac_kernel_loop_free_vertex():
 
 def test_split_term_is_fac_kernel_times_vandermonde(rng):
     """The term shuffle_mul builds once is fac_kernel(Q, g1, g2) times the
-    full Vandermonde, times f and the shifted g: the kernel checked above is
-    the one the product uses."""
+    Vandermonde of every mixed vertex (both blocks non-empty), times f and
+    the shifted g: the kernel checked above is the one the product uses.
+    Mixed vertices, and vertices with one block empty, both occur."""
+    seen = Counter()
     done = 0
     while done < 25:
         Q = random_quiver(rng, max_vertices=3, max_arrows=5)
@@ -211,9 +213,10 @@ def test_split_term_is_fac_kernel_times_vandermonde(rng):
         f = random_sympoly(rng, Q, g1, max_deg=2, coeffs=RATIONALS)
         g = random_sympoly(rng, Q, g2, max_deg=2, coeffs=RATIONALS)
         shift = {xvar(v, q): xvar(v, g1[v] + q) for v in Q.vertices for q in range(1, g2[v] + 1)}
+        mixed = [v for v in Q.vertices if g1[v] and g2[v]]
         vdm = Rat(1, [
             (Poly.linear_diff(xvar(v, b), xvar(v, a)), 1)
-            for v in Q.vertices
+            for v in mixed
             for a, b in combinations(range(1, g1[v] + g2[v] + 1), 2)
         ])
         full = Rat.from_poly(f.poly * g.poly.rename_vars(shift)) * fac_kernel(Q, g1, g2) * vdm
@@ -221,7 +224,10 @@ def test_split_term_is_fac_kernel_times_vandermonde(rng):
         term, L = _split_term(f, g, f.gamma_key(), g.gamma_key())
         layout = _layout(Q.vertices, tuple(g1[v] + g2[v] for v in Q.vertices))
         assert _from_dense(term, L, layout) == full.num()
+        seen["mixed"] += bool(mixed)
+        seen["one block"] += any(bool(g1[v]) != bool(g2[v]) for v in Q.vertices)
         done += 1
+    assert seen["mixed"] >= 3 and seen["one block"] >= 3, seen
 
 
 # ------------------------------------------------------------- product
@@ -343,22 +349,6 @@ def test_shuffle_mul_total_rank_seven_and_eight(rng):
         done += not got.is_zero()
 
 
-def test_divide_diff_exact_and_inexact():
-    """(x1 - x0)(x1 + x2) / (x1 - x0) = x1 + x2 on exponent tuples; x1^2 + x0
-    is no multiple of x1 - x0."""
-    p = {(0, 2, 0): 1, (0, 1, 1): 1, (1, 1, 0): -1, (1, 0, 1): -1}
-    assert _divide_diff(p, 1, 0) == {(0, 1, 0): 1, (0, 0, 1): 1}
-    with pytest.raises(InternalConsistencyError):
-        _divide_diff({(0, 2, 0): 1, (1, 0, 0): 1}, 1, 0)
-
-
-def test_divide_diff_inexact_from_carried_term():
-    """x1*x2 has no x1-free part; its only remainder term is the carried
-    x0*q_0 = x0*x2."""
-    with pytest.raises(InternalConsistencyError):
-        _divide_diff({(0, 1, 1): 3}, 1, 0)
-
-
 def test_shuffle_mul_matches_per_split_reference(rng):
     """Random quivers (loops, parallel arrows and 2-cycles occur), ranks 0-2
     per vertex, both orders f*g and g*f, against the per-split and the
@@ -383,6 +373,44 @@ def test_shuffle_mul_matches_per_split_reference(rng):
         xk = SymPoly(pt, {"1": 1}, x("1", 1, k))
         assert shuffle_mul(xk, xk).is_zero() and _reference_shuffle_mul(xk, xk).is_zero()
     assert zeros > 0
+
+
+def test_shuffle_mul_matches_reference_on_every_vertex_kind(rng):
+    """Seeded products against the per-split reference, on random quivers
+    where loops, 2-cycles and parallel arrows occur.  Every kind of vertex
+    occurs: mixed (both blocks non-empty), only block 1, only block 2, rank
+    0; and so do products with no mixed vertex.  One mixed product of
+    ranks (2, 2) and (1, 2) on a => b, b -> a is checked against the
+    Poly-path product."""
+    seen = Counter()
+    done = 0
+    while done < 40:
+        pair = _random_pair(rng, range(1, 7), 2, 40, 6, coeffs=RATIONALS)
+        if pair is None:
+            continue
+        f, g = pair
+        assert shuffle_mul(f, g) == _reference_shuffle_mul(f, g), (f.quiver.arrows, f.gamma, g.gamma)
+        kinds = {(bool(f.gamma[v]), bool(g.gamma[v])) for v in f.quiver.vertices}
+        seen["mixed"] += (True, True) in kinds
+        seen["block 1 only"] += (True, False) in kinds
+        seen["block 2 only"] += (False, True) in kinds
+        seen["rank 0"] += (False, False) in kinds
+        seen["no mixed vertex"] += (True, True) not in kinds
+        arrows = [(a.source, a.target) for a in f.quiver.arrows]
+        seen["loop"] += any(s == t for s, t in arrows)
+        seen["parallel"] += len(set(arrows)) < len(arrows)
+        seen["2-cycle"] += any(s != t and (t, s) in arrows for s, t in arrows)
+        done += 1
+    assert all(seen[k] >= 3 for k in (
+        "mixed", "block 1 only", "block 2 only", "rank 0", "no mixed vertex",
+        "loop", "parallel", "2-cycle",
+    )), seen
+    Q = Quiver(("a", "b"), [Arrow("c1", "a", "b"), Arrow("c2", "a", "b"), Arrow("d", "b", "a")])
+    g1, g2 = {"a": 2, "b": 2}, {"a": 1, "b": 2}
+    f = SymPoly(Q, g1, Poly.const(2) + power_sum(g1, "a", 1) * power_sum(g1, "b", 1))
+    g = SymPoly(Q, g2, power_sum(g2, "a", 1) - power_sum(g2, "b", 2) * Fraction(1, 2))
+    got = shuffle_mul(f, g)
+    assert not got.is_zero() and got == _poly_path_shuffle_mul(f, g)
 
 
 def test_mul_loop_free_units_cancel():
@@ -837,10 +865,12 @@ def _partitions(size, parts, largest=None):
 
 def test_schur_poly_is_the_bialternant():
     """The branching-rule Schur polynomial equals a_{lam+delta} / a_delta,
-    the alternant divided by the Vandermonde one linear factor at a time:
-    every lam with |lam| <= 6 in 1-4 variables."""
+    the alternant divided by the Vandermonde one linear factor at a time
+    with Poly.divide_linear: every lam with |lam| <= 6 in 1-4 variables."""
     checked = 0
     for n in range(1, 5):
+        layout = _layout(("t",), (n,))
+        variables = layout.variables
         for size in range(7):
             for lam in _partitions(size, n):
                 kappa = [lam[n - 1 - i] + i for i in range(n)]
@@ -851,10 +881,10 @@ def test_schur_poly_is_the_bialternant():
                         e[j] = kappa[i]
                     inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
                     alternant[tuple(e)] = -1 if inversions % 2 else 1
-                quotient = alternant
+                quotient = _from_dense(alternant, 1, layout)
                 for a, b in combinations(range(n), 2):
-                    quotient = _divide_diff(quotient, b, a)
-                assert _schur_poly(lam, {}) == quotient, lam
+                    quotient = quotient.divide_linear(variables[b], variables[a])
+                assert _from_dense(_schur_poly(lam), 1, layout) == quotient, lam
                 checked += 1
     assert checked == 7 + 16 + 23 + 27  # partitions of 0..6 into at most n parts
 
@@ -923,16 +953,90 @@ def test_span_degree_blocks_merge_in_pivot_order():
 
 def test_span_checks_its_first_product_against_the_shuffle_kernel(monkeypatch):
     """The Schur route is checked on every call against the shuffle product
-    of its first word: dropping the sign of the sort is caught there."""
+    of its first word.  Both read Schur coordinates with _alternant_key, so
+    the check sees a broken copy of the product's expansion: a _schur_poly
+    that drops its last term makes the first product of J at rank 2, 1 * 1,
+    zero, while its row is 2 * s_(0,0)."""
     J = jordan_quiver()
+    schur_poly = shuffle_module._schur_poly
+
+    def dropping(lam):
+        return dict(list(schur_poly(lam).items())[:-1])
+
+    # the cached function recurses through the module's name, so the broken
+    # copy's values reach its cache: clear it on both sides
+    schur_poly.cache_clear()
+    monkeypatch.setattr(shuffle_module, "_schur_poly", dropping)
+    try:
+        with pytest.raises(InternalConsistencyError, match="disagree with its shuffle product"):
+            spherical_span(J, {"1": 2}, 1)
+    finally:
+        schur_poly.cache_clear()
+
+
+def test_unsigned_alternant_key_is_caught_by_the_reference_product(monkeypatch):
+    """Dropping the sign of the sort in _alternant_key breaks the span and
+    the product alike, so the span's own check cannot see it; the per-split
+    reference product does: 1 * 1 on J is 2, the unsigned read-off gives 0."""
+    J = jordan_quiver()
+    one = SymPoly.one(J, {"1": 1})
+    want = _reference_shuffle_mul(one, one)
+    assert want == SymPoly(J, {"1": 2}, Poly.const(2)) == shuffle_mul(one, one)
 
     def unsigned(e, slices):
         hit = _alternant_key(e, slices)
         return hit and (hit[0], 1)
 
     monkeypatch.setattr(shuffle_module, "_alternant_key", unsigned)
-    with pytest.raises(InternalConsistencyError, match="disagree with its shuffle product"):
-        spherical_span(J, {"1": 2}, 1)
+    assert shuffle_mul(one, one) != want
+
+
+def _split_term_without_block_2_vandermonde(f, g, ranks1, ranks2):
+    """A broken copy of _split_term: Vdm(block 2) is left out at every mixed
+    vertex, so the numerator is symmetric, not antisymmetric, in block 2."""
+    Q = f.quiver
+    block1, block2 = _standard_blocks(f.gamma, g.gamma)
+    shift = {xvar(v, q): vb for v in Q.vertices for q, vb in enumerate(block2[v], start=1)}
+    term = f.poly * g.poly.rename_vars(shift)
+    for v in Q.vertices:
+        if block1[v] and block2[v]:
+            for va, vb in combinations(block1[v], 2):
+                term = term * Poly.linear_diff(vb, va)
+    for vb, va, a_ij in _arrow_factors(Q, block1, block2):
+        term = term * Poly.linear_diff(vb, va) ** a_ij
+    return _to_dense(term, _layout(Q.vertices, tuple(map(sum, zip(ranks1, ranks2)))))
+
+
+def test_product_checks_its_numerator_is_antisymmetric_in_its_blocks(monkeypatch):
+    """x * x^2 on the point quiver at ranks 1 and 2: without Vdm(block 2)
+    the numerator x1 * (x2^2 + x3^2) is symmetric in block 2."""
+    pt = point_quiver()
+    f = SymPoly(pt, {"1": 1}, x("1", 1))
+    g = SymPoly(pt, {"1": 2}, x("1", 1, 2) + x("1", 2, 2))
+    assert shuffle_mul(f, g) == _reference_shuffle_mul(f, g)
+    monkeypatch.setattr(shuffle_module, "_split_term", _split_term_without_block_2_vandermonde)
+    with pytest.raises(InternalConsistencyError, match="not antisymmetric in its blocks"):
+        shuffle_mul(f, g)
+
+
+def test_product_checks_its_schur_coordinates_divide_exactly(monkeypatch):
+    """An _alternant_key that does not sort leaves each term of the
+    numerator its own coordinate; the antisymmetry check cannot see it (the
+    numerator is right), the division by g1! * g2! can.  1 * x^2 on the
+    point quiver at ranks 2 and 1: the numerator (x2 - x1) * x3^2 has the
+    coordinate 1 at (0, 1, 2), which 2! * 1! does not divide."""
+    pt = point_quiver()
+    f = SymPoly.one(pt, {"1": 2})
+    g = SymPoly(pt, {"1": 1}, x("1", 1, 2))
+    assert shuffle_mul(f, g) == _reference_shuffle_mul(f, g) == SymPoly.one(pt, {"1": 3})
+
+    def unsorted(e, slices):
+        hit = _alternant_key(e, slices)
+        return hit and (e, 1)
+
+    monkeypatch.setattr(shuffle_module, "_alternant_key", unsorted)
+    with pytest.raises(InternalConsistencyError, match="not divisible by 2"):
+        shuffle_mul(f, g)
 
 
 def _criterion_9_queries():

@@ -1,0 +1,72 @@
+"""In-process timings of large shuffle products, which the benchmark's tiers
+do not reach.
+
+usage: python3 tools/product_timings.py [--src DIR] [--reps N]
+
+Imports quiveralg from DIR (default: this checkout's src/), times
+shuffle_mul on each product below N times (default 3) and prints one JSON
+line per product: the seconds of every repetition, the number of result
+terms, and a digest of the sorted result terms, so that two checkouts can
+be compared product by product.  Every element is 2 + sum_v p1_v * p2_v,
+p_k the k-th power sum of the slot variables at vertex v.  Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import time
+from pathlib import Path
+
+PRODUCTS = (
+    # (label, vertices, arrows (id, source, target), ranks of f, ranks of g)
+    ("a=>b, b->a (2,2)*(2,2)", ("a", "b"),
+     (("c1", "a", "b"), ("c2", "a", "b"), ("d", "b", "a")), (2, 2), (2, 2)),
+    ("a=>b, b->a (2,2)*(1,2)", ("a", "b"),
+     (("c1", "a", "b"), ("c2", "a", "b"), ("d", "b", "a")), (2, 2), (1, 2)),
+    ("C3 (3 loops) (3)*(2)", ("v",),
+     (("l1", "v", "v"), ("l2", "v", "v"), ("l3", "v", "v")), (3,), (2,)),
+)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    ap.add_argument("--reps", type=int, default=3)
+    args = ap.parse_args(argv)
+    sys.path.insert(0, args.src)
+    from quiveralg.poly import Poly, xvar
+    from quiveralg.quiver import Arrow, Quiver
+    from quiveralg.shuffle import SymPoly, shuffle_mul
+
+    def element(Q, ranks):
+        """2 + sum_v p1_v * p2_v in the sector of the given ranks."""
+        poly = Poly.const(2)
+        for v, r in zip(Q.vertices, ranks):
+            p1 = p2 = Poly.zero()
+            for a in range(1, r + 1):
+                p1 = p1 + Poly.var(xvar(v, a))
+                p2 = p2 + Poly.var(xvar(v, a), 2)
+            poly = poly + p1 * p2
+        return SymPoly(Q, dict(zip(Q.vertices, ranks)), poly)
+
+    for label, vertices, arrows, r1, r2 in PRODUCTS:
+        Q = Quiver(vertices, [Arrow(*a) for a in arrows])
+        f, g = element(Q, r1), element(Q, r2)
+        seconds = []
+        for _ in range(args.reps):
+            start = time.perf_counter()
+            result = shuffle_mul(f, g)
+            seconds.append(round(time.perf_counter() - start, 4))
+        terms = sorted((m, str(c)) for m, c in result.poly.terms.items())
+        digest = hashlib.sha256(repr(terms).encode()).hexdigest()[:16]
+        print(json.dumps({"product": label, "seconds": seconds,
+                          "terms": len(terms), "digest": digest}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
