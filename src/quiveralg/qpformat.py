@@ -24,10 +24,16 @@ require the arrow to be designated by ``invert:``.  A potential term may
 start with a rational coefficient followed by ``*``; a bare word carries
 coefficient 1.  All parse failures are reported together as diagnostics
 carrying byte spans into the source text.
+
+The parse reads plain strings: a section's lines are joined into one
+text, its passes cut pieces of it by position, and element terms go
+straight to (monomial, coefficient) pairs.  Source spans are computed
+only for diagnostics, from the section's table of source offsets.
 """
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import DegenerateTermError, PreconditionError, QPParseError
@@ -65,67 +71,63 @@ class QPDocument(NamedTuple):
 
 _ID_RE = re.compile(r"[^\s#.,;:=<>]+\Z")
 _SECTION_RE = re.compile(r"(quiver)(\s+|$)|(vertices|arrows|potential|invert|gamma):")
-_RAT_RE = re.compile(r"-?\d+(?:/\d+)?")
+_RAT = r"(-?\d+)(?:/(\d+))?"
+_RAT_RE = re.compile(_RAT)
+_COEFF_RE = re.compile(_RAT + r"\s*\*\s*")
+_DIGITS_RE = re.compile(r"\d+")
 _XVAR_RE = re.compile(r"x\[([^\],]+),(\d+)\](?:\^(\d+))?")
 _TERM_SEP_RE = re.compile(r" [+-] ")
 
 
-class _Src:
-    """A piece of parsed text with, per character, its offset in the original
-    source, so every slice knows its own span."""
-
-    __slots__ = ("text", "offs", "anchor")
-
-    def __init__(self, text, offs, anchor):
-        self.text = text
-        self.offs = offs
-        self.anchor = anchor
-
-    def _anchor_at(self, i):
-        if i < len(self.offs):
-            return self.offs[i]
-        if self.offs:
-            return self.offs[-1] + 1
-        return self.anchor
-
-    def slice(self, i, j):
-        return _Src(self.text[i:j], self.offs[i:j], self._anchor_at(i))
-
-    def span(self):
-        if self.offs:
-            return (self.offs[0], self.offs[-1] + 1)
-        return (self.anchor, self.anchor)
-
-    def strip(self):
-        lead = len(self.text) - len(self.text.lstrip())
-        trail = len(self.text.rstrip())
-        return self.slice(lead, trail)
-
-    def split(self, sep):
-        out = []
-        start = 0
-        while True:
-            k = self.text.find(sep, start)
-            if k < 0:
-                out.append(self.slice(start, len(self.text)))
-                return out
-            out.append(self.slice(start, k))
-            start = k + len(sep)
+def _strip(piece, i):
+    """piece, found at position i, stripped of whitespace, with its bounds;
+    an all-blank piece strips to the empty piece at its end."""
+    s = piece.lstrip()
+    i += len(piece) - len(s)
+    s = s.rstrip()
+    return s, i, i + len(s)
 
 
-def _materialize(parts):
-    """Join section fragments into one _Src, one space per line break."""
-    chars = []
-    offs = []
-    for start, piece in parts:
-        if chars:
-            offs.append(offs[-1] + 1)
-            chars.append(" ")
-        for i, ch in enumerate(piece):
-            chars.append(ch)
-            offs.append(start + i)
-    anchor = parts[0][0] if parts else 0
-    return _Src("".join(chars), offs, anchor)
+def _rational(m):
+    """The rational of a match of _RAT, or None if its denominator is 0."""
+    num, den = int(m[1]), int(m[2] or 1)
+    return None if den == 0 else num if den == 1 else Fraction(num, den)
+
+
+class _Section:
+    """A section's (source offset, text) fragments joined into one text,
+    one space per line break once some text is out (only the header's
+    fragment can be empty).  Passes read the text by position; source
+    offsets are looked up only for diagnostics."""
+
+    __slots__ = ("parts", "text", "_offs")
+
+    def __init__(self, parts):
+        self.parts = parts
+        self.text = " ".join(piece for _, piece in parts if piece)
+        self._offs = None
+
+    def offsets(self):
+        """The source offset of every character of text, a line break's
+        space one past the end of its line's text; built on first use."""
+        if self._offs is None:
+            self._offs = offs = []
+            for start, piece in self.parts:
+                if offs:
+                    offs.append(offs[-1] + 1)
+                offs += range(start, start + len(piece))
+        return self._offs
+
+
+def _stripped(sec, a, b, *enclosing):
+    """Where, for _Parser.error, the stripped piece of sec.text[a:b] sits."""
+    return (sec, *_strip(sec.text[a:b], a)[1:], a, b, *enclosing)
+
+
+def _bad_id(name, what):
+    """Why name is not a valid identifier, or None."""
+    if not _ID_RE.match(name):
+        return f"invalid {what} name {name!r}" if name else f"empty {what} name"
 
 
 class _Parser:
@@ -133,19 +135,39 @@ class _Parser:
         self.text = text
         self.diags = []
 
-    def error(self, src_or_span, message):
-        span = src_or_span.span() if isinstance(src_or_span, _Src) else src_or_span
-        self.diags.append(("error", span[0], span[1], message))
+    def error(self, where, message):
+        """Record a diagnostic at `where`: a source span (start, end), or
+        (section, i, j, a1, b1, a2, b2, ...), the piece text[i:j] of a
+        section cut from the pieces text[a1:b1], text[a2:b2], ... (innermost
+        first) of its text.  A non-empty piece spans its characters.  An
+        empty piece sits in the innermost non-empty piece around it, the
+        whole text last: at its character i, or one past its last character
+        when i is its end; with no such piece, at the section's first
+        fragment."""
+        if len(where) > 2:
+            sec, i, j, *enclosing = where
+            offs = sec.offsets()
+            if i < j:
+                where = (offs[i], offs[j - 1] + 1)
+            else:
+                k = sec.parts[0][0] if sec.parts else 0
+                for a, b in zip(enclosing[::2] + [0], enclosing[1::2] + [len(offs)]):
+                    if a < b:
+                        k = offs[i] if i < b else offs[b - 1] + 1
+                        break
+                where = (k, k)
+        self.diags.append(("error", where[0], where[1], message))
 
     # -- scanning ---------------------------------------------------------
 
     def scan(self):
-        """Split the source into sections; returns (name_src, sections,
-        gamma_records) where sections maps kind -> fragment list."""
+        """Split the source into sections; returns (name, sections,
+        gamma_records): name is (offset, text) or None, sections maps kind
+        -> fragment list."""
         sections = {}
         gammas = []
         current = None
-        name_src = None
+        name = None
         pos = 0
         for line in self.text.split("\n"):
             line_start = pos
@@ -155,186 +177,160 @@ class _Parser:
             stripped = content.strip()
             if not stripped:
                 continue
-            lead = len(content) - len(content.lstrip())
+            s = line_start + len(content) - len(content.lstrip())
             head = _SECTION_RE.match(stripped)
             if head is None:
                 if current is None:
-                    self.error(
-                        (line_start + lead, line_start + len(content.rstrip())),
-                        "content before any section header",
-                    )
+                    self.error((s, s + len(stripped)), "content before any section header")
                 else:
-                    current.append((line_start + lead, stripped))
+                    current.append((s, stripped))
                 continue
-            payload_rel = lead + head.end()
-            payload = content[payload_rel:].strip()
-            payload_start = line_start + payload_rel + (
-                len(content[payload_rel:]) - len(content[payload_rel:].lstrip())
-            )
+            payload, start, _ = _strip(content[s - line_start + head.end():], s + head.end())
             kind = head.group(1) or head.group(3)
             if kind == "quiver":
-                if name_src is not None:
-                    self.error(
-                        (line_start + lead, line_start + lead + 6),
-                        "duplicate 'quiver' line",
-                    )
-                    current = None
-                    continue
-                name_src = _Src(
-                    payload, tuple(range(payload_start, payload_start + len(payload))),
-                    payload_start,
-                )
+                if name is not None:
+                    self.error((s, s + 6), "duplicate 'quiver' line")
+                else:
+                    name = (start, payload)
                 current = None
                 continue
-            record = [(payload_start, payload)]
+            record = [(start, payload)]
             if kind == "gamma":
                 gammas.append(record)
             elif kind in sections:
-                self.error(
-                    (line_start + lead, line_start + lead + len(kind) + 1),
-                    f"duplicate '{kind}' section",
-                )
+                self.error((s, s + len(kind) + 1), f"duplicate '{kind}' section")
                 record = []  # swallow continuations of the duplicate
             else:
                 sections[kind] = record
             current = record
-        return name_src, sections, gammas
+        return name, sections, gammas
 
     # -- section passes ---------------------------------------------------
 
-    def check_id(self, src, what):
-        name = src.text
-        if not name:
-            self.error(src, f"empty {what} name")
-            return None
-        if not _ID_RE.match(name):
-            self.error(src, f"invalid {what} name {name!r}")
-            return None
-        return name
+    def parse_name(self, name):
+        start, text = name or (0, "Q")
+        problem = _bad_id(text, "quiver")
+        if problem:
+            self.error((start, start + len(text)), problem)
+        return "Q" if problem else text
 
-    def parse_name(self, name_src):
-        if name_src is None:
-            return "Q"
-        got = self.check_id(name_src.strip(), "quiver")
-        return got if got is not None else "Q"
-
-    def parse_vertices(self, parts):
-        src = _materialize(parts).strip()
+    def parse_vertices(self, sec):
+        src, i0, j0 = _strip(sec.text, 0)
         vertices = []
         seen = set()
-        if not src.text:
-            return vertices
-        for piece in src.split(","):
-            piece = piece.strip()
-            name = self.check_id(piece, "vertex")
-            if name is None:
-                continue
-            if name in seen:
-                self.error(piece, f"duplicate vertex {name!r}")
-                continue
-            seen.add(name)
-            vertices.append(name)
+        pos = i0
+        for raw in src.split(",") if src else ():
+            name = raw.strip()
+            problem = _bad_id(name, "vertex") or (
+                name in seen and f"duplicate vertex {name!r}")
+            if problem:
+                self.error(_stripped(sec, pos, pos + len(raw), i0, j0), problem)
+            else:
+                seen.add(name)
+                vertices.append(name)
+            pos += len(raw) + 1
         return vertices
 
-    def parse_arrows(self, parts, vertex_set):
-        src = _materialize(parts)
+    def parse_arrows(self, sec, vertex_set):
         arrows = []
         seen = set()
-        for chunk in src.split(";"):
-            chunk = chunk.strip()
-            if not chunk.text:
+        pos = 0
+        for raw in sec.text.split(";"):
+            chunk, ci, cj = _strip(raw, pos)
+            pos += len(raw) + 1
+            if not chunk:
                 continue
-            colon = chunk.text.find(":")
-            if colon < 0:
-                self.error(chunk, "expected 'id: source -> target'")
+            head, colon, rest = chunk.partition(":")
+            if not colon:
+                self.error((sec, ci, cj), "expected 'id: source -> target'")
                 continue
-            aid = self.check_id(chunk.slice(0, colon).strip(), "arrow")
-            rest = chunk.slice(colon + 1, len(chunk.text))
-            sep = rest.text.find("->")
-            if sep < 0:
-                self.error(rest.strip() if rest.text.strip() else chunk,
+            aid = head.strip()
+            problem = _bad_id(aid, "arrow")
+            if problem:
+                self.error(_stripped(sec, ci, ci + len(head), ci, cj), problem)
+            ri = ci + len(head) + 1
+            source, arrow, target = rest.partition("->")
+            if not arrow:
+                self.error(_stripped(sec, ri, cj) if rest.strip() else (sec, ci, cj),
                            "expected '->' between source and target")
                 continue
-            ends = [rest.slice(0, sep).strip(),
-                    rest.slice(sep + 2, len(rest.text)).strip()]
             names = []
-            for end in ends:
-                name = self.check_id(end, "vertex")
-                if name is not None and name not in vertex_set:
-                    self.error(end, f"unknown vertex {name!r}")
-                    name = None
-                names.append(name)
-            if aid is None or None in names:
+            for a, end in ((ri, source), (ri + len(source) + 2, target)):
+                name = end.strip()
+                why = _bad_id(name, "vertex") or (
+                    name not in vertex_set and f"unknown vertex {name!r}")
+                if why:
+                    self.error(_stripped(sec, a, a + len(end), ri, cj), why)
+                names.append(None if why else name)
+            if problem or None in names:
                 continue
             if aid in seen:
-                self.error(chunk.slice(0, colon).strip(), f"duplicate arrow {aid!r}")
+                self.error(_stripped(sec, ci, ci + len(head), ci, cj), f"duplicate arrow {aid!r}")
                 continue
             seen.add(aid)
             arrows.append(Arrow(aid, names[0], names[1]))
         return arrows
 
-    def parse_invert(self, parts, arrow_ids):
-        src = _materialize(parts).strip()
-        if "," in src.text:
-            self.error(src, "exactly one arrow may be designated invertible")
+    def parse_invert(self, sec, arrow_ids):
+        src, i, j = _strip(sec.text, 0)
+        problem = ("," in src and "exactly one arrow may be designated invertible"
+                   or _bad_id(src, "arrow")
+                   or src not in arrow_ids and f"unknown arrow {src!r}")
+        if problem:
+            self.error((sec, i, j), problem)
             return None
-        name = self.check_id(src, "arrow")
-        if name is None:
-            return None
-        if name not in arrow_ids:
-            self.error(src, f"unknown arrow {name!r}")
-            return None
-        return name
+        return src
 
-    def resolve_letter(self, letter, arrow_ids):
-        name = letter.text
-        if name in arrow_ids:
-            return Sym(name)
-        if name.endswith("^-1") and name[:-3] in arrow_ids:
-            return Sym(name[:-3], inv=True)
-        self.error(letter, f"unknown arrow {name!r} in potential term")
-        return None
-
-    def parse_potential(self, parts, Q, inverted):
+    def parse_potential(self, sec, Q, inverted):
         terms = {}
-        src = _materialize(parts).strip()
-        if not src.text:
+        src, i0, j0 = _strip(sec.text, 0)
+        if not src:
             return Potential.zero()
-        for term in src.split(" + "):
-            term = term.strip()
-            if not term.text:
-                self.error(term, "empty potential term")
+        arrow_ids = {a.id for a in Q.arrows}
+        pos = i0
+        for raw in src.split(" + "):
+            start, pos = pos, pos + len(raw) + 3
+            term, ti, tj = _strip(raw, start)
+            if not term:
+                self.error(_stripped(sec, start, pos - 3, i0, j0), "empty potential term")
                 continue
-            coeff = Fraction(1)
-            word_src = term
-            m = re.match(r"(-?\d+(?:/\d+)?)\s*\*\s*", term.text)
+            coeff = 1
+            word, wi, wj = term, ti, tj
+            m = _COEFF_RE.match(term)
             if m is not None:
-                coeff = Fraction(m.group(1))
-                word_src = term.slice(m.end(), len(term.text)).strip()
-            if not word_src.text:
-                self.error(term, "coefficient without a path")
+                coeff = _rational(m)
+                if coeff is None:
+                    self.error((sec, ti, ti + m.end(2)),
+                               f"zero denominator in coefficient {term[:m.end(2)]!r}")
+                    continue
+                word, wi, wj = _strip(term[m.end():], ti + m.end())
+            if not word:
+                self.error((sec, ti, tj), "coefficient without a path")
                 continue
             syms = []
-            letter_srcs = []
+            letters = []
             bad = False
-            for letter in word_src.split("."):
-                letter = letter.strip()
-                if not letter.text:
-                    self.error(word_src, "empty letter in path (stray '.')")
+            lpos = wi
+            for raw_letter in word.split("."):
+                letter, li, lj = _strip(raw_letter, lpos)
+                lpos += len(raw_letter) + 1
+                if letter in arrow_ids:
+                    syms.append(Sym(letter))
+                elif letter.endswith("^-1") and letter[:-3] in arrow_ids:
+                    syms.append(Sym(letter[:-3], inv=True))
+                else:
+                    self.error((sec, li, lj) if letter else (sec, wi, wj),
+                               f"unknown arrow {letter!r} in potential term" if letter
+                               else "empty letter in path (stray '.')")
                     bad = True
                     continue
-                sym = self.resolve_letter(letter, {a.id for a in Q.arrows})
-                if sym is None:
-                    bad = True
-                    continue
-                syms.append(sym)
-                letter_srcs.append(letter)
+                letters.append((sec, li, lj))
             if bad or not syms:
                 continue
             for k in range(1, len(syms)):
                 if sym_source(Q, syms[k - 1]) != sym_target(Q, syms[k]):
                     self.error(
-                        letter_srcs[k],
+                        letters[k],
                         f"letters {syms[k - 1]}.{syms[k]} do not compose "
                         f"(source {sym_source(Q, syms[k - 1])!r} != "
                         f"target {sym_target(Q, syms[k])!r})",
@@ -344,15 +340,15 @@ class _Parser:
                 continue
             if sym_source(Q, syms[-1]) != sym_target(Q, syms[0]):
                 self.error(
-                    word_src,
+                    (sec, wi, wj),
                     f"potential term is not closed (starts at "
                     f"{sym_target(Q, syms[0])!r}, ends at {sym_source(Q, syms[-1])!r})",
                 )
                 continue
-            for sym, letter in zip(syms, letter_srcs):
+            for sym, where in zip(syms, letters):
                 if sym.inv and sym.arrow != inverted:
                     self.error(
-                        letter,
+                        where,
                         f"inverse letter {sym} of an arrow not designated by 'invert:'",
                     )
                     bad = True
@@ -361,151 +357,144 @@ class _Parser:
             try:
                 w = cyclic_normal_form(Q, Path(tuple(syms)))
             except DegenerateTermError:
-                self.error(word_src, "potential term cancels to an empty cycle")
+                self.error((sec, wi, wj), "potential term cancels to an empty cycle")
                 continue
             terms[w] = terms.get(w, Fraction(0)) + coeff
         return Potential(terms)
 
     # -- element entries ----------------------------------------------------
 
-    def parse_gamma_assignments(self, src, Q):
-        gamma = {v: 0 for v in Q.vertices}
+    def parse_gamma_assignments(self, sec, semi):
+        """The ranks before the element's ';' at semi."""
+        gamma = {v: 0 for v in self.quiver.vertices}
         seen = set()
-        src = src.strip()
-        if not src.text:
-            return gamma
-        for piece in src.split(","):
-            piece = piece.strip()
-            eq = piece.text.find("=")
-            if eq < 0:
-                self.error(piece, "expected 'vertex=rank'")
-                continue
-            vname_src = piece.slice(0, eq).strip()
-            vname = vname_src.text
-            if vname not in gamma:
-                self.error(vname_src, f"unknown vertex {vname!r}")
-                continue
-            if vname in seen:
-                self.error(vname_src, f"duplicate rank for vertex {vname!r}")
-                continue
-            val_src = piece.slice(eq + 1, len(piece.text)).strip()
-            if not re.fullmatch(r"\d+", val_src.text):
-                self.error(val_src, f"rank must be a nonnegative integer, got {val_src.text!r}")
-                continue
-            seen.add(vname)
-            gamma[vname] = int(val_src.text)
+        src, i0, j0 = _strip(sec.text[:semi], 0)
+        pos = i0
+        for raw in src.split(",") if src else ():
+            piece, pi, pj = _strip(raw, pos)
+            head, eq, tail = piece.partition("=")
+            vname, val = head.strip(), tail.strip()
+            if not eq:
+                self.error(_stripped(sec, pos, pos + len(raw), i0, j0), "expected 'vertex=rank'")
+            elif vname in seen or vname not in gamma:
+                what = "duplicate rank for" if vname in seen else "unknown"
+                self.error(_stripped(sec, pi, pi + len(head), pi, pj), f"{what} vertex {vname!r}")
+            elif not _DIGITS_RE.fullmatch(val):
+                self.error(_stripped(sec, pi + len(head) + 1, pj, pi, pj),
+                           f"rank must be a nonnegative integer, got {val!r}")
+            else:
+                seen.add(vname)
+                gamma[vname] = int(val)
+            pos += len(raw) + 1
         return gamma
 
-    def parse_poly(self, src, Q, gamma):
-        """The sum of the signed terms, built in one pass over their
-        (monomial, coefficient) pairs."""
-        # Split on " + " / " - " from left to right, keeping _Src slices.
-        pieces = []
-        start = 0
-        sign = 1
-        for cut in _TERM_SEP_RE.finditer(src.text):
-            pieces.append((sign, src.slice(start, cut.start()).strip()))
-            sign = 1 if cut.group() == " + " else -1
-            start = cut.end()
-        pieces.append((sign, src.slice(start, len(src.text)).strip()))
+    def parse_poly(self, where, gamma):
+        """The sum of the signed terms of the piece at `where`, built in one
+        pass over their (monomial, coefficient) pairs."""
+        sec, i0, j0 = where[:3]
+        text = sec.text
         pairs = []
-        first = True
-        for sign, piece in pieces:
-            term = self.parse_poly_term(piece, Q, gamma, first)
-            first = False
-            if term is not None:
-                pairs += ((m, c if sign > 0 else -c) for m, c in term.terms.items())
+        start, sign = i0, 1
+        for cut in (*_TERM_SEP_RE.finditer(text, i0, j0), None):
+            end = j0 if cut is None else cut.start()
+            term, ti, _ = _strip(text[start:end], start)
+            if not term:
+                self.error(_stripped(sec, start, end, *where[1:]), "empty polynomial term")
+            else:
+                pair = self.parse_poly_term(sec, term, ti, start == i0, gamma)
+                if pair is not None:
+                    pairs.append(pair if sign > 0 else (pair[0], -pair[1]))
+            if cut is not None:
+                start, sign = cut.end(), (1 if cut.group() == " + " else -1)
         return Poly.from_pairs(pairs)
 
-    def parse_poly_term(self, piece, Q, gamma, allow_leading_minus):
-        text = piece.text
-        if not text:
-            self.error(piece, "empty polynomial term")
-            return None
+    def parse_poly_term(self, sec, text, ti, allow_leading_minus, gamma):
+        """(monomial, coefficient) of the term text at ti, or None if the
+        coefficient is 0 or the term is malformed."""
         pos = 0
-        coeff = Fraction(1)
-        if allow_leading_minus and text[pos] == "-" and not _RAT_RE.match(text, pos):
-            coeff = -coeff
-            pos += 1
+        coeff = 1
+        if allow_leading_minus and text[0] == "-" and not _RAT_RE.match(text):
+            coeff = -1
+            pos = 1
         m = _RAT_RE.match(text, pos)
-        factors = []
-        if m is not None:
-            nxt = m.end()
-            if nxt >= len(text):
-                return Poly.const(coeff * Fraction(m.group(0)))
-            if text[nxt] == "*":
-                coeff *= Fraction(m.group(0))
-                pos = nxt + 1
+        if m is not None and (m.end() == len(text) or text[m.end()] == "*"):
+            c = _rational(m)
+            if c is None:
+                self.error((sec, ti + m.start(), ti + m.end()),
+                           f"zero denominator in coefficient {m.group()!r}")
+                return None
+            coeff *= c
+            pos = m.end() + 1
+        exps = {}
         while pos < len(text):
             v = _XVAR_RE.match(text, pos)
             if v is None:
-                self.error(piece.slice(pos, len(text)),
+                self.error((sec, ti + pos, ti + len(text)),
                            f"malformed monomial near {text[pos:]!r}")
                 return None
             vertex, slot, exp = v.group(1), int(v.group(2)), int(v.group(3) or 1)
             if vertex not in gamma:
-                self.error(piece.slice(pos, v.end()), f"unknown vertex {vertex!r}")
+                self.error((sec, ti + pos, ti + v.end()), f"unknown vertex {vertex!r}")
                 return None
             if not 1 <= slot <= gamma[vertex]:
                 self.error(
-                    piece.slice(pos, v.end()),
+                    (sec, ti + pos, ti + v.end()),
                     f"slot {slot} out of range for vertex {vertex!r} (rank {gamma[vertex]})",
                 )
                 return None
-            factors.append((xvar(vertex, slot), exp))
+            if exp:
+                var = xvar(vertex, slot)
+                exps[var] = exps.get(var, 0) + exp
             pos = v.end()
             if pos < len(text):
                 if text[pos] != "*":
-                    self.error(piece.slice(pos, len(text)),
+                    self.error((sec, ti + pos, ti + len(text)),
                                f"expected '*' between factors, got {text[pos:]!r}")
                     return None
                 pos += 1
-        term = Poly.const(coeff)
-        for var, exp in factors:
-            term = term * Poly.var(var, exp)
-        return term
+        return (tuple(sorted(exps.items())), coeff) if coeff else None
 
-    def parse_element(self, parts, Q):
-        src = _materialize(parts)
-        semi = src.text.find(";")
+    def parse_element(self, sec):
+        text = sec.text
+        semi = text.find(";")
         if semi < 0:
-            self.error(src.strip(), "element entry needs '; poly: ...' after the ranks")
+            self.error(_stripped(sec, 0, len(text)),
+                       "element entry needs '; poly: ...' after the ranks")
             return None
-        gamma_src = src.slice(0, semi)
-        rest = src.slice(semi + 1, len(src.text)).strip()
-        if not rest.text.startswith("poly:"):
-            self.error(rest if rest.text else src.strip(),
+        rest, ri, rj = _strip(text[semi + 1:], semi + 1)
+        if not rest.startswith("poly:"):
+            self.error((sec, ri, rj) if rest else _stripped(sec, 0, len(text)),
                        "expected 'poly:' after ';' in element entry")
             return None
-        poly_src = rest.slice(5, len(rest.text)).strip()
+        where = _stripped(sec, ri + 5, rj, ri, rj)
         before = len(self.diags)
-        gamma = self.parse_gamma_assignments(gamma_src, Q)
+        gamma = self.parse_gamma_assignments(sec, semi)
         if len(self.diags) > before:
             return None
-        poly = self.parse_poly(poly_src, Q, gamma)
+        poly = self.parse_poly(where, gamma)
         if len(self.diags) > before:
             return None
         try:
-            return SymPoly(Q, gamma, poly)
+            return SymPoly(self.quiver, gamma, poly)
         except PreconditionError as exc:
-            self.error(poly_src, str(exc))
+            self.error(where, str(exc))
             return None
 
     # -- driver -------------------------------------------------------------
 
     def run(self):
-        name_src, sections, gammas = self.scan()
-        name = self.parse_name(name_src)
-        vertices = self.parse_vertices(sections.get("vertices", []))
-        arrows = self.parse_arrows(sections.get("arrows", []), set(vertices))
-        Q = Quiver(vertices, arrows, name=name)
+        name, sections, gammas = self.scan()
+        name = self.parse_name(name)
+        vertices = self.parse_vertices(_Section(sections.get("vertices", [])))
+        arrows = self.parse_arrows(_Section(sections.get("arrows", [])), set(vertices))
+        Q = self.quiver = Quiver(vertices, arrows, name=name)
         inverted = None
         if "invert" in sections:
-            inverted = self.parse_invert(sections["invert"], {a.id for a in arrows})
-        potential = self.parse_potential(sections.get("potential", []), Q, inverted)
+            inverted = self.parse_invert(_Section(sections["invert"]), {a.id for a in arrows})
+        potential = self.parse_potential(_Section(sections.get("potential", [])), Q, inverted)
         elements = []
         for record in gammas:
-            el = self.parse_element(record, Q)
+            el = self.parse_element(_Section(record))
             if el is not None:
                 elements.append(el)
         if self.diags:
@@ -515,13 +504,12 @@ class _Parser:
         return doc
 
     def finish_diagnostics(self):
-        btab = [0]
-        for ch in self.text:
-            btab.append(btab[-1] + len(ch.encode("utf-8")))
-        out = []
-        for severity, start, end, message in self.diags:
-            out.append(Diagnostic(severity, btab[start], btab[end], message))
-        return out
+        """The diagnostics, character offsets turned into byte offsets."""
+        text = self.text
+        btab = range(len(text) + 1) if text.isascii() else [
+            0, *accumulate(map(len, map(str.encode, text)))]
+        return [Diagnostic(sev, btab[start], btab[end], message)
+                for sev, start, end, message in self.diags]
 
 
 def parse_qp(text):

@@ -113,6 +113,7 @@ class SymPoly:
 
     def _validate_poly(self):
         gamma = self.gamma
+        slots = Counter()
         for v in self._poly.variables():
             if len(v) != 3 or v[0] != "x":
                 raise PreconditionError(f"foreign variable {v!r}")
@@ -123,19 +124,24 @@ class SymPoly:
                 raise PreconditionError(
                     f"slot {slot} out of range 1..{gamma[vertex]} at vertex {vertex!r}"
                 )
+            slots[vertex] += 1
         # Swapping two slots is a bijection on monomials, so the polynomial
         # is invariant iff every term's swapped monomial has its coefficient.
+        # A vertex no variable mentions is invariant, and one with only some
+        # of its slots mentioned is not, so swaps are tried only at vertices
+        # with every slot mentioned: at most as many as there are variables.
         terms = self._poly.terms
         for vertex, n in gamma.items():
-            for a in range(1, n):
+            symmetric = slots[vertex] in (0, n)
+            for a in range(1, n if slots[vertex] == n else 0):
                 va, vb = xvar(vertex, a), xvar(vertex, a + 1)
                 swap = {va: vb, vb: va}
                 for m, c in terms.items():
                     swapped = tuple(sorted([(swap.get(v, v), e) for v, e in m]))
                     if swapped != m and terms.get(swapped) != c:
-                        raise PreconditionError(
-                            f"polynomial is not symmetric in the slots of {vertex!r}"
-                        )
+                        symmetric = False
+            if not symmetric:
+                raise PreconditionError(f"polynomial is not symmetric in the slots of {vertex!r}")
 
     def _validate_dense(self):
         """The checks of _validate_poly on exponent tuples: one entry per

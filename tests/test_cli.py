@@ -483,6 +483,21 @@ def test_parse_error_exits_2_with_spans(tmp_path, capsys):
     assert "error[28:29]: unknown vertex 'w'" in err
 
 
+@pytest.mark.parametrize("command, text, span", [
+    (("shuffle-mul",), "vertices: u\narrows:\ngamma: u=1; poly: 1/0*x[u,1]\n"
+     "gamma: u=1; poly: 1\n", "[38:41]"),
+    (("contract", "--arrow", "a"), "vertices: u, v\narrows: a: u -> v; l: v -> v\n"
+     "potential: 1/0 * l\n", "[55:58]"),
+])
+def test_zero_denominator_exits_2_with_its_span(tmp_path, capsys, command, text, span):
+    """A zero denominator is a parse error (exit 2), not an untyped crash."""
+    f = tmp_path / "zero.qp"
+    f.write_text(text)
+    code, out, err = run(capsys, *command, str(f))
+    assert (code, out) == (2, "")
+    assert err == f"error{span}: zero denominator in coefficient '1/0'\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "contract", "--arrow", "a", "/nonexistent.qp")
     assert code == 2

@@ -10,9 +10,10 @@ from math import comb
 import pytest
 
 import quiveralg.shuffle as shuffle_module
-from quiveralg.errors import InternalConsistencyError, PreconditionError
+from quiveralg.errors import InternalConsistencyError, PreconditionError, QPParseError
 from quiveralg.linalg import rref
 from quiveralg.poly import Poly, Rat, xvar
+from quiveralg.qpformat import parse_qp
 from quiveralg.quiver import Arrow, Quiver, euler_form
 from quiveralg.shuffle import (
     INCONCLUSIVE,
@@ -82,6 +83,36 @@ def test_sympoly_accepts_symmetric():
     J = jordan_quiver()
     p = SymPoly(J, {"1": 2}, x("1", 1) + x("1", 2))
     assert p.gamma_key() == (2,)
+
+
+def test_symmetry_check_scales_with_the_polynomial_not_the_rank(monkeypatch):
+    """A vertex no variable mentions is skipped, and one with only some of
+    its slots mentioned is refused at once: at rank 10^6 the check builds
+    no more slot variables than the polynomial has terms."""
+    calls = []
+    real_xvar = shuffle_module.xvar
+
+    def counting_xvar(vertex, slot):
+        calls.append(slot)
+        return real_xvar(vertex, slot)
+
+    monkeypatch.setattr(shuffle_module, "xvar", counting_xvar)
+    n = 10**6
+    Q = Quiver(["1", "2"], [Arrow("a", "1", "2")])
+    assert SymPoly(Q, {"1": n, "2": n}, Poly.const(3)).gamma == {"1": n, "2": n}
+    el = SymPoly(Q, {"1": n, "2": 2}, x("2", 1) * x("2", 2) + 1)
+    assert el.poly.terms and len(calls) <= len(el.poly.terms)
+    for poly in (x("1", 1), x("1", 1) + x("1", 2) + x("2", 1), x("1", 1) * x("1", n)):
+        calls.clear()
+        with pytest.raises(PreconditionError) as err:
+            SymPoly(Q, {"1": n, "2": 1}, poly)
+        assert str(err.value) == "polynomial is not symmetric in the slots of '1'"
+        assert len(calls) <= len(poly.terms)
+    # through the parser, at ranks whose slots could never all be visited
+    doc = parse_qp("vertices: u\narrows:\ngamma: u=300000; poly: 1\n")
+    assert doc.elements[0].gamma == {"u": 300000}
+    with pytest.raises(QPParseError, match="not symmetric in the slots of 'u'"):
+        parse_qp(f"vertices: u\narrows:\ngamma: u={10**12}; poly: x[u,1]\n")
 
 
 def _first_asymmetric_vertex(poly, gamma):
