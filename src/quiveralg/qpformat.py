@@ -119,9 +119,12 @@ class _Section:
         return self._offs
 
 
-def _stripped(sec, a, b, *enclosing):
-    """Where, for _Parser.error, the stripped piece of sec.text[a:b] sits."""
-    return (sec, *_strip(sec.text[a:b], a)[1:], a, b, *enclosing)
+def _stripped(sec, a, b):
+    """Where, for _Parser.error, the stripped piece of sec.text[a:b] sits:
+    (sec, i, j, end), end being b if sec.text[a:b] is non-empty, else the
+    end of the whole text."""
+    _, i, j = _strip(sec.text[a:b], a)
+    return sec, i, j, b if a < b else len(sec.text)
 
 
 def _bad_id(name, what):
@@ -137,24 +140,23 @@ class _Parser:
 
     def error(self, where, message):
         """Record a diagnostic at `where`: a source span (start, end), or
-        (section, i, j, a1, b1, a2, b2, ...), the piece text[i:j] of a
-        section cut from the pieces text[a1:b1], text[a2:b2], ... (innermost
-        first) of its text.  A non-empty piece spans its characters.  An
-        empty piece sits in the innermost non-empty piece around it, the
-        whole text last: at its character i, or one past its last character
-        when i is its end; with no such piece, at the section's first
-        fragment."""
+        (section, i, j[, end]), the piece text[i:j] of a section's text
+        stripped from a non-empty piece ending at end (the whole text by
+        default).  A non-empty piece spans its characters.  An empty one
+        sits at its character i, or one past the character before end when
+        i is end; in an empty text, at the section's first fragment.  The
+        other pieces around it are stripped, so their ends follow no line
+        break and the offsets run on by one there: the whole text places
+        an empty piece as the innermost non-empty piece around it would."""
         if len(where) > 2:
-            sec, i, j, *enclosing = where
+            sec, i, j, *end = where
             offs = sec.offsets()
+            b = end[0] if end else len(offs)
             if i < j:
                 where = (offs[i], offs[j - 1] + 1)
             else:
-                k = sec.parts[0][0] if sec.parts else 0
-                for a, b in zip(enclosing[::2] + [0], enclosing[1::2] + [len(offs)]):
-                    if a < b:
-                        k = offs[i] if i < b else offs[b - 1] + 1
-                        break
+                k = offs[i] if i < b else offs[b - 1] + 1 if b else (
+                    sec.parts[0][0] if sec.parts else 0)
                 where = (k, k)
         self.diags.append(("error", where[0], where[1], message))
 
@@ -224,7 +226,7 @@ class _Parser:
             problem = _bad_id(name, "vertex") or (
                 name in seen and f"duplicate vertex {name!r}")
             if problem:
-                self.error(_stripped(sec, pos, pos + len(raw), i0, j0), problem)
+                self.error(_stripped(sec, pos, pos + len(raw)), problem)
             else:
                 seen.add(name)
                 vertices.append(name)
@@ -247,7 +249,7 @@ class _Parser:
             aid = head.strip()
             problem = _bad_id(aid, "arrow")
             if problem:
-                self.error(_stripped(sec, ci, ci + len(head), ci, cj), problem)
+                self.error(_stripped(sec, ci, ci + len(head)), problem)
             ri = ci + len(head) + 1
             source, arrow, target = rest.partition("->")
             if not arrow:
@@ -260,12 +262,12 @@ class _Parser:
                 why = _bad_id(name, "vertex") or (
                     name not in vertex_set and f"unknown vertex {name!r}")
                 if why:
-                    self.error(_stripped(sec, a, a + len(end), ri, cj), why)
+                    self.error(_stripped(sec, a, a + len(end)), why)
                 names.append(None if why else name)
             if problem or None in names:
                 continue
             if aid in seen:
-                self.error(_stripped(sec, ci, ci + len(head), ci, cj), f"duplicate arrow {aid!r}")
+                self.error(_stripped(sec, ci, ci + len(head)), f"duplicate arrow {aid!r}")
                 continue
             seen.add(aid)
             arrows.append(Arrow(aid, names[0], names[1]))
@@ -292,7 +294,7 @@ class _Parser:
             start, pos = pos, pos + len(raw) + 3
             term, ti, tj = _strip(raw, start)
             if not term:
-                self.error(_stripped(sec, start, pos - 3, i0, j0), "empty potential term")
+                self.error(_stripped(sec, start, pos - 3), "empty potential term")
                 continue
             coeff = 1
             word, wi, wj = term, ti, tj
@@ -364,9 +366,9 @@ class _Parser:
 
     # -- element entries ----------------------------------------------------
 
-    def parse_gamma_assignments(self, sec, semi):
+    def parse_gamma_assignments(self, sec, semi, Q):
         """The ranks before the element's ';' at semi."""
-        gamma = {v: 0 for v in self.quiver.vertices}
+        gamma = {v: 0 for v in Q.vertices}
         seen = set()
         src, i0, j0 = _strip(sec.text[:semi], 0)
         pos = i0
@@ -375,12 +377,12 @@ class _Parser:
             head, eq, tail = piece.partition("=")
             vname, val = head.strip(), tail.strip()
             if not eq:
-                self.error(_stripped(sec, pos, pos + len(raw), i0, j0), "expected 'vertex=rank'")
+                self.error(_stripped(sec, pos, pos + len(raw)), "expected 'vertex=rank'")
             elif vname in seen or vname not in gamma:
                 what = "duplicate rank for" if vname in seen else "unknown"
-                self.error(_stripped(sec, pi, pi + len(head), pi, pj), f"{what} vertex {vname!r}")
+                self.error(_stripped(sec, pi, pi + len(head)), f"{what} vertex {vname!r}")
             elif not _DIGITS_RE.fullmatch(val):
-                self.error(_stripped(sec, pi + len(head) + 1, pj, pi, pj),
+                self.error(_stripped(sec, pi + len(head) + 1, pj),
                            f"rank must be a nonnegative integer, got {val!r}")
             else:
                 seen.add(vname)
@@ -399,7 +401,7 @@ class _Parser:
             end = j0 if cut is None else cut.start()
             term, ti, _ = _strip(text[start:end], start)
             if not term:
-                self.error(_stripped(sec, start, end, *where[1:]), "empty polynomial term")
+                self.error(_stripped(sec, start, end), "empty polynomial term")
             else:
                 pair = self.parse_poly_term(sec, term, ti, start == i0, gamma)
                 if pair is not None:
@@ -454,7 +456,7 @@ class _Parser:
                 pos += 1
         return (tuple(sorted(exps.items())), coeff) if coeff else None
 
-    def parse_element(self, sec):
+    def parse_element(self, sec, Q):
         text = sec.text
         semi = text.find(";")
         if semi < 0:
@@ -466,16 +468,16 @@ class _Parser:
             self.error((sec, ri, rj) if rest else _stripped(sec, 0, len(text)),
                        "expected 'poly:' after ';' in element entry")
             return None
-        where = _stripped(sec, ri + 5, rj, ri, rj)
+        where = _stripped(sec, ri + 5, rj)
         before = len(self.diags)
-        gamma = self.parse_gamma_assignments(sec, semi)
+        gamma = self.parse_gamma_assignments(sec, semi, Q)
         if len(self.diags) > before:
             return None
         poly = self.parse_poly(where, gamma)
         if len(self.diags) > before:
             return None
         try:
-            return SymPoly(self.quiver, gamma, poly)
+            return SymPoly(Q, gamma, poly)
         except PreconditionError as exc:
             self.error(where, str(exc))
             return None
@@ -487,14 +489,14 @@ class _Parser:
         name = self.parse_name(name)
         vertices = self.parse_vertices(_Section(sections.get("vertices", [])))
         arrows = self.parse_arrows(_Section(sections.get("arrows", [])), set(vertices))
-        Q = self.quiver = Quiver(vertices, arrows, name=name)
+        Q = Quiver(vertices, arrows, name=name)
         inverted = None
         if "invert" in sections:
             inverted = self.parse_invert(_Section(sections["invert"]), {a.id for a in arrows})
         potential = self.parse_potential(_Section(sections.get("potential", [])), Q, inverted)
         elements = []
         for record in gammas:
-            el = self.parse_element(_Section(record))
+            el = self.parse_element(_Section(record), Q)
             if el is not None:
                 elements.append(el)
         if self.diags:
@@ -505,9 +507,7 @@ class _Parser:
 
     def finish_diagnostics(self):
         """The diagnostics, character offsets turned into byte offsets."""
-        text = self.text
-        btab = range(len(text) + 1) if text.isascii() else [
-            0, *accumulate(map(len, map(str.encode, text)))]
+        btab = [0, *accumulate(len(ch.encode()) for ch in self.text)]
         return [Diagnostic(sev, btab[start], btab[end], message)
                 for sev, start, end, message in self.diags]
 

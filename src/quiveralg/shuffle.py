@@ -132,16 +132,17 @@ class SymPoly:
         # with every slot mentioned: at most as many as there are variables.
         terms = self._poly.terms
         for vertex, n in gamma.items():
-            symmetric = slots[vertex] in (0, n)
-            for a in range(1, n if slots[vertex] == n else 0):
+            if slots[vertex] not in (0, n):
+                raise PreconditionError(f"polynomial is not symmetric in the slots of {vertex!r}")
+            for a in range(1, n if slots[vertex] else 0):
                 va, vb = xvar(vertex, a), xvar(vertex, a + 1)
                 swap = {va: vb, vb: va}
                 for m, c in terms.items():
                     swapped = tuple(sorted([(swap.get(v, v), e) for v, e in m]))
                     if swapped != m and terms.get(swapped) != c:
-                        symmetric = False
-            if not symmetric:
-                raise PreconditionError(f"polynomial is not symmetric in the slots of {vertex!r}")
+                        raise PreconditionError(
+                            f"polynomial is not symmetric in the slots of {vertex!r}"
+                        )
 
     def _validate_dense(self):
         """The checks of _validate_poly on exponent tuples: one entry per

@@ -4,15 +4,19 @@ Every document of the corpus must end in a `QPDocument` whose printed form
 re-parses to an equal document, or in a `QPParseError` whose spans lie
 within the source bytes; no other exception may escape.  Every outcome is
 also pinned byte for byte: `qp_corpus_digests.json` holds one sha256 per
-block of documents, recorded from the parser before its plain-string
-rewrite, so a changed diagnostic (message, byte span or order) or a changed
-printed document names its block.  The documents listed there under
-`zero_division` raised `ZeroDivisionError` when the digests were recorded;
-they must now give the zero-denominator diagnostic.
+block of documents, so a changed diagnostic (message, byte span or order)
+or a changed printed document names its block.  The digests record the
+outcomes of the parser before its plain-string rewrite: they were generated
+by running this file as a script against a `git archive` copy of commit
+302240b,
 
-Regenerate the digests with the package under test on the path:
+    PYTHONPATH=<302240b>/src python3 tests/test_qp_corpus.py > tests/qp_corpus_digests.json
 
-    PYTHONPATH=src python3 tests/test_qp_corpus.py > tests/qp_corpus_digests.json
+The documents listed there under `zero_division` raised `ZeroDivisionError`
+in that parser; they must now give the zero-denominator diagnostic.
+Regenerate the digests from `src` only when a diagnostic or a printed form
+is meant to change, and record that change in CHANGES.md: digests taken from
+a parser that has regressed would pin the regression.
 """
 
 import hashlib
