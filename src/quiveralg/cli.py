@@ -57,6 +57,7 @@ from .scattering import (
     Wall,
     consistency_check,
     eta_embedding_check,
+    format_vector,
     wall_scan_lines,
     wall_support_scan,
 )
@@ -138,10 +139,6 @@ def _default_samples(n):
     out.append((1,) * n)
     out.append((-1,) * n)
     return tuple(out)
-
-
-def _fmt_vec(Q, vec):
-    return ",".join(f"{v}:{x}" for v, x in zip(Q.vertices, vec))
 
 
 def _need_elements(doc, count, command):
@@ -232,7 +229,7 @@ def cmd_eta_check(args):
     for r in report.results:
         kp = "none" if r.kparam is None else str(r.kparam)
         print(
-            f"gamma_hat={_fmt_vec(Qhat, r.gamma_hat)}; kparam={kp}; "
+            f"gamma_hat={format_vector(Qhat, r.gamma_hat)}; kparam={kp}; "
             f"ok={'true' if r.ok else 'false'}"
         )
     print(f"eta: {'ok' if report.ok else 'FAIL'}")

@@ -146,16 +146,18 @@ class Representation:
     def validate(self, Q):
         if set(self.dims) != set(Q.vertices):
             raise PreconditionError("representation dims not keyed by the vertex set")
+        extra = set(self.mats) - {a.id for a in Q.arrows}
+        if extra:
+            raise PreconditionError(
+                f"matrices for arrows the quiver does not have: {sorted(extra)}"
+            )
         for a in Q.arrows:
             m = self.mats.get(a.id)
             if m is None:
                 raise PreconditionError(f"no matrix for arrow {a.id}")
-            rows, cols = len(m), len(m[0]) if m else 0
-            if rows != self.dims[a.target] or (rows and cols != self.dims[a.source]):
-                raise PreconditionError(
-                    f"matrix for {a.id} has shape {rows}x{cols}, expected "
-                    f"{self.dims[a.target]}x{self.dims[a.source]}"
-                )
+            rows, cols = self.dims[a.target], self.dims[a.source]
+            if len(m) != rows or any(len(row) != cols for row in m):
+                raise PreconditionError(f"matrix for {a.id} is not {rows}x{cols}: {m!r}")
         return self
 
 

@@ -454,6 +454,9 @@ class _Parser:
                                f"expected '*' between factors, got {text[pos:]!r}")
                     return None
                 pos += 1
+        if text[-1] == "*":  # a factor never ends in '*', so the loop took it as a separator
+            self.error((sec, ti + len(text) - 1, ti + len(text)), "dangling '*' ends the term")
+            return None
         return (tuple(sorted(exps.items())), coeff) if coeff else None
 
     def parse_element(self, sec, Q):

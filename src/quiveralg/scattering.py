@@ -11,8 +11,8 @@ Conventions used throughout this module:
   explicit).
 - Quantum torus elements are finite sums of symbols e_gamma with
   coefficients that are Laurent polynomials in a formal square root L½ of
-  the weight symbol; a coefficient is stored as a map from the exponent
-  *in half units* to a Fraction.  The product rule is
+  the weight symbol, stored as one ``poly.Combination`` keyed by
+  (gamma, exponent of L *in half units*).  The product rule is
   e_g1 * e_g2 = L^(-chi(g1,g2)) e_(g1+g2), truncated to total dimension
   <= k, with chi the quiver's Euler form.
 - Stability verdicts are only ever produced by explicit enumeration over
@@ -59,6 +59,7 @@ from typing import NamedTuple
 from .contraction import contract_quiver
 from .errors import InternalConsistencyError, PreconditionError, ScopeError
 from .linalg import in_span, mat_vec, reduce
+from .poly import Combination
 from .quiver import euler_form
 
 DEFAULT_KPARAM_GRID = (
@@ -154,41 +155,7 @@ def _chi(Q, g1, g2):
 
 
 # --------------------------------------------------------------------------
-# Laurent polynomials in L^(1/2), stored {half_exponent: Fraction}
-
-
-def _poly(d):
-    return {h: c for h, c in d.items() if c}
-
-
-def _poly_add(p, q):
-    out = dict(p)
-    for h, c in q.items():
-        c2 = out.get(h, 0) + c
-        if c2:
-            out[h] = c2
-        else:
-            out.pop(h, None)
-    return out
-
-def _poly_scale(p, c, shift=0):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {h + shift: v * c for h, v in p.items()}
-
-
-def _poly_mul(p, q):
-    out = {}
-    for h1, c1 in p.items():
-        for h2, c2 in q.items():
-            h = h1 + h2
-            c = out.get(h, 0) + c1 * c2
-            if c:
-                out[h] = c
-            else:
-                out.pop(h, None)
-    return out
+# the truncated quantum torus
 
 
 def _poly_str(p):
@@ -205,25 +172,30 @@ def _poly_str(p):
     return " + ".join(parts).replace("+ -", "- ")
 
 
-class QuantumTorusElement:
-    """Finite sum of symbols e_gamma over a fixed quiver.
+class QuantumTorusElement(Combination):
+    """Finite sum of L^(h/2) e_gamma over a fixed quiver.
 
-    ``terms`` maps a dimension tuple (in ``quiver.vertices`` order) to a
-    Laurent-polynomial coefficient {half_exponent: Fraction}.  The scalar
-    part is the coefficient of e_0.
+    ``terms`` maps (gamma, h) to a non-zero Fraction: gamma is a dimension
+    tuple in ``quiver.vertices`` order and h the exponent of L in half
+    units.  The scalar part is the coefficient of e_0, a Laurent polynomial
+    {h: Fraction}.
     """
 
-    __slots__ = ("quiver", "terms")
+    __slots__ = ("quiver",)
 
     def __init__(self, quiver, terms=None):
+        super().__init__(
+            {(_gamma_tuple(quiver, g), h): c for (g, h), c in terms.items()} if terms else None
+        )
         self.quiver = quiver
-        self.terms = {}
-        if terms:
-            for g, p in terms.items():
-                g = _gamma_tuple(quiver, g)
-                p = _poly(p)
-                if p:
-                    self.terms[g] = p
+
+    def _of(self, terms):
+        """An element over this one's quiver.  An instance method, so the
+        inherited ``from_pairs`` and classmethod ``zero``, which have no
+        quiver to give, cannot build an element."""
+        out = QuantumTorusElement.__new__(QuantumTorusElement)
+        out.quiver, out.terms = self.quiver, terms
+        return out
 
     @staticmethod
     def zero(Q):
@@ -231,70 +203,49 @@ class QuantumTorusElement:
 
     @staticmethod
     def one(Q):
-        z = (0,) * len(Q.vertices)
-        return QuantumTorusElement(Q, {z: {0: Fraction(1)}})
+        return QuantumTorusElement.generator(Q, (0,) * len(Q.vertices))
 
     @staticmethod
     def generator(Q, gamma, coeff=1, halfexp=0):
-        return QuantumTorusElement(Q, {tuple(gamma): {halfexp: Fraction(coeff)}})
+        return QuantumTorusElement(Q, {(tuple(gamma), halfexp): coeff})
 
     def scalar_part(self):
-        z = (0,) * len(self.quiver.vertices)
-        return dict(self.terms.get(z, {}))
+        return {h: c for (g, h), c in self.terms.items() if not any(g)}
 
     def support(self):
-        return set(self.terms)
+        return {g for g, _ in self.terms}
 
     def _require_same(self, other):
-        if self.quiver is not other.quiver and self.quiver.vertices != other.quiver.vertices:
+        if self.quiver.vertices != other.quiver.vertices:
             raise PreconditionError("elements live over different quivers")
 
     def __add__(self, other):
-        self._require_same(other)
-        out = {g: dict(p) for g, p in self.terms.items()}
-        for g, p in other.terms.items():
-            out[g] = _poly_add(out.get(g, {}), p)
-        return QuantumTorusElement(self.quiver, out)
-
-    def scale(self, c, halfshift=0):
-        return QuantumTorusElement(
-            self.quiver,
-            {g: _poly_scale(p, c, halfshift) for g, p in self.terms.items()},
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
+        if type(other) is QuantumTorusElement:
+            self._require_same(other)
+        return super().__add__(other)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QuantumTorusElement)
-            and self.quiver.vertices == other.quiver.vertices
-            and self.terms == other.terms
-        )
+        return super().__eq__(other) and self.quiver.vertices == other.quiver.vertices
 
     def __hash__(self):
-        return hash(
-            (
-                self.quiver.vertices,
-                tuple(sorted((g, tuple(sorted(p.items()))) for g, p in self.terms.items())),
-            )
-        )
+        return hash((self.quiver.vertices, super().__hash__()))
 
     def __str__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for g in sorted(self.terms, key=lambda t: (sum(t), t)):
-            bits.append(f"({_poly_str(self.terms[g])})*e{g}")
-        return " + ".join(bits)
+        coefficients = {}
+        for (g, h), c in self.terms.items():
+            coefficients.setdefault(g, {})[h] = c
+        return " + ".join(
+            f"({_poly_str(coefficients[g])})*e{g}"
+            for g in sorted(coefficients, key=lambda t: (sum(t), t))
+        )
 
     __repr__ = __str__
 
 
 def truncate(x, k):
-    return QuantumTorusElement(
-        x.quiver, {g: p for g, p in x.terms.items() if sum(g) <= k}
-    )
+    return x._of({(g, h): c for (g, h), c in x.terms.items() if sum(g) <= k})
 
 
 def quantum_torus_mul(x, y, k):
@@ -302,48 +253,44 @@ def quantum_torus_mul(x, y, k):
     only total dimension <= k."""
     x._require_same(y)
     Q = x.quiver
-    out = {}
-    for g1, p1 in x.terms.items():
-        for g2, p2 in y.terms.items():
-            g = tuple(a + b for a, b in zip(g1, g2))
-            if sum(g) > k:
-                continue
-            shift = -2 * _chi(Q, g1, g2)
-            prod = _poly_scale(_poly_mul(p1, p2), 1, shift)
-            out[g] = _poly_add(out.get(g, {}), prod)
-    return QuantumTorusElement(Q, out)
+    return x._of(
+        Combination.from_pairs(
+            ((tuple(map(operator.add, g1, g2)), h1 + h2 - 2 * _chi(Q, g1, g2)), c1 * c2)
+            for (g1, h1), c1 in x.terms.items()
+            for (g2, h2), c2 in y.terms.items()
+            if sum(g1) + sum(g2) <= k
+        ).terms
+    )
+
+
+def _power_series(x, k, coefficient):
+    """The sum of coefficient(n) * x^n over n >= 1, truncated to total
+    dimension <= k; x has a zero scalar part, so x^n vanishes for n > k."""
+    total, power = QuantumTorusElement.zero(x.quiver), QuantumTorusElement.one(x.quiver)
+    for n in range(1, k + 1):
+        power = quantum_torus_mul(power, x, k)
+        if power.is_zero():
+            break
+        total = total + power.scale(coefficient(n))
+    return total
 
 
 def exp_truncated(x, k):
     """exp of an element with zero scalar part, exact in the truncation."""
     if x.scalar_part():
         raise PreconditionError("exp needs a zero scalar part")
-    x = truncate(x, k)
-    result = QuantumTorusElement.one(x.quiver)
-    power = QuantumTorusElement.one(x.quiver)
-    factorial = 1
-    for n in range(1, k + 1):
-        power = quantum_torus_mul(power, x, k)
-        if not power.terms:
-            break
-        factorial *= n
-        result = result + power.scale(Fraction(1, factorial))
-    return result
+    return QuantumTorusElement.one(x.quiver) + _power_series(
+        x, k, lambda n: Fraction(1, math.factorial(n))
+    )
 
 
 def log_truncated(g, k):
     """Inverse of exp_truncated on elements with scalar part exactly 1."""
     if g.scalar_part() != {0: Fraction(1)}:
         raise PreconditionError("log needs scalar part exactly 1")
-    y = truncate(g - QuantumTorusElement.one(g.quiver), k)
-    result = QuantumTorusElement.zero(g.quiver)
-    power = QuantumTorusElement.one(g.quiver)
-    for n in range(1, k + 1):
-        power = quantum_torus_mul(power, y, k)
-        if not power.terms:
-            break
-        result = result + power.scale(Fraction((-1) ** (n + 1), n))
-    return result
+    return _power_series(
+        g - QuantumTorusElement.one(g.quiver), k, lambda n: Fraction((-1) ** (n + 1), n)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -392,7 +339,7 @@ class GComplex:
             if not any(w.normal):
                 raise PreconditionError("wall normal must be non-zero")
             for g in w.element.support():
-                if sum(g) == 0 or any(x < 0 for x in g):
+                if sum(g) == 0:
                     raise PreconditionError(
                         f"wall element support {g} is not a positive dimension vector"
                     )
@@ -906,17 +853,19 @@ def wall_support_scan(Q, maxgamma, samples, p=2, *, limits=LIMITS):
     return entries
 
 
+def format_vector(Q, vec):
+    """``vertex:entry`` pairs in ``Q.vertices`` order, comma separated."""
+    return ",".join(f"{v}:{x}" for v, x in zip(Q.vertices, vec))
+
+
 def wall_scan_lines(Q, entries):
     """Line-oriented export: gamma; normal; sample kappa; verdict."""
-    def fmt(vec):
-        return ",".join(f"{v}:{x}" for v, x in zip(Q.vertices, vec))
-
     lines = []
     for e in entries:
         for kappa, verdict in e.verdicts:
             lines.append(
-                f"gamma={fmt(e.gamma)}; normal={fmt(e.normal)}; "
-                f"kappa={fmt(kappa)}; verdict={'true' if verdict else 'false'}"
+                f"gamma={format_vector(Q, e.gamma)}; normal={format_vector(Q, e.normal)}; "
+                f"kappa={format_vector(Q, kappa)}; verdict={'true' if verdict else 'false'}"
             )
     return lines
 

@@ -229,6 +229,25 @@ def test_contract_rep_dimension_mismatch_rejected():
         contract_rep(QuiverWithPotential(Q), "a0", M)
 
 
+def test_representation_validate_checks_every_row_and_arrow():
+    """A ragged matrix is refused at its second row, and a matrix for an
+    arrow the quiver does not have is refused, before contract_rep reads
+    either."""
+    F = GF(5)
+    Q = Quiver(("a", "b", "c"), [Arrow("a0", "a", "b"), Arrow("x", "b", "c")])
+    dims = {"a": 1, "b": 1, "c": 2}
+    ragged = Representation(F, dims, {"a0": ((1,),), "x": ((1,), ())})
+    with pytest.raises(PreconditionError, match="matrix for x is not 2x1"):
+        ragged.validate(Q)
+    with pytest.raises(PreconditionError, match="matrix for x is not 2x1"):
+        contract_rep(QuiverWithPotential(Q), "a0", ragged)
+    extra = {"a0": ((1,),), "x": ((1,), (0,)), "y": ((1,),)}
+    with pytest.raises(PreconditionError, match=r"does not have: \['y'\]"):
+        Representation(F, dims, extra, Q=Q)
+    good = Representation(F, dims, {"a0": ((1,),), "x": ((1,), (0,))}, Q=Q)
+    assert contract_rep(QuiverWithPotential(Q), "a0", good).mats == {"x*a0": ((1,), (0,))}
+
+
 def test_contract_rep_rational_field():
     """QQ representation of the Kronecker quiver: explicit 2x2 contraction."""
     F = QQ

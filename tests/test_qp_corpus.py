@@ -13,7 +13,10 @@ by running this file as a script against a `git archive` copy of commit
     PYTHONPATH=<302240b>/src python3 tests/test_qp_corpus.py > tests/qp_corpus_digests.json
 
 The documents listed there under `zero_division` raised `ZeroDivisionError`
-in that parser; they must now give the zero-denominator diagnostic.
+in that parser; they must now give the zero-denominator diagnostic.  When a
+term ending in a dangling `*` became a diagnostic, only the 16 blocks that
+hold the 17 such documents were re-pinned from `src`, after checking that
+each of those documents only gained the new diagnostic.
 Regenerate the digests from `src` only when a diagnostic or a printed form
 is meant to change, and record that change in CHANGES.md: digests taken from
 a parser that has regressed would pin the regression.

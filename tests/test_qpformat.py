@@ -323,6 +323,16 @@ def test_zero_denominators_are_diagnostics_spanning_the_coefficient():
         Fraction(1, 2))
 
 
+def test_dangling_star_is_a_diagnostic_spanning_the_star():
+    """A term that ends in '*', after a coefficient or after a factor, is
+    refused instead of being read as the term without its last factor."""
+    text = "vertices: u\narrows:\ngamma: u=1; poly: 3* + x[u,1]* - 0*\n"
+    ds = diags_of(text)
+    assert [d.message for d in ds] == ["dangling '*' ends the term"] * 3
+    assert [spanned(text, d) for d in ds] == ["*"] * 3
+    assert [d.start for d in ds] == [text.index("3*") + 1, text.index("]*") + 1, len(text) - 2]
+
+
 def test_high_powers_parse_with_one_product_per_factor(monkeypatch):
     """x^k is read in one step, and the parse builds each term's monomial
     directly: it multiplies no polynomials at all."""

@@ -66,12 +66,12 @@ def random_element(rng, Q, max_entry=2, terms=3):
 
 def test_mul_weight_shift():
     x = quantum_torus_mul(e(A2, (1, 0)), e(A2, (0, 1)), 3)
-    assert x.terms == {(1, 1): {2: 1}}  # one full power of the weight symbol
+    assert x.terms == {((1, 1), 2): 1}  # one full power of the weight symbol
 
 
 def test_mul_opposite_order_no_shift():
     x = quantum_torus_mul(e(A2, (0, 1)), e(A2, (1, 0)), 3)
-    assert x.terms == {(1, 1): {0: 1}}
+    assert x.terms == {((1, 1), 0): 1}
 
 
 def test_mul_unit():
@@ -129,6 +129,31 @@ def test_elements_over_equal_quivers_add():
         e(A2, (1, 0)) + e(T3, (1, 0, 0))
 
 
+def test_torus_elements_keep_the_combination_contract():
+    """Twin quivers give equal elements with equal hashes, different vertex
+    tuples give unequal ones, every derived element keeps its quiver, and
+    no constructor builds an element without one."""
+    twin = Quiver(("1", "2"), [Arrow("a", "1", "2")], name="A2")
+    x = e(A2, (1, 0), coeff=2, halfexp=1) + e(A2, (0, 1))
+    y = e(twin, (1, 0), coeff=2, halfexp=1) + e(twin, (0, 1))
+    assert x == y and hash(x) == hash(y)
+    other = Quiver(("1", "3"), [Arrow("a", "1", "3")])
+    z = e(other, (1, 0), coeff=2, halfexp=1) + e(other, (0, 1))
+    assert x.terms == z.terms and x != z
+    assert x != e(A2, (1, 0), coeff=2, halfexp=1)
+    for derived in (x.scale(0), -x, x - x, x.scale(3), truncate(x, 0), QT.zero(A2)):
+        assert derived.quiver is A2
+    assert x.scale(0) == QT.zero(A2) and x.scale(0).is_zero()
+    assert (x - x) + e(A2, (1, 0)) == e(A2, (1, 0))
+    assert quantum_torus_mul(x, x, 3).quiver is A2
+    for build in (lambda: QT.from_pairs([]), lambda: QT.from_pairs([(((1, 0), 0), 1)]),
+                  lambda: QT.zero(), lambda: QT()):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(PreconditionError, match="negative entry"):
+        QT(A2, {((-1, 1), 0): 1})
+
+
 def test_exp_low_truncation_is_affine():
     x = e(A2, (1, 0), coeff=Fraction(5, 2))
     assert exp_truncated(x, 1) == QT.one(A2) + x
@@ -165,6 +190,20 @@ def test_gcomplex_requires_orthogonal_support():
         GComplex(A2, [Wall((0, 0), e(A2, (1, 0)))])
     # parallel support, any positive multiple, is fine
     GComplex(A2, [Wall((1, 0), e(A2, (2, 0)) + e(A2, (1, 0)))])
+
+
+def test_gcomplex_refuses_e0_terms_and_antiparallel_normals():
+    """A wall element with an e_0 term is refused by the support check
+    itself (the parallel check would refuse it too, with another message),
+    and a normal pointing against the support is refused although the two
+    are parallel."""
+    with pytest.raises(PreconditionError, match=r"support \(0, 0\) is not a positive"):
+        GComplex(A2, [Wall((1, 0), QT.one(A2) + e(A2, (1, 0)))])
+    with pytest.raises(PreconditionError, match=r"support \(1, 0\) is not orthogonal"):
+        GComplex(A2, [Wall((-1, 0), e(A2, (1, 0)))])
+    with pytest.raises(PreconditionError, match=r"support \(1, 1\) is not orthogonal"):
+        GComplex(A2, [Wall((-2, -2), e(A2, (1, 1)))])
+    GComplex(A2, [Wall((2, 2), e(A2, (1, 1)))])
 
 
 def diagram_noncommuting():
@@ -211,7 +250,9 @@ def test_noncommuting_diamond_loop_keeps_commutator():
     F = path_ordered_product(diagram_noncommuting(), DIAMOND, 3)
     # scalar part 1, plus a non-zero (1 - L) commutator term at (1,1)
     assert F.scalar_part() == {0: Fraction(1)}
-    assert F.terms[(1, 1)] == {0: Fraction(1), 2: Fraction(-1)}
+    assert {h: c for (g, h), c in F.terms.items() if g == (1, 1)} == {
+        0: Fraction(1), 2: Fraction(-1)
+    }
 
 
 def test_consistency_separates_diagrams():
