@@ -158,6 +158,13 @@ def _chi(Q, g1, g2):
 # the truncated quantum torus
 
 
+def _half_exponent(h):
+    """h, an exponent of L in half units, which must be an int."""
+    if not isinstance(h, int):
+        raise PreconditionError(f"half exponent {h!r} is not an integer")
+    return h
+
+
 def _poly_str(p):
     if not p:
         return "0"
@@ -185,7 +192,8 @@ class QuantumTorusElement(Combination):
 
     def __init__(self, quiver, terms=None):
         super().__init__(
-            {(_gamma_tuple(quiver, g), h): c for (g, h), c in terms.items()} if terms else None
+            {(_gamma_tuple(quiver, g), _half_exponent(h)): c for (g, h), c in terms.items()}
+            if terms else None
         )
         self.quiver = quiver
 

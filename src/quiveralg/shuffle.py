@@ -51,15 +51,19 @@ The spherical span, spanned by the word products x[w1]^k1 * ... *
 x[wm]^km of rank-one generators, is built with no shuffle product.  Such a
 product is Alt(x^k * A_w) / Vdm: A_w = prod_{p<q} (x[s(q)] - x[s(p)])^a_pq,
 a_pq the arrows from w_p to w_q and s(p) the slot of letter p.  Products
-are homogeneous; each degree is row-reduced in Schur coordinates, only its
-basis rows are expanded to monomials and row-reduced again, and the
-degrees, which share no monomial, are merged in pivot order.  A reduced
-row echelon form is unique, so this is the basis that reducing every
-product over its monomials gives.  The first product of every span is also
-built by shuffle_mul as a check.  Membership reads f's Schur coordinates
-off f * Vdm, its coefficients on exponents strictly increasing at every
-vertex, and tests them against the reduced Schur basis of the rank and
-degree, kept on the quiver.
+are homogeneous, and each degree is row-reduced in Schur coordinates over
+every Schur key of the degree, its products made only as rref reads them.
+rref stops once every key has a pivot; such a full degree is the whole
+symmetric space of its degree, whose reduced basis over monomials is the
+monomial symmetric functions m_lambda.  In any other degree the basis rows
+are expanded to monomials and row-reduced again.  The degrees, which share
+no monomial, are merged in pivot order.  A reduced row echelon form is
+unique, so this is the basis that reducing every product over its
+monomials gives.  The first product made in every span is also built by
+shuffle_mul as a check.  Membership reads f's Schur coordinates off f *
+Vdm, its coefficients on exponents strictly increasing at every vertex,
+and tests them against the reduced Schur basis of the rank and degree,
+kept on the quiver.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from .contraction import contract_quiver
 from .errors import InternalConsistencyError, PreconditionError
 from .linalg import QQ, in_span, rref
 from .poly import Poly, Rat, xvar
-from .quiver import check_dimvec, euler_form
+from .quiver import check_dimvec
 
 INCONCLUSIVE = "inconclusive"
 
@@ -567,12 +571,11 @@ def contract_shuffle(f, a0_id):
     return SymPoly(Qhat, ghat, dense=(out, L))
 
 
-def _vertex_words(Q, gamma):
-    """Every distinct ordering of the multiset with gamma[v] copies of each
-    vertex v, in lexicographic order.  Each word is made once, by stepping
-    to the next permutation of the multiset, so the work is the number of
-    words, not (sum gamma)!."""
-    word = sorted(v for v in Q.vertices for _ in range(gamma[v]))
+def _orderings(items):
+    """Every distinct ordering of the multiset items, in lexicographic
+    order.  Each is made once, by stepping to the next permutation of the
+    multiset, so the work is the number of orderings, not len(items)!."""
+    word = sorted(items)
     out = [tuple(word)]
     while True:
         i = len(word) - 2
@@ -588,13 +591,22 @@ def _vertex_words(Q, gamma):
         out.append(tuple(word))
 
 
-def _compositions_upto(m, bound):
-    """All tuples of m non-negative integers with sum <= bound."""
-    if m == 0:
-        yield ()
+def _vertex_words(Q, gamma):
+    """Every distinct word with gamma[v] letters v at each vertex v, in
+    lexicographic order."""
+    return _orderings(v for v in Q.vertices for _ in range(gamma[v]))
+
+
+def _compositions(m, total):
+    """All tuples of m non-negative integers with sum total, in
+    lexicographic order.  Without their last entry they are the (m-1)-tuples
+    with sum <= total, in lexicographic order too."""
+    if m <= 1:
+        if m or not total:
+            yield (total,) * m
         return
-    for first in range(bound + 1):
-        for rest in _compositions_upto(m - 1, bound - first):
+    for first in range(total + 1):
+        for rest in _compositions(m - 1, total - first):
             yield (first,) + rest
 
 
@@ -604,7 +616,9 @@ def _unit_gamma(Q, v):
 
 def _word_product(Q, word, ks):
     """x[w1]^k1 * x[w2]^k2 * ... by chained shuffle products, stopping at
-    the first zero partial product."""
+    the first zero partial product; the empty word is the unit of rank 0."""
+    if not word:
+        return SymPoly.one(Q, dict.fromkeys(Q.vertices, 0))
     prod = None
     for v, k in zip(word, ks):
         gen = SymPoly.generator(Q, v, k)
@@ -618,23 +632,14 @@ def spherical_products(Q, gamma, d):
     """All products of rank-one generator powers of total rank gamma and
     polynomial degree <= d (ordered words, left factor acting first in the
     product notation f1 * f2 * ...)."""
-    check_dimvec(Q, gamma, what="rank vector")
     out = []
-    for word in _vertex_words(Q, gamma):
-        m = len(word)
-        chi_sum = 0
-        for p in range(m):
-            for q in range(p + 1, m):
-                chi_sum += euler_form(Q, _unit_gamma(Q, word[p]), _unit_gamma(Q, word[q]))
-        bound = d + chi_sum
-        if bound < 0:
+    for word, _slots, chi, _factors, _terms in _SchurRows(Q, gamma).words:
+        if d + chi < 0:
             continue
-        for ks in _compositions_upto(m, bound):
-            prod = _word_product(Q, word, ks)
-            if prod is not None and not prod.is_zero():
+        for ks in _compositions(len(word) + 1, d + chi):
+            prod = _word_product(Q, word, ks[:-1])
+            if not prod.is_zero():
                 out.append(prod)
-    if not any(gamma.values()) and d >= 0:
-        out.append(SymPoly.one(Q, gamma))
     return out
 
 
@@ -667,70 +672,138 @@ def _alternant_key(e, slices):
     return key + e[start:], -1 if inversions % 2 else 1
 
 
-def _schur_rows(Q, gamma, d):
-    """The word products of spherical_products in Schur coordinates, grouped
-    by degree: {degree: [row, ...]}, a row being {key: int} with no zero
-    value; products that vanish are left out.
+class _SchurRows:
+    """The word products of spherical_products(Q, gamma, d) in Schur
+    coordinates, made on demand one degree at a time; products that vanish
+    give no row.
 
     The product of the word w with exponents k is Alt(x^k * A_w) / Vdm, A_w
     being prod_{p<q} (x[s(q)] - x[s(p)])^a(w_p, w_q) with letter p in its
     standard slot s(p), and Alt(x^key) / Vdm is the product over vertices
-    of s_lambda, lambda = key - (0, 1, ...) on the vertex's slice.  A_w is
-    multiplied out once per word; its degree is sum(k) - sum_{p<q}
-    chi(w_p, w_q).  The first product is also built by shuffle_mul, and
-    its Schur coordinates must agree."""
-    check_dimvec(Q, gamma, what="rank vector")
-    if not any(gamma.values()):
-        return {0: [{(): 1}]} if d >= 0 else {}
-    layout = _layout(Q.vertices, tuple(gamma[v] for v in Q.vertices))
-    offset = layout.offset
-    n = len(layout.variables)
-    slices = _vertex_slices(Q, gamma, offset)
-    alternants = {}  # exponent tuple -> _alternant_key, for this call
-    blocks = {}
-    unchecked = True
-    for word in _vertex_words(Q, gamma):
-        m = len(word)
-        filled = dict.fromkeys(Q.vertices, 0)
-        slot = []
-        for v in word:
-            slot.append(offset[v] + filled[v])
-            filled[v] += 1
-        chi_sum = 0
-        arrows = {(0,) * n: 1}
-        for p, q in combinations(range(m), 2):
-            a_pq = Q.arrow_count(word[p], word[q])
-            chi_sum += (word[p] == word[q]) - a_pq
-            for _ in range(a_pq):
-                arrows = _times_diff(arrows, slot[q], slot[p])
-        bound = d + chi_sum
-        if bound < 0:
-            continue
-        terms = list(arrows.items())
-        for ks in _compositions_upto(m, bound):
-            shift = [0] * n
-            for s, k in zip(slot, ks):
-                shift[s] = k
-            row = {}
-            for e, c in terms:
-                e = tuple(map(add, e, shift))
-                hit = alternants.get(e, False)
-                if hit is False:
-                    hit = alternants[e] = _alternant_key(e, slices)
-                if hit:
-                    key, sign = hit
-                    row[key] = row.get(key, 0) + sign * c
-            row = {key: c for key, c in row.items() if c}
-            if unchecked:
-                if _schur_coordinates(_word_product(Q, word, ks)) != row:
-                    raise InternalConsistencyError(
-                        f"Schur coordinates of the word {word} with exponents {ks}"
-                        " disagree with its shuffle product"
-                    )
-                unchecked = False
-            if row:
-                blocks.setdefault(sum(ks) - chi_sum, []).append(row)
-    return blocks
+    of s_lambda, lambda = key - (0, 1, ...) on the vertex's slice.  The
+    product has degree sum(k) - chi(w), chi(w) = sum_{p<q} chi(w_p, w_q), so
+    the rows of degree D are those of the k with sum D + chi(w).  A_w is
+    multiplied out on first use.  The first row made is also built by
+    shuffle_mul, and its Schur coordinates must agree.  The words, with
+    chi(w), are also those of spherical_products."""
+
+    def __init__(self, Q, gamma):
+        check_dimvec(Q, gamma, what="rank vector")
+        self.quiver = Q
+        offset = _layout(Q.vertices, tuple(gamma[v] for v in Q.vertices)).offset
+        self.slices = _vertex_slices(Q, gamma, offset)
+        self.runs = tuple(hi - lo for lo, hi in self.slices)
+        self.vdm = sum(n * (n - 1) // 2 for n in self.runs)  # deg Vdm: same-letter pairs
+        counts = Counter((a.source, a.target) for a in Q.arrows)
+        self.words = []  # [word, slots, chi(w), A_w's factors, A_w's terms once made]
+        for word in _vertex_words(Q, gamma):
+            filled = dict.fromkeys(Q.vertices, 0)
+            slots = []
+            for v in word:
+                slots.append(offset[v] + filled[v])
+                filled[v] += 1
+            factors = [  # (s(q), s(p)) once per arrow from w_p to w_q, p < q
+                (slots[q], slots[p])
+                for p, q in combinations(range(len(word)), 2)
+                for _ in range(counts[word[p], word[q]])
+            ]
+            self.words.append([word, slots, self.vdm - len(factors), factors, None])
+        self.alternants = {}  # exponent tuple -> _alternant_key
+        self.unchecked = True
+
+    def degrees(self, d):
+        """The degrees from the lowest of a product, but at least 0, to d: a
+        degree D < 0 has no Schur key."""
+        return range(max(0, min(-entry[2] for entry in self.words)), d + 1)
+
+    def keys(self, D):
+        """The Schur keys of degree D: a strictly increasing run on every
+        slice, the entries summing to D + deg(Vdm)."""
+        return _schur_keys(self.runs, D + self.vdm)
+
+    def rows(self, D, index):
+        """The rows of degree D as lists over index, a map from Schur key to
+        column; a row key missing from index is an internal bug."""
+        slices, alternants = self.slices, self.alternants
+        n = sum(self.runs)
+        for entry in self.words:
+            word, slots, chi, factors, terms = entry
+            if D + chi < 0:
+                continue
+            if terms is None:
+                arrows = {(0,) * n: 1}
+                for b, a in factors:
+                    arrows = _times_diff(arrows, b, a)
+                terms = entry[4] = list(arrows.items())
+            for ks in _compositions(len(word), D + chi):
+                shift = [0] * n
+                for s, k in zip(slots, ks):
+                    shift[s] = k
+                row = {}
+                for e, c in terms:
+                    e = tuple(map(add, e, shift))
+                    hit = alternants.get(e, False)
+                    if hit is False:
+                        hit = alternants[e] = _alternant_key(e, slices)
+                    if hit:
+                        key, sign = hit
+                        row[key] = row.get(key, 0) + sign * c
+                row = {key: c for key, c in row.items() if c}
+                if self.unchecked:
+                    if _schur_coordinates(_word_product(self.quiver, word, ks)) != row:
+                        raise InternalConsistencyError(
+                            f"Schur coordinates of the word {word} with exponents {ks}"
+                            " disagree with its shuffle product"
+                        )
+                    self.unchecked = False
+                if not row:
+                    continue
+                out = [0] * len(index)
+                for key, c in row.items():
+                    if key not in index:
+                        raise InternalConsistencyError(
+                            f"Schur key {key} of the word {word} with exponents {ks}"
+                            f" is not a key of degree {D}"
+                        )
+                    out[index[key]] = c
+                yield out
+
+
+class _RowsRead(list):
+    """The rows of an iterator, read on demand: iterating yields them and
+    keeps each, so once a lazy reader such as rref stops, the list holds
+    the rows it read.  Unlike a bare generator, it can still be measured and
+    indexed after the call, as the benchmark's tracer does with rref's
+    argument."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows):
+        super().__init__()
+        self._rows = rows
+
+    def __iter__(self):
+        for row in self._rows:
+            self.append(row)
+            yield row
+
+
+@lru_cache(maxsize=1024)
+def _schur_keys(runs, total, low=0):
+    """Every key with entry sum total over runs, in lexicographic order: a
+    strictly increasing run of runs[0] entries, the first >= low, followed
+    by a key over runs[1:]."""
+    if not runs:
+        return ((),) if total == 0 else ()
+    n, rest = runs[0], runs[1:]
+    if n == 0:
+        return _schur_keys(rest, total)
+    out = []
+    a = low
+    while n * a + n * (n - 1) // 2 <= total:  # the least sum of a run from a
+        out.extend((a,) + key for key in _schur_keys((n - 1,) + rest, total - a, a + 1))
+        a += 1
+    return tuple(out)
 
 
 @lru_cache(maxsize=1024)
@@ -770,21 +843,12 @@ def _schur_expansion(key, slices):
     return out
 
 
-def _row_reduce(rows):
-    """rref over Q; a single row is only divided by its first non-zero
-    entry, which is its reduced form."""
-    if len(rows) == 1:
-        row = rows[0]
-        pivot = next(i for i, c in enumerate(row) if c)
-        return (tuple(Fraction(c) / row[pivot] for c in row),), (pivot,)
-    return rref(QQ, rows)
-
-
-def _dense_rows(rows, key=None):
-    """The sorted keys of the rows {key: coefficient} and the rows as
-    tuples over them."""
-    keys = sorted({k for row in rows for k in row}, key=key)
-    return keys, [tuple(row.get(k, 0) for k in keys) for row in rows]
+def _monomial_symmetric(key, slices):
+    """The exponent tuples of the product over slices of m_lambda, lambda =
+    key - (0, 1, ...) on the slice: every ordering of lambda's entries on
+    every slice, once; the slices cover every position."""
+    orbits = (_orderings(key[lo + i] - i for i in range(hi - lo)) for lo, hi in slices)
+    return [sum(parts, ()) for parts in product(*orbits)]
 
 
 def _monomial_order(m):
@@ -797,20 +861,44 @@ def spherical_span(Q, gamma, d):
     elements, as SymPoly values: the reduced row echelon form of the span
     of spherical_products, columns in the order (len(m), m) of monomials.
 
-    Each degree is row-reduced in Schur coordinates; only its basis rows
-    are expanded to monomials, and row-reduced once more.  Degrees have
-    disjoint monomials, so their reduced rows, merged in order of pivot,
-    are the reduced form of the whole span."""
-    blocks = _schur_rows(Q, gamma, d)
+    Each degree is row-reduced in Schur coordinates, over all its Schur
+    keys, reading the products lazily: rref stops once every key has a
+    pivot.  Such a full degree is the whole symmetric space of its degree,
+    whose reduced basis over monomials is the monomial symmetric functions
+    m_lambda, each with coefficient 1 (their supports are disjoint).  In
+    any other degree only the basis rows are expanded to monomials, and
+    row-reduced once more.  Degrees have disjoint monomials, so their
+    reduced rows, merged in order of pivot, are the reduced form of the
+    whole span."""
+    source = _SchurRows(Q, gamma)
+    slices = source.slices
     layout = _layout(Q.vertices, tuple(gamma[v] for v in Q.vertices))
-    slices = _vertex_slices(Q, gamma, layout.offset)
     names, to_names = layout.names, layout.to_names
+
+    def monomial(e):
+        """The Poly monomial of x^e, named as _from_dense names it."""
+        return tuple((v, k) for v, k in zip(names, to_names(e)) if k)
+
     expansions = {}
     basis = []
-    for rows in blocks.values():
-        keys, dense = _dense_rows(rows)
+    for D in source.degrees(d):
+        keys = source.keys(D)
+        if not keys:
+            continue
+        index = {key: i for i, key in enumerate(keys)}
+        reduced, pivots = rref(QQ, _RowsRead(source.rows(D, index)))
+        if len(pivots) == len(keys):
+            for key in keys:
+                monos = sorted(map(monomial, _monomial_symmetric(key, slices)),
+                               key=_monomial_order)
+                p = Poly.zero()
+                p.terms.update(dict.fromkeys(monos, Fraction(1)))
+                basis.append((_monomial_order(monos[0]), p))
+            continue
+        if not pivots:
+            continue
         expanded = []
-        for row in _row_reduce(dense)[0]:
+        for row in reduced:
             L = lcm(*(c.denominator for c in row))
             terms = {}
             for key, c in zip(keys, row):
@@ -821,13 +909,9 @@ def spherical_span(Q, gamma, d):
                 c = c.numerator * (L // c.denominator)
                 for e, b in expansions[key].items():
                     terms[e] = terms.get(e, 0) + c * b
-            # the integer row over Poly monomials, named as _from_dense names them
-            expanded.append({
-                tuple((v, k) for v, k in zip(names, to_names(e)) if k): c
-                for e, c in terms.items() if c
-            })
-        monos, mono_rows = _dense_rows(expanded, key=_monomial_order)
-        reduced, pivots = _row_reduce(mono_rows)
+            expanded.append({monomial(e): c for e, c in terms.items() if c})
+        monos = sorted({m for row in expanded for m in row}, key=_monomial_order)
+        reduced, pivots = rref(QQ, [tuple(row.get(m, 0) for m in monos) for row in expanded])
         for row, pivot in zip(reduced, pivots):
             p = Poly.zero()
             p.terms.update((m, c) for m, c in zip(monos, row) if c)
@@ -838,18 +922,21 @@ def spherical_span(Q, gamma, d):
 
 def _schur_basis(Q, gamma, d):
     """(column index, rref rows, pivots) of the Schur coordinates of every
-    word product of (gamma, d), all degrees in one reduction.  Memoized per
-    (gamma, d) on the quiver instance, like _contracted_quiver: the memo is
-    the quiver's own dict, made on first use, and dies with it."""
+    word product of (gamma, d), over the Schur keys of all degrees <= d in
+    one reduction.  Memoized per (gamma, d) on the quiver instance, like
+    _contracted_quiver: the memo is the quiver's own dict, made on first
+    use, and dies with it."""
     memo = Q._spherical_bases
     if memo is None:
         memo = Q._spherical_bases = {}
     sector = (tuple(gamma[v] for v in Q.vertices), d)
     if sector not in memo:
-        blocks = _schur_rows(Q, gamma, d).values()
-        keys, dense = _dense_rows([row for rows in blocks for row in rows])
-        reduced, pivots = rref(QQ, dense)
-        memo[sector] = ({key: i for i, key in enumerate(keys)}, reduced, pivots)
+        source = _SchurRows(Q, gamma)
+        keys = [key for D in source.degrees(d) for key in source.keys(D)]
+        index = {key: i for i, key in enumerate(keys)}
+        rows = (row for D in source.degrees(d) for row in source.rows(D, index))
+        reduced, pivots = rref(QQ, _RowsRead(rows))
+        memo[sector] = (index, reduced, pivots)
     return memo[sector]
 
 

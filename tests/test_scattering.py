@@ -118,6 +118,17 @@ def test_str_prints_laurent_coefficients():
     assert str(QT.zero(A2)) == "0"
 
 
+def test_half_exponent_must_be_an_integer():
+    """L^(1/4) is no element: a half exponent of 0.5 is refused when the
+    element is built, not when it is printed."""
+    for h in (0.5, Fraction(1, 2), "1", None):
+        with pytest.raises(PreconditionError, match="half exponent"):
+            e(A2, (1, 0), halfexp=h)
+        with pytest.raises(PreconditionError, match="half exponent"):
+            QT(A2, {((1, 0), h): 1})
+    assert str(e(A2, (1, 0), halfexp=1)) == "(L^(1/2))*e(1, 0)"
+
+
 def test_elements_over_equal_quivers_add():
     """Equal but distinct quiver instances hold the same elements; only
     different vertex tuples refuse to add."""

@@ -21,10 +21,11 @@ from quiveralg.shuffle import (
     SymPoly,
     _alternant_key,
     _arrow_factors,
-    _compositions_upto,
+    _compositions,
     _from_dense,
     _layout,
     _merge_plan,
+    _schur_keys,
     _schur_poly,
     _split_term,
     _standard_blocks,
@@ -933,7 +934,7 @@ def _word_census(Q, gamma, d):
         if d + chi_sum < 0:
             negative = True
         else:
-            pairs += sum(1 for _ in _compositions_upto(len(word), d + chi_sum))
+            pairs += sum(1 for _ in _compositions(len(word) + 1, d + chi_sum))
     return pairs, negative
 
 
@@ -965,10 +966,101 @@ def test_spherical_span_matches_reference(rng):
         seen["empty"] += not got
         seen["vanishing product"] += pairs > len(spherical_products(Q, gamma, d))
         seen["rank > 1"] += len(got) > 1
+        ranks = [gamma[v] for v in Q.vertices]
+        degrees = Counter(b.poly.total_degree() for b in got)
+        seen["full degree"] += any(
+            r == _symmetric_dimension(ranks, D) for D, r in degrees.items())
+        seen["expanded degree"] += any(
+            r < _symmetric_dimension(ranks, D) for D, r in degrees.items())
     assert all(seen[k] >= 3 for k in (
         "loop", "parallel", "2-cycle", "gamma 0", "negative bound", "empty",
-        "vanishing product", "rank > 1",
+        "vanishing product", "rank > 1", "full degree", "expanded degree",
     )), seen
+
+
+def _symmetric_dimension(ranks, D):
+    """The dimension of the degree-D polynomials symmetric in the slots of
+    every vertex: the tuples of partitions, one into at most ranks[k] parts
+    for each k, of total size D."""
+    if not ranks:
+        return int(D == 0)
+    return sum(len(list(_partitions(s, ranks[0]))) * _symmetric_dimension(ranks[1:], D - s)
+               for s in range(D + 1))
+
+
+def test_schur_keys_count_the_symmetric_space():
+    """A degree's Schur keys are distinct, strictly increasing on every
+    run, of the degree's entry sum, and as many as the dimension of the
+    symmetric polynomials of that degree; a negative degree has none."""
+    for runs in ((1,), (2,), (3,), (4,), (2, 1), (1, 2, 1), (3, 2), (2, 2, 2)):
+        vdm = sum(n * (n - 1) // 2 for n in runs)
+        for D in range(-2, 7):
+            keys = _schur_keys(runs, D + vdm)
+            assert len(keys) == len(set(keys)) == _symmetric_dimension(list(runs), D)
+            for key in keys:
+                assert sum(key) == D + vdm
+                start = 0
+                for n in runs:
+                    run = key[start:start + n]
+                    assert all(a < b for a, b in zip(run, run[1:])) and run[0] >= 0
+                    start += n
+                assert start == len(key)
+            assert list(keys) == sorted(keys)
+
+
+def test_full_degree_reads_fewer_rows_than_it_has(monkeypatch):
+    """On the point quiver at rank 2 every degree is full: degree 4 has
+    the six products x^a * x^b, a + b = 5, and three Schur keys, and rref
+    stops reading at its third pivot.  Its basis is m_(4), m_(3,1),
+    m_(2,2)."""
+    pt = point_quiver()
+    per_degree = Counter(p.poly.total_degree() for p in spherical_products(pt, {"1": 2}, 4))
+    assert per_degree[4] == 6
+    read = []
+
+    def counting_rref(p, rows):
+        out = rref(p, rows)
+        read.append((len(rows), len(out[1])))
+        return out
+
+    monkeypatch.setattr(shuffle_module, "rref", counting_rref)
+    basis = spherical_span(pt, {"1": 2}, 4)
+    assert len(read) == 5  # one reduction per degree, none over monomials
+    rows_read, rank = read[4]
+    assert rank == 3 and rows_read < per_degree[4]
+    quartic = [b.poly for b in basis if b.poly.total_degree() == 4]
+    assert sorted(quartic, key=str) == sorted([
+        x("1", 1, 4) + x("1", 2, 4),
+        x("1", 1, 3) * x("1", 2) + x("1", 1) * x("1", 2, 3),
+        x("1", 1, 2) * x("1", 2, 2),
+    ], key=str)
+    assert basis == _reference_spherical_span(pt, {"1": 2}, 4)
+
+
+def test_degree_one_short_of_full_takes_the_expansion_route():
+    """On the 2-cycle at rank (1, 1) every product is a multiple of x2 - x1,
+    so degree D has rank D of its D + 1 Schur keys: no degree is full, and
+    a span that took rank len(keys) - 1 for full would print every
+    monomial."""
+    C2 = cyclic_quiver(2)
+    gamma = {"1": 1, "2": 1}
+    got = spherical_span(C2, gamma, 3)
+    assert got == _reference_spherical_span(C2, gamma, 3)
+    degrees = Counter(b.poly.total_degree() for b in got)
+    assert [degrees[D] for D in range(4)] == [0, 1, 2, 3]
+    assert [len(_schur_keys((1, 1), D)) for D in range(4)] == [1, 2, 3, 4]
+
+
+def test_row_key_outside_its_degree_is_an_internal_error(monkeypatch):
+    """Keys that miss one a row has would lay the row out without it; the
+    span refuses instead.  On the point quiver at rank 2, degree 2 has the
+    keys (0, 3) and (1, 2); without (0, 3), the first product of degree 2,
+    1 * x^3, has a key outside its degree."""
+    pt = point_quiver()
+    keys = shuffle_module._SchurRows.keys
+    monkeypatch.setattr(shuffle_module._SchurRows, "keys", lambda self, D: keys(self, D)[1:])
+    with pytest.raises(InternalConsistencyError, match="is not a key of degree 2"):
+        spherical_span(pt, {"1": 2}, 2)
 
 
 def test_span_degree_blocks_merge_in_pivot_order():
