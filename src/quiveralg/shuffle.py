@@ -19,15 +19,13 @@ integer vector over these sorted keys is an element's Schur coordinates.
 Over the common denominator prod_i Vdm(x[i,*]), the term of a split is its
 shuffle's sign times f*g*Vdm(block1)*Vdm(block2)*arrows.  At a vertex with
 an empty block there is one split, and the other block's Vandermonde
-cancels against Vdm_i; call the other vertices mixed.  The numerator N is
-made once, for the standard split (block 1 = the first g1^i slots at each
-vertex i), with the block Vandermondes of the mixed vertices only.  N is
-antisymmetric inside each block at a mixed vertex, so the sum over
-shuffles is Alt(N) / (prod_{mixed i} Vdm_i * g1^i! * g2^i!), Alt and the
-sorting over the mixed vertices only.  So N's terms are folded into Schur
-coordinates, which are divided by the factorials and expanded.  The
-antisymmetry of N and the exactness of that division are checked on every
-product; a failure is an internal bug, never a data error.
+cancels against Vdm_i; call the other vertices mixed.  There f*Vdm(block
+1) = Alt(F), F being f's Schur coordinates as monomials, and g*Vdm(block 2)
+= Alt(G).  The arrow factor Cross of the standard split (block 1 = the
+first g1^i slots at each vertex i) is symmetric inside each block, so the
+product is Alt(F*G*Cross) / prod_{mixed i} Vdm_i (Macdonald I.3).  Cross's
+symmetry and the order of every key read off are checked; a failure is an
+internal bug, never a data error.
 
 All of this runs on dense exponent tuples with integer coefficients.  The
 sum(gamma) slot variables of a sector get positions (its _layout):
@@ -38,8 +36,8 @@ contractions are built dense, and a Poly is made only when asked for
 (printing, hopf, ==); a parsed element's dense form is made for each
 product or contraction and not kept.  A product's L is the product of f's
 and g's.  The layouts with their adjacent-swap getters (the symmetry check
-of a dense form), each product's block placement and mixed slices, and
-the Schur polynomials are cached.
+of a dense form), each product's block placement, mixed slices and Cross,
+and the Schur polynomials are cached.
 
 Contraction acts on these polynomials by the slotwise substitution
 x[i-,a] |-> x[i0,a], x[i+,a] |-> x[i0,a]: on exponent tuples, the exponent
@@ -60,10 +58,8 @@ are expanded to monomials and row-reduced again.  The degrees, which share
 no monomial, are merged in pivot order.  A reduced row echelon form is
 unique, so this is the basis that reducing every product over its
 monomials gives.  The first product made in every span is also built by
-shuffle_mul as a check.  Membership reads f's Schur coordinates off f *
-Vdm, its coefficients on exponents strictly increasing at every vertex,
-and tests them against the reduced Schur basis of the rank and degree,
-kept on the quiver.
+shuffle_mul as a check.  Membership tests f's Schur coordinates against
+the reduced Schur basis of the rank and degree, kept on the quiver.
 """
 
 from __future__ import annotations
@@ -72,8 +68,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import factorial, lcm
-from operator import add, itemgetter
+from math import lcm
+from operator import add, itemgetter, lt
 
 from .contraction import contract_quiver
 from .errors import InternalConsistencyError, PreconditionError
@@ -288,11 +284,11 @@ class ShuffleElement:
         )
 
 
-def _arrow_factors(Q, block1, block2):
+def _arrow_factors(arrows, block1, block2):
     """Arrow part of fac(block1|block2), as (vb, va, a_ij): one entry per
     arrow class i->j, va in block1[i] and vb in block2[j], standing for
     (vb - va)**a_ij.  A block maps a vertex to its list of variables."""
-    counts = Counter((a.source, a.target) for a in Q.arrows)
+    counts = Counter((a.source, a.target) for a in arrows)
     for i, vas in block1.items():
         for j, vbs in block2.items():
             a_ij = counts[i, j]
@@ -308,7 +304,7 @@ def fac(Q, block1, block2):
     function: the arrow factors over the same-vertex factors (vb - va),
     va in block1[i] and vb in block2[i]."""
     factors = [
-        (Poly.linear_diff(vb, va), a_ij) for vb, va, a_ij in _arrow_factors(Q, block1, block2)
+        (Poly.linear_diff(vb, va), a_ij) for vb, va, a_ij in _arrow_factors(Q.arrows, block1, block2)
     ]
     for i, vas in block1.items():
         for va in vas:
@@ -423,61 +419,82 @@ def _times_diff(p, b, a):
     return {e: c for e, c in out.items() if c}
 
 
+def _increasing(e, slices):
+    """Whether e is strictly increasing on every slice (start, stop)."""
+    return all(all(map(lt, e[lo:hi - 1], e[lo + 1:hi])) for lo, hi in slices)
+
+
+def _schur_coordinates(terms, slices):
+    """The Schur coordinates over the slices (start, stop) of dense terms
+    symmetric on each slice: the terms of terms * Vdm (the slices'
+    Vandermondes) strictly increasing on every slice, since terms * Vdm =
+    sum_key c_key Alt(x^key), Alt over the slices, and Alt(x^key) has x^key
+    with coefficient 1.  With no slice, terms itself."""
+    if not slices or not terms:
+        return terms
+    vdm = {(0,) * len(next(iter(terms))): 1}
+    for lo, hi in slices:
+        for a, b in combinations(range(lo, hi), 2):
+            vdm = _times_diff(vdm, b, a)
+    return {e: c for e, c in _dense_mul(terms, vdm).items() if _increasing(e, slices)}
+
+
 @lru_cache(maxsize=1024)
 def _product_plan(vertices, ranks1, ranks2):
-    """(place, slices, swaps, divisor) of a product of ranks1 by ranks2,
+    """(place, slices1, slices2, slices) of a product of ranks1 by ranks2,
     positions only.  place takes e1 + e2 (over ranks1's and ranks2's
-    layouts) to the product's layout, e1 in block 1 and e2 in block 2.
-    slices are the (start, stop) of the mixed vertices, swaps their
-    adjacent slot swaps inside one block (_Layout.swaps without the swap
-    across the blocks), divisor prod_{mixed v} ranks1_v! * ranks2_v!."""
-    offset1 = _layout(vertices, ranks1).offset
-    offset2 = _layout(vertices, ranks2).offset
+    layouts) to the product's layout, e1 in block 1 and e2 in block 2 of
+    the standard split.  slices are the (start, stop) of the mixed vertices
+    in the product's layout; slices1 and slices2 those of the mixed
+    vertices with more than one slot in the layouts of ranks1 and ranks2
+    (one slot has Vdm 1 and is always increasing)."""
+    layout1, layout2 = _layout(vertices, ranks1), _layout(vertices, ranks2)
     n1 = sum(ranks1)
     layout = _layout(vertices, tuple(map(add, ranks1, ranks2)))
     source = []
-    slices = []
-    swaps = []
-    divisor = 1
+    slices1, slices2, slices = [], [], []
     for v, a, b in zip(vertices, ranks1, ranks2):
-        source.extend(range(offset1[v], offset1[v] + a))
-        source.extend(range(n1 + offset2[v], n1 + offset2[v] + b))
+        lo1, lo2, lo = layout1.offset[v], layout2.offset[v], layout.offset[v]
+        source.extend(range(lo1, lo1 + a))
+        source.extend(range(n1 + lo2, n1 + lo2 + b))
         if a and b:
-            slices.append((layout.offset[v], layout.offset[v] + a + b))
-            swaps.extend(layout.swaps[v][:a - 1] + layout.swaps[v][a:])
-            divisor *= factorial(a) * factorial(b)
-    return _picker(source), tuple(slices), tuple(swaps), divisor
+            slices.append((lo, lo + a + b))
+            slices1.extend([(lo1, lo1 + a)] * (a > 1))
+            slices2.extend([(lo2, lo2 + b)] * (b > 1))
+    return _picker(source), tuple(slices1), tuple(slices2), tuple(slices)
 
 
-def _split_term(f, g, ranks1, ranks2):
-    """(N, L): L times the numerator of the standard split, f * g(shifted
-    into block 2) * arrows * Vdm(block 1) * Vdm(block 2) at every mixed
-    vertex, over the product's layout; that is fac_kernel(Q, g1, g2) times
-    f, the shifted g and Vdm(x[v,*]) at every mixed vertex v."""
-    Q = f.quiver
-    offset = _layout(Q.vertices, tuple(map(add, ranks1, ranks2))).offset
-    block1 = {v: range(offset[v], offset[v] + r) for v, r in zip(Q.vertices, ranks1)}
-    block2 = {v: range(offset[v] + r, offset[v] + r + r2)
-              for v, r, r2 in zip(Q.vertices, ranks1, ranks2)}
-    kernel = {(0,) * (sum(ranks1) + sum(ranks2)): 1}
-    for v in Q.vertices:
-        if block1[v] and block2[v]:
-            for block in (block1[v], block2[v]):
-                for a, b in combinations(block, 2):
-                    kernel = _times_diff(kernel, b, a)
-    for b, a, a_ij in _arrow_factors(Q, block1, block2):
+@lru_cache(maxsize=1024)
+def _cross(vertices, arrows, ranks1, ranks2):
+    """Cross, the arrow factor of the standard split of a product of ranks1
+    by ranks2 (_arrow_factors), dense over the product's layout.  It is
+    checked symmetric under every adjacent slot swap inside one block: the
+    alternant read-off of shuffle_mul relies on it."""
+    layout = _layout(vertices, tuple(map(add, ranks1, ranks2)))
+    block1, block2 = {}, {}
+    swaps = []
+    for v, a, b in zip(vertices, ranks1, ranks2):
+        lo = layout.offset[v]
+        block1[v], block2[v] = range(lo, lo + a), range(lo + a, lo + a + b)
+        # every adjacent swap but the one across the blocks, the (a - 1)-th
+        swaps.extend(s for k, s in enumerate(layout.swaps[v]) if k != a - 1)
+    cross = {(0,) * len(layout.variables): 1}
+    for b, a, a_ij in _arrow_factors(arrows, block1, block2):
         for _ in range(a_ij):
-            kernel = _times_diff(kernel, b, a)
-    place = _product_plan(Q.vertices, ranks1, ranks2)[0]
-    (fd, Lf), (gd, Lg) = f.dense, g.dense
-    fg = {place(e1 + e2): c1 * c2 for e1, c1 in fd.items() for e2, c2 in gd.items()}
-    return _dense_mul(fg, kernel), Lf * Lg
+            cross = _times_diff(cross, b, a)
+    if any({swap(e): c for e, c in cross.items()} != cross for swap in swaps):
+        raise InternalConsistencyError(
+            "the arrow factor of a shuffle product is not symmetric in its blocks"
+        )
+    return cross
 
 
 def shuffle_mul(f, g):
-    """The shuffle product f*g, exact, with polynomiality asserted: the
-    Schur coordinates of Alt(N) over the mixed vertices, N antisymmetric in
-    its blocks, divided exactly by the factorials and expanded."""
+    """The shuffle product f*g, exact: Alt(F * G * Cross) / Vdm over the
+    mixed vertices, F and G the Schur coordinates of f and g there as
+    monomials and Cross from _cross, which checks it symmetric in each
+    block.  F * G * Cross is folded into Schur coordinates, every key
+    asserted strictly increasing on every mixed vertex, and expanded."""
     if f.quiver != g.quiver:
         raise PreconditionError("shuffle product requires a common quiver")
     Q = f.quiver
@@ -486,16 +503,14 @@ def shuffle_mul(f, g):
     if f.is_zero() or g.is_zero():
         return SymPoly(Q, gamma, dense=({}, 1))
 
-    term, L = _split_term(f, g, ranks1, ranks2)
-    _place, slices, swaps, divisor = _product_plan(Q.vertices, ranks1, ranks2)
+    place, slices1, slices2, slices = _product_plan(Q.vertices, ranks1, ranks2)
+    cross = _cross(Q.vertices, Q.arrows, ranks1, ranks2)
+    (fd, Lf), (gd, Lg) = f.dense, g.dense
+    F, G = _schur_coordinates(fd, slices1), _schur_coordinates(gd, slices2)
+    term = _dense_mul({place(e1 + e2): c1 * c2 for e1, c1 in F.items() for e2, c2 in G.items()},
+                      cross)
     if not slices:
-        return SymPoly(Q, gamma, dense=(term, L))
-    get = term.get
-    for swap in swaps:
-        if any(get(swap(e)) != -c for e, c in term.items()):
-            raise InternalConsistencyError(
-                "the numerator of a shuffle product is not antisymmetric in its blocks"
-            )
+        return SymPoly(Q, gamma, dense=(term, Lf * Lg))
     coordinates = {}
     for e, c in term.items():
         hit = _alternant_key(e, slices)
@@ -504,15 +519,15 @@ def shuffle_mul(f, g):
             coordinates[key] = coordinates.get(key, 0) + sign * c
     result = {}
     for key, c in coordinates.items():
-        c, remainder = divmod(c, divisor)
-        if remainder:
+        if not _increasing(key, slices):
             raise InternalConsistencyError(
-                f"Schur coordinate {key} of a shuffle product is not divisible by {divisor}"
+                f"alternant key {key} of a shuffle product is not strictly increasing"
+                " on its mixed vertices"
             )
         if c:
             for e, b in _schur_expansion(key, slices).items():
                 result[e] = result.get(e, 0) + c * b
-    return SymPoly(Q, gamma, dense=({e: c for e, c in result.items() if c}, L))
+    return SymPoly(Q, gamma, dense=({e: c for e, c in result.items() if c}, Lf * Lg))
 
 
 def _contracted_quiver(Q, a0_id):
@@ -750,7 +765,8 @@ class _SchurRows:
                         row[key] = row.get(key, 0) + sign * c
                 row = {key: c for key, c in row.items() if c}
                 if self.unchecked:
-                    if _schur_coordinates(_word_product(self.quiver, word, ks)) != row:
+                    first = _word_product(self.quiver, word, ks).dense[0]
+                    if _schur_coordinates(first, slices) != row:
                         raise InternalConsistencyError(
                             f"Schur coordinates of the word {word} with exponents {ks}"
                             " disagree with its shuffle product"
@@ -940,24 +956,6 @@ def _schur_basis(Q, gamma, d):
     return memo[sector]
 
 
-def _schur_coordinates(f):
-    """f's Schur coordinates, scaled to integers: the coefficients of f * Vdm
-    on the monomials strictly increasing on every vertex's slice (f * Vdm =
-    sum_key c_key Alt(x^key), and Alt(x^key) has x^key with coefficient 1)."""
-    Q, gamma = f.quiver, f.gamma
-    offset = f.layout().offset
-    p, _L = f.dense
-    for v in Q.vertices:
-        for a, b in combinations(range(offset[v], offset[v] + gamma[v]), 2):
-            p = _times_diff(p, b, a)
-    slices = _vertex_slices(Q, gamma, offset)
-    return {
-        e: c
-        for e, c in p.items()
-        if all(x < y for lo, hi in slices for x, y in zip(e[lo:hi - 1], e[lo + 1:hi]))
-    }
-
-
 def spherical_membership(f, d=None):
     """True / False / INCONCLUSIVE membership of f in the span of rank-one
     generator products.  Exact below the degree bound; degrees above the
@@ -971,7 +969,7 @@ def spherical_membership(f, d=None):
     if f.poly.is_zero():
         return True
     index, reduced, pivots = _schur_basis(f.quiver, f.gamma, d)
-    coords = _schur_coordinates(f)
+    coords = _schur_coordinates(f.dense[0], _vertex_slices(f.quiver, f.gamma, f.layout().offset))
     if any(key not in index for key in coords):
         return False
     v = [0] * len(index)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from collections import Counter
 from itertools import combinations, permutations, product
+from operator import add
 from math import comb
 
 import pytest
@@ -22,12 +23,12 @@ from quiveralg.shuffle import (
     _alternant_key,
     _arrow_factors,
     _compositions,
+    _cross,
     _from_dense,
     _layout,
     _merge_plan,
     _schur_keys,
     _schur_poly,
-    _split_term,
     _standard_blocks,
     _to_dense,
     _vertex_words,
@@ -229,11 +230,12 @@ def test_fac_kernel_loop_free_vertex():
     assert got == expected
 
 
-def test_split_term_is_fac_kernel_times_vandermonde(rng):
-    """The term shuffle_mul builds once is fac_kernel(Q, g1, g2) times the
-    Vandermonde of every mixed vertex (both blocks non-empty), times f and
-    the shifted g: the kernel checked above is the one the product uses.
-    Mixed vertices, and vertices with one block empty, both occur."""
+def test_cross_is_the_arrow_part_of_fac_kernel(rng):
+    """The arrow factor Cross that shuffle_mul takes from _cross is
+    fac_kernel(Q, g1, g2) times the same-vertex differences (x_b - x_a), a
+    in block 1 and b in block 2: the kernel checked above is the one the
+    product uses.  Mixed vertices, and vertices with one block empty, both
+    occur."""
     seen = Counter()
     done = 0
     while done < 25:
@@ -242,21 +244,17 @@ def test_split_term_is_fac_kernel_times_vandermonde(rng):
         g2 = {v: rng.randint(0, 2) for v in Q.vertices}
         if sum(g1[a.source] * g2[a.target] for a in Q.arrows) > 6:
             continue
-        f = random_sympoly(rng, Q, g1, max_deg=2, coeffs=RATIONALS)
-        g = random_sympoly(rng, Q, g2, max_deg=2, coeffs=RATIONALS)
-        shift = {xvar(v, q): xvar(v, g1[v] + q) for v in Q.vertices for q in range(1, g2[v] + 1)}
-        mixed = [v for v in Q.vertices if g1[v] and g2[v]]
-        vdm = Rat(1, [
-            (Poly.linear_diff(xvar(v, b), xvar(v, a)), 1)
-            for v in mixed
-            for a, b in combinations(range(1, g1[v] + g2[v] + 1), 2)
+        block1, block2 = _standard_blocks(g1, g2)
+        same = Rat(1, [
+            (Poly.linear_diff(vb, va), 1) for v in Q.vertices for va in block1[v] for vb in block2[v]
         ])
-        full = Rat.from_poly(f.poly * g.poly.rename_vars(shift)) * fac_kernel(Q, g1, g2) * vdm
+        full = fac_kernel(Q, g1, g2) * same
         assert full.is_polynomial()
-        term, L = _split_term(f, g, f.gamma_key(), g.gamma_key())
-        layout = _layout(Q.vertices, tuple(g1[v] + g2[v] for v in Q.vertices))
-        assert _from_dense(term, L, layout) == full.num()
-        seen["mixed"] += bool(mixed)
+        ranks1, ranks2 = tuple(g1[v] for v in Q.vertices), tuple(g2[v] for v in Q.vertices)
+        cross = _cross(Q.vertices, Q.arrows, ranks1, ranks2)
+        layout = _layout(Q.vertices, tuple(map(add, ranks1, ranks2)))
+        assert _from_dense(cross, 1, layout) == full.num()
+        seen["mixed"] += any(g1[v] and g2[v] for v in Q.vertices)
         seen["one block"] += any(bool(g1[v]) != bool(g2[v]) for v in Q.vertices)
         done += 1
     assert seen["mixed"] >= 3 and seen["one block"] >= 3, seen
@@ -312,7 +310,7 @@ def _poly_split_term(f, g):
         for block in (block1[v], block2[v]):
             for va, vb in combinations(block, 2):
                 kernel = kernel * Poly.linear_diff(vb, va)
-    for vb, va, a_ij in _arrow_factors(Q, block1, block2):
+    for vb, va, a_ij in _arrow_factors(Q.arrows, block1, block2):
         kernel = kernel * Poly.linear_diff(vb, va) ** a_ij
     shift = {xvar(v, q): vb for v in Q.vertices for q, vb in enumerate(block2[v], start=1)}
     return f.poly * g.poly.rename_vars(shift) * kernel
@@ -443,6 +441,45 @@ def test_shuffle_mul_matches_reference_on_every_vertex_kind(rng):
     g = SymPoly(Q, g2, power_sum(g2, "a", 1) - power_sum(g2, "b", 2) * Fraction(1, 2))
     got = shuffle_mul(f, g)
     assert not got.is_zero() and got == _poly_path_shuffle_mul(f, g)
+
+
+def test_shuffle_mul_matches_a_sympy_sum_over_splits(rng):
+    """An oracle that uses none of the package's Poly or Rat arithmetic:
+    sympy's cancel of the sum, over every split of the slots, of f and g
+    renamed into the split's blocks times its kernel (the arrow factors
+    (x_b - x_a) over the same-vertex ones), against shuffle_mul.  Seeded
+    products of total rank <= 4 with a mixed vertex."""
+    sympy = pytest.importorskip("sympy")
+
+    def expression(element, slots):
+        """element with its slot a at vertex v renamed to slots[v][a - 1]."""
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(sympy.Symbol(f"x_{v}_{slots[v][a - 1]}") ** k for (_, v, a), k in m))
+            for m, c in element.poly.terms.items()
+        ))
+
+    done = 0
+    while done < 6:
+        pair = _random_pair(rng, range(2, 5), 2, 12, 4, coeffs=RATIONALS)
+        if pair is None or not any(pair[0].gamma[v] and pair[1].gamma[v] for v in pair[0].gamma):
+            continue
+        f, g = pair
+        Q = f.quiver
+        gamma = {v: f.gamma[v] + g.gamma[v] for v in Q.vertices}
+        total = 0
+        for blocks in product(*(combinations(range(1, gamma[v] + 1), f.gamma[v]) for v in Q.vertices)):
+            block1 = dict(zip(Q.vertices, blocks))
+            block2 = {v: [s for s in range(1, gamma[v] + 1) if s not in block1[v]] for v in Q.vertices}
+            kernel = sympy.Integer(1)
+            for i, j, e in [(a.source, a.target, 1) for a in Q.arrows] + [(v, v, -1) for v in Q.vertices]:
+                for s in block1[i]:
+                    for t in block2[j]:
+                        kernel *= (sympy.Symbol(f"x_{j}_{t}") - sympy.Symbol(f"x_{i}_{s}")) ** e
+            total += expression(f, block1) * expression(g, block2) * kernel
+        slots = {v: range(1, gamma[v] + 1) for v in Q.vertices}
+        assert sympy.expand(sympy.cancel(total) - expression(shuffle_mul(f, g), slots)) == 0
+        done += 1
 
 
 def test_mul_loop_free_units_cancel():
@@ -1114,43 +1151,35 @@ def test_unsigned_alternant_key_is_caught_by_the_reference_product(monkeypatch):
     assert shuffle_mul(one, one) != want
 
 
-def _split_term_without_block_2_vandermonde(f, g, ranks1, ranks2):
-    """A broken copy of _split_term: Vdm(block 2) is left out at every mixed
-    vertex, so the numerator is symmetric, not antisymmetric, in block 2."""
-    Q = f.quiver
-    block1, block2 = _standard_blocks(f.gamma, g.gamma)
-    shift = {xvar(v, q): vb for v in Q.vertices for q, vb in enumerate(block2[v], start=1)}
-    term = f.poly * g.poly.rename_vars(shift)
-    for v in Q.vertices:
-        if block1[v] and block2[v]:
-            for va, vb in combinations(block1[v], 2):
-                term = term * Poly.linear_diff(vb, va)
-    for vb, va, a_ij in _arrow_factors(Q, block1, block2):
-        term = term * Poly.linear_diff(vb, va) ** a_ij
-    return _to_dense(term, _layout(Q.vertices, tuple(map(sum, zip(ranks1, ranks2)))))
-
-
-def test_product_checks_its_numerator_is_antisymmetric_in_its_blocks(monkeypatch):
-    """x * x^2 on the point quiver at ranks 1 and 2: without Vdm(block 2)
-    the numerator x1 * (x2^2 + x3^2) is symmetric in block 2."""
-    pt = point_quiver()
-    f = SymPoly(pt, {"1": 1}, x("1", 1))
-    g = SymPoly(pt, {"1": 2}, x("1", 1, 2) + x("1", 2, 2))
+def test_product_checks_its_arrow_factor_is_symmetric_in_its_blocks(monkeypatch):
+    """A broken copy of _arrow_factors that drops its first factor: on J at
+    ranks 2 and 1, Cross is (x3 - x2) instead of (x3 - x1) * (x3 - x2),
+    which is not symmetric in block 1."""
+    J = jordan_quiver()
+    f, g = SymPoly.one(J, {"1": 2}), SymPoly.one(J, {"1": 1})
     assert shuffle_mul(f, g) == _reference_shuffle_mul(f, g)
-    monkeypatch.setattr(shuffle_module, "_split_term", _split_term_without_block_2_vandermonde)
-    with pytest.raises(InternalConsistencyError, match="not antisymmetric in its blocks"):
-        shuffle_mul(f, g)
+    arrow_factors = shuffle_module._arrow_factors
+
+    def dropping_first(arrows, block1, block2):
+        return list(arrow_factors(arrows, block1, block2))[1:]
+
+    # Cross is cached: clear it on both sides of the broken copy
+    _cross.cache_clear()
+    monkeypatch.setattr(shuffle_module, "_arrow_factors", dropping_first)
+    try:
+        with pytest.raises(InternalConsistencyError, match="not symmetric in its blocks"):
+            shuffle_mul(f, g)
+    finally:
+        _cross.cache_clear()
 
 
-def test_product_checks_its_schur_coordinates_divide_exactly(monkeypatch):
-    """An _alternant_key that does not sort leaves each term of the
-    numerator its own coordinate; the antisymmetry check cannot see it (the
-    numerator is right), the division by g1! * g2! can.  1 * x^2 on the
-    point quiver at ranks 2 and 1: the numerator (x2 - x1) * x3^2 has the
-    coordinate 1 at (0, 1, 2), which 2! * 1! does not divide."""
+def test_product_checks_every_key_it_reads_off_is_increasing(monkeypatch):
+    """An _alternant_key that does not sort leaves each term of F * G *
+    Cross its own key.  x^2 * 1 on the point quiver at ranks 1 and 2: F * G
+    is x1^2 * x3, whose key (2, 0, 1) is not increasing."""
     pt = point_quiver()
-    f = SymPoly.one(pt, {"1": 2})
-    g = SymPoly(pt, {"1": 1}, x("1", 1, 2))
+    f = SymPoly(pt, {"1": 1}, x("1", 1, 2))
+    g = SymPoly.one(pt, {"1": 2})
     assert shuffle_mul(f, g) == _reference_shuffle_mul(f, g) == SymPoly.one(pt, {"1": 3})
 
     def unsorted(e, slices):
@@ -1158,8 +1187,26 @@ def test_product_checks_its_schur_coordinates_divide_exactly(monkeypatch):
         return hit and (e, 1)
 
     monkeypatch.setattr(shuffle_module, "_alternant_key", unsorted)
-    with pytest.raises(InternalConsistencyError, match="not divisible by 2"):
+    with pytest.raises(InternalConsistencyError, match="not strictly increasing"):
         shuffle_mul(f, g)
+
+
+def test_factor_without_its_vandermonde_is_caught_by_the_reference_product(monkeypatch):
+    """A broken copy of _schur_coordinates that builds F from f instead of
+    from f * Vdm passes both asserts of shuffle_mul; the per-split reference
+    product sees it: 1 * x^2 on the point quiver at ranks 2 and 1 is 1, but
+    f = 1 has no term strictly increasing on its slots, so F is 0."""
+    pt = point_quiver()
+    f = SymPoly.one(pt, {"1": 2})
+    g = SymPoly(pt, {"1": 1}, x("1", 1, 2))
+    want = _reference_shuffle_mul(f, g)
+    assert want == shuffle_mul(f, g) == SymPoly.one(pt, {"1": 3})
+
+    def without_vandermonde(terms, slices):
+        return {e: c for e, c in terms.items() if shuffle_module._increasing(e, slices)}
+
+    monkeypatch.setattr(shuffle_module, "_schur_coordinates", without_vandermonde)
+    assert shuffle_mul(f, g) != want
 
 
 def _criterion_9_queries():

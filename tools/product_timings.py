@@ -29,6 +29,8 @@ PRODUCTS = (
      (("c1", "a", "b"), ("c2", "a", "b"), ("d", "b", "a")), (2, 2), (1, 2)),
     ("C3 (3 loops) (3)*(2)", ("v",),
      (("l1", "v", "v"), ("l2", "v", "v"), ("l3", "v", "v")), (3,), (2,)),
+    ("C3 (3 loops) (3)*(3)", ("v",),
+     (("l1", "v", "v"), ("l2", "v", "v"), ("l3", "v", "v")), (3,), (3,)),
 )
 
 
