@@ -23,6 +23,7 @@ automatically reduced.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InternalConsistencyError, ScopeError
 
@@ -30,8 +31,12 @@ from .errors import InternalConsistencyError, ScopeError
 # variables
 
 
+@lru_cache(maxsize=4096, typed=True)
 def xvar(vertex, slot):
-    """The shuffle variable x[vertex,slot] (slot counts from 1)."""
+    """The shuffle variable x[vertex,slot] (slot counts from 1).  The tuple
+    is cached, so each variable is one tuple shared by every monomial that
+    holds it; the cache is typed, so that True, 1 and 1.0 name different
+    vertices."""
     return ("x", str(vertex), int(slot))
 
 

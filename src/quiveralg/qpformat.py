@@ -29,9 +29,16 @@ The parse reads plain strings: a section's lines are joined into one
 text, its passes cut pieces of it by position, and element terms go
 straight to (monomial, coefficient) pairs.  Source spans are computed
 only for diagnostics, from the section's table of source offsets.
+
+A parsed document holds each name once: vertex names, arrow ids, potential
+letters and the document name are interned (sys.intern), so equal names
+in any documents alive at once are one string object; an arrow's source
+and target are the vertex list's own strings; and every variable of every
+element's monomials is the one tuple poly.xvar keeps for it.
 """
 
 import re
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -214,26 +221,30 @@ class _Parser:
         problem = _bad_id(text, "quiver")
         if problem:
             self.error((start, start + len(text)), problem)
-        return "Q" if problem else text
+        return "Q" if problem else sys.intern(text)
 
     def parse_vertices(self, sec):
+        """The vertex names, interned, in a dict mapping each to itself
+        (in order), so that other sections can take the vertex's own
+        string for an equal name."""
         src, i0, j0 = _strip(sec.text, 0)
-        vertices = []
-        seen = set()
+        vertices = {}
         pos = i0
         for raw in src.split(",") if src else ():
             name = raw.strip()
             problem = _bad_id(name, "vertex") or (
-                name in seen and f"duplicate vertex {name!r}")
+                name in vertices and f"duplicate vertex {name!r}")
             if problem:
                 self.error(_stripped(sec, pos, pos + len(raw)), problem)
             else:
-                seen.add(name)
-                vertices.append(name)
+                name = sys.intern(name)
+                vertices[name] = name
             pos += len(raw) + 1
         return vertices
 
-    def parse_arrows(self, sec, vertex_set):
+    def parse_arrows(self, sec, vertices):
+        """The arrows, ids interned and ends the strings of `vertices`, the
+        dict of parse_vertices."""
         arrows = []
         seen = set()
         pos = 0
@@ -246,7 +257,7 @@ class _Parser:
             if not colon:
                 self.error((sec, ci, cj), "expected 'id: source -> target'")
                 continue
-            aid = head.strip()
+            aid = sys.intern(head.strip())
             problem = _bad_id(aid, "arrow")
             if problem:
                 self.error(_stripped(sec, ci, ci + len(head)), problem)
@@ -260,10 +271,10 @@ class _Parser:
             for a, end in ((ri, source), (ri + len(source) + 2, target)):
                 name = end.strip()
                 why = _bad_id(name, "vertex") or (
-                    name not in vertex_set and f"unknown vertex {name!r}")
+                    name not in vertices and f"unknown vertex {name!r}")
                 if why:
                     self.error(_stripped(sec, a, a + len(end)), why)
-                names.append(None if why else name)
+                names.append(None if why else vertices[name])
             if problem or None in names:
                 continue
             if aid in seen:
@@ -281,7 +292,7 @@ class _Parser:
         if problem:
             self.error((sec, i, j), problem)
             return None
-        return src
+        return sys.intern(src)
 
     def parse_potential(self, sec, Q, inverted):
         terms = {}
@@ -317,9 +328,9 @@ class _Parser:
                 letter, li, lj = _strip(raw_letter, lpos)
                 lpos += len(raw_letter) + 1
                 if letter in arrow_ids:
-                    syms.append(Sym(letter))
+                    syms.append(Sym(sys.intern(letter)))
                 elif letter.endswith("^-1") and letter[:-3] in arrow_ids:
-                    syms.append(Sym(letter[:-3], inv=True))
+                    syms.append(Sym(sys.intern(letter[:-3]), inv=True))
                 else:
                     self.error((sec, li, lj) if letter else (sec, wi, wj),
                                f"unknown arrow {letter!r} in potential term" if letter
@@ -445,7 +456,7 @@ class _Parser:
                 )
                 return None
             if exp:
-                var = xvar(vertex, slot)
+                var = xvar(sys.intern(vertex), slot)
                 exps[var] = exps.get(var, 0) + exp
             pos = v.end()
             if pos < len(text):
@@ -491,7 +502,7 @@ class _Parser:
         name, sections, gammas = self.scan()
         name = self.parse_name(name)
         vertices = self.parse_vertices(_Section(sections.get("vertices", [])))
-        arrows = self.parse_arrows(_Section(sections.get("arrows", [])), set(vertices))
+        arrows = self.parse_arrows(_Section(sections.get("arrows", [])), vertices)
         Q = Quiver(vertices, arrows, name=name)
         inverted = None
         if "invert" in sections:

@@ -36,8 +36,9 @@ contractions are built dense, and a Poly is made only when asked for
 (printing, hopf, ==); a parsed element's dense form is made for each
 product or contraction and not kept.  A product's L is the product of f's
 and g's.  The layouts with their adjacent-swap getters (the symmetry check
-of a dense form), each product's block placement, mixed slices and Cross,
-and the Schur polynomials are cached.
+of a dense form), each product's block placement and mixed slices, Cross
+(keyed by the ranks and the arrow counts between the block vertices, so
+quivers of one shape share it) and the Schur polynomials are cached.
 
 Contraction acts on these polynomials by the slotwise substitution
 x[i-,a] |-> x[i0,a], x[i+,a] |-> x[i0,a]: on exponent tuples, the exponent
@@ -67,7 +68,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import lcm
 from operator import add, itemgetter, lt
 
@@ -284,14 +285,14 @@ class ShuffleElement:
         )
 
 
-def _arrow_factors(arrows, block1, block2):
+def _arrow_factors(counts, block1, block2):
     """Arrow part of fac(block1|block2), as (vb, va, a_ij): one entry per
     arrow class i->j, va in block1[i] and vb in block2[j], standing for
-    (vb - va)**a_ij.  A block maps a vertex to its list of variables."""
-    counts = Counter((a.source, a.target) for a in arrows)
+    (vb - va)**a_ij.  A block maps a vertex to its list of variables, and
+    counts maps (i, j) to a_ij (a missing pair has no arrows)."""
     for i, vas in block1.items():
         for j, vbs in block2.items():
-            a_ij = counts[i, j]
+            a_ij = counts.get((i, j))
             if not a_ij:
                 continue
             for va in vas:
@@ -303,8 +304,9 @@ def fac(Q, block1, block2):
     """The shuffle kernel fac(block1|block2) as a factored rational
     function: the arrow factors over the same-vertex factors (vb - va),
     va in block1[i] and vb in block2[i]."""
+    counts = Counter((a.source, a.target) for a in Q.arrows)
     factors = [
-        (Poly.linear_diff(vb, va), a_ij) for vb, va, a_ij in _arrow_factors(Q.arrows, block1, block2)
+        (Poly.linear_diff(vb, va), a_ij) for vb, va, a_ij in _arrow_factors(counts, block1, block2)
     ]
     for i, vas in block1.items():
         for va in vas:
@@ -464,25 +466,36 @@ def _product_plan(vertices, ranks1, ranks2):
     return _picker(source), tuple(slices1), tuple(slices2), tuple(slices)
 
 
+def _cross_shape(Q, ranks1, ranks2):
+    """All that Cross of a product of ranks1 by ranks2 depends on besides
+    the ranks: the sorted ((i, j), a_ij) of the arrow classes i->j, i and j
+    positions in Q.vertices, with slots at i in ranks1 and at j in ranks2."""
+    position = Q.vertices.index
+    counts = {}
+    for a in Q.arrows:
+        i, j = position(a.source), position(a.target)
+        if ranks1[i] and ranks2[j]:
+            counts[i, j] = counts.get((i, j), 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 @lru_cache(maxsize=1024)
-def _cross(vertices, arrows, ranks1, ranks2):
+def _cross(ranks1, ranks2, shape):
     """Cross, the arrow factor of the standard split of a product of ranks1
-    by ranks2 (_arrow_factors), dense over the product's layout.  It is
-    checked symmetric under every adjacent slot swap inside one block: the
-    alternant read-off of shuffle_mul relies on it."""
-    layout = _layout(vertices, tuple(map(add, ranks1, ranks2)))
-    block1, block2 = {}, {}
-    swaps = []
-    for v, a, b in zip(vertices, ranks1, ranks2):
-        lo = layout.offset[v]
-        block1[v], block2[v] = range(lo, lo + a), range(lo + a, lo + a + b)
-        # every adjacent swap but the one across the blocks, the (a - 1)-th
-        swaps.extend(s for k, s in enumerate(layout.swaps[v]) if k != a - 1)
-    cross = {(0,) * len(layout.variables): 1}
-    for b, a, a_ij in _arrow_factors(arrows, block1, block2):
+    by ranks2 (_arrow_factors) on a quiver of this _cross_shape, dense over
+    the product's layout; products on different quivers of one shape share
+    it.  It is checked symmetric under every adjacent slot swap inside one
+    block: the alternant read-off of shuffle_mul relies on it."""
+    starts = (0, *accumulate(map(add, ranks1, ranks2)))
+    block1 = {k: range(lo, lo + a) for k, (lo, a) in enumerate(zip(starts, ranks1))}
+    block2 = {k: range(lo + a, hi) for k, (lo, a, hi) in enumerate(zip(starts, ranks1, starts[1:]))}
+    cross = {(0,) * starts[-1]: 1}
+    for b, a, a_ij in _arrow_factors(dict(shape), block1, block2):
         for _ in range(a_ij):
             cross = _times_diff(cross, b, a)
-    if any({swap(e): c for e, c in cross.items()} != cross for swap in swaps):
+    swaps = [p for block in (*block1.values(), *block2.values()) for p in block[:-1]]
+    if any({e[:p] + (e[p + 1], e[p]) + e[p + 2:]: c for e, c in cross.items()} != cross
+           for p in swaps):
         raise InternalConsistencyError(
             "the arrow factor of a shuffle product is not symmetric in its blocks"
         )
@@ -504,7 +517,7 @@ def shuffle_mul(f, g):
         return SymPoly(Q, gamma, dense=({}, 1))
 
     place, slices1, slices2, slices = _product_plan(Q.vertices, ranks1, ranks2)
-    cross = _cross(Q.vertices, Q.arrows, ranks1, ranks2)
+    cross = _cross(ranks1, ranks2, _cross_shape(Q, ranks1, ranks2))
     (fd, Lf), (gd, Lg) = f.dense, g.dense
     F, G = _schur_coordinates(fd, slices1), _schur_coordinates(gd, slices2)
     term = _dense_mul({place(e1 + e2): c1 * c2 for e1, c1 in F.items() for e2, c2 in G.items()},

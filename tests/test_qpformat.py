@@ -388,6 +388,60 @@ def test_multiple_elements_in_document_order():
     assert [el.gamma["u"] for el in doc.elements] == [1, 2]
 
 
+# ------------------------------------------------------------------ sharing
+
+SHARED = """\
+quiver twin
+vertices: left, right, top
+arrows: ab: left -> right; ba: right -> left; up: right -> top; down: top -> left
+potential: 1 * ba.ab + 2 * down.up.ab
+invert: ab
+gamma: left=2, right=1, top=0; poly: x[left,1]*x[left,2]*x[right,1] + 3*x[right,1]^2
+gamma: left=1, right=1, top=1; poly: x[left,1]*x[top,1] + x[right,1]*x[top,1]
+"""
+
+
+def test_parsed_names_are_the_vertex_strings_and_shared_across_documents():
+    """An arrow's ends are (`is`) the vertex list's strings, and equal names
+    in two documents parsed from different texts are one object.  Names of
+    more than one character, which CPython never shares by itself.  Catches
+    parse_arrows keeping its own `end.strip()` for an arrow end, and a name
+    kept without sys.intern."""
+    docs = [parse_qp(SHARED), parse_qp(SHARED.replace("quiver twin", "quiver twin "))]
+    first = {}
+    for doc in docs:
+        Q = doc.quiver
+        vertex = {v: v for v in Q.vertices}
+        for a in Q.arrows:
+            assert a.source is vertex[a.source] and a.target is vertex[a.target]
+        names = [doc.name, doc.inverted, *Q.vertices, *(a.id for a in Q.arrows)]
+        names += [s.arrow for w in doc.potential.terms for s in w.syms]
+        for name in names:
+            assert first.setdefault(name, name) is name, name
+    assert len(first) == 1 + 3 + 4
+
+
+def test_parsed_variables_are_the_xvar_tuples():
+    """Every variable of every parsed monomial is the one tuple xvar keeps
+    for it.  Catches xvar without its cache."""
+    doc = parse_qp(SHARED)
+    seen = 0
+    for el in doc.elements:
+        for mono in el.poly.terms:
+            for var, _ in mono:
+                assert var is xvar(var[1], var[2])
+                seen += 1
+    assert seen == 8
+
+
+def test_xvar_cache_tells_equal_keys_of_different_types_apart():
+    """True == 1 == 1.0, yet they name the vertices "True", "1" and "1.0".
+    Catches an xvar cache without typed=True."""
+    assert xvar(1, 1) == ("x", "1", 1)
+    assert xvar(True, 1) == ("x", "True", 1)
+    assert xvar(1.0, 1) == ("x", "1.0", 1)
+
+
 # ------------------------------------------------------------------ printer
 
 

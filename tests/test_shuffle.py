@@ -24,6 +24,7 @@ from quiveralg.shuffle import (
     _arrow_factors,
     _compositions,
     _cross,
+    _cross_shape,
     _from_dense,
     _layout,
     _merge_plan,
@@ -251,13 +252,35 @@ def test_cross_is_the_arrow_part_of_fac_kernel(rng):
         full = fac_kernel(Q, g1, g2) * same
         assert full.is_polynomial()
         ranks1, ranks2 = tuple(g1[v] for v in Q.vertices), tuple(g2[v] for v in Q.vertices)
-        cross = _cross(Q.vertices, Q.arrows, ranks1, ranks2)
+        cross = _cross(ranks1, ranks2, _cross_shape(Q, ranks1, ranks2))
         layout = _layout(Q.vertices, tuple(map(add, ranks1, ranks2)))
         assert _from_dense(cross, 1, layout) == full.num()
         seen["mixed"] += any(g1[v] and g2[v] for v in Q.vertices)
         seen["one block"] += any(bool(g1[v]) != bool(g2[v]) for v in Q.vertices)
         done += 1
     assert seen["mixed"] >= 3 and seen["one block"] >= 3, seen
+
+
+def test_cross_is_shared_by_quivers_of_one_shape():
+    """Cross depends on the ranks and on the arrow counts between the block
+    vertices only, so products on quivers that differ in names, in arrow
+    order and in arrows at a vertex with no slots share one cached Cross,
+    and one more arrow between the blocks does not.  Catches a
+    _cross_shape that keeps the names or the arrows outside the blocks."""
+    Q1 = Quiver(["a", "b", "c"], [Arrow("x", "a", "b"), Arrow("y", "b", "a"), Arrow("z", "c", "c")])
+    Q2 = Quiver(["p", "q", "r"], [Arrow("w", "r", "p"), Arrow("v", "q", "p"), Arrow("u", "p", "q")])
+    Q3 = Quiver(["a", "b", "c"], [*Q1.arrows, Arrow("x2", "a", "b")])
+    _cross.cache_clear()
+    try:
+        for Q in (Q1, Q2, Q3):
+            a, b, _ = Q.vertices
+            f = SymPoly(Q, {a: 1, b: 1, Q.vertices[2]: 0}, x(a, 1))
+            g = SymPoly(Q, {a: 1, b: 1, Q.vertices[2]: 0}, x(b, 1) + 2)
+            assert shuffle_mul(f, g) == _reference_shuffle_mul(f, g)
+        info = _cross.cache_info()
+        assert (info.hits, info.misses) == (1, 2), info
+    finally:
+        _cross.cache_clear()
 
 
 # ------------------------------------------------------------- product
@@ -310,7 +333,8 @@ def _poly_split_term(f, g):
         for block in (block1[v], block2[v]):
             for va, vb in combinations(block, 2):
                 kernel = kernel * Poly.linear_diff(vb, va)
-    for vb, va, a_ij in _arrow_factors(Q.arrows, block1, block2):
+    counts = Counter((a.source, a.target) for a in Q.arrows)
+    for vb, va, a_ij in _arrow_factors(counts, block1, block2):
         kernel = kernel * Poly.linear_diff(vb, va) ** a_ij
     shift = {xvar(v, q): vb for v in Q.vertices for q, vb in enumerate(block2[v], start=1)}
     return f.poly * g.poly.rename_vars(shift) * kernel
@@ -1160,8 +1184,8 @@ def test_product_checks_its_arrow_factor_is_symmetric_in_its_blocks(monkeypatch)
     assert shuffle_mul(f, g) == _reference_shuffle_mul(f, g)
     arrow_factors = shuffle_module._arrow_factors
 
-    def dropping_first(arrows, block1, block2):
-        return list(arrow_factors(arrows, block1, block2))[1:]
+    def dropping_first(counts, block1, block2):
+        return list(arrow_factors(counts, block1, block2))[1:]
 
     # Cross is cached: clear it on both sides of the broken copy
     _cross.cache_clear()
