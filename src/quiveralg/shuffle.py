@@ -14,7 +14,9 @@ Both the product and the spherical span are read off alternants: Alt(x^e)
 if e repeats an exponent at a vertex, and otherwise the sign of sorting e
 times the product over vertices of the Schur polynomials s_lambda, lambda
 = sorted(e) - (0, 1, ...) (_alternant_key, _schur_expansion).  A sparse
-integer vector over these sorted keys is an element's Schur coordinates.
+integer vector over these sorted keys is an element's Schur coordinates;
+one fold reads them off (_alternant_fold), and f's are the fold of
+f*x^delta, delta = (0, 1, ..., n-1) on n slots, as f*Vdm = Alt(f*x^delta).
 
 Over the common denominator prod_i Vdm(x[i,*]), the term of a split is its
 shuffle's sign times f*g*Vdm(block1)*Vdm(block2)*arrows.  At a vertex with
@@ -217,9 +219,6 @@ class SymPoly:
             else:
                 del out[e]
         return SymPoly(self.quiver, self.gamma, dense=(out, L))
-
-    def scale(self, c):
-        return SymPoly(self.quiver, self.gamma, self.poly.scale(c))
 
     def _check_same_sector(self, other):
         if self.quiver != other.quiver or self.gamma != other.gamma:
@@ -426,19 +425,33 @@ def _increasing(e, slices):
     return all(all(map(lt, e[lo:hi - 1], e[lo + 1:hi])) for lo, hi in slices)
 
 
+def _alternant_fold(items, slices):
+    """Schur coordinates {key: c} of Alt(sum c * x^e), Alt over the slices
+    (start, stop): item (e, c) adds sign * c at _alternant_key's key.  Zero
+    coordinates are dropped; every key is asserted strictly increasing."""
+    coordinates = {}
+    for e, c in items:
+        hit = _alternant_key(e, slices)
+        if hit:
+            key, sign = hit
+            coordinates[key] = coordinates.get(key, 0) + sign * c
+    for key in coordinates:
+        if not _increasing(key, slices):
+            raise InternalConsistencyError(f"alternant key {key} is not strictly increasing")
+    return {key: c for key, c in coordinates.items() if c}
+
+
 def _schur_coordinates(terms, slices):
-    """The Schur coordinates over the slices (start, stop) of dense terms
-    symmetric on each slice: the terms of terms * Vdm (the slices'
-    Vandermondes) strictly increasing on every slice, since terms * Vdm =
-    sum_key c_key Alt(x^key), Alt over the slices, and Alt(x^key) has x^key
-    with coefficient 1.  With no slice, terms itself."""
+    """The Schur coordinates of dense terms symmetric on each slice (start,
+    stop): terms * Vdm = Alt(terms * x^delta), Vdm the slices' Vandermondes
+    and delta = (0, 1, ..., n - 1) on a slice of n slots (Macdonald I.3).
+    With no slice, terms itself."""
     if not slices or not terms:
         return terms
-    vdm = {(0,) * len(next(iter(terms))): 1}
+    delta = [0] * len(next(iter(terms)))
     for lo, hi in slices:
-        for a, b in combinations(range(lo, hi), 2):
-            vdm = _times_diff(vdm, b, a)
-    return {e: c for e, c in _dense_mul(terms, vdm).items() if _increasing(e, slices)}
+        delta[lo:hi] = range(hi - lo)
+    return _alternant_fold(((tuple(map(add, e, delta)), c) for e, c in terms.items()), slices)
 
 
 @lru_cache(maxsize=1024)
@@ -506,8 +519,7 @@ def shuffle_mul(f, g):
     """The shuffle product f*g, exact: Alt(F * G * Cross) / Vdm over the
     mixed vertices, F and G the Schur coordinates of f and g there as
     monomials and Cross from _cross, which checks it symmetric in each
-    block.  F * G * Cross is folded into Schur coordinates, every key
-    asserted strictly increasing on every mixed vertex, and expanded."""
+    block.  F * G * Cross is folded (_alternant_fold) and expanded."""
     if f.quiver != g.quiver:
         raise PreconditionError("shuffle product requires a common quiver")
     Q = f.quiver
@@ -524,22 +536,10 @@ def shuffle_mul(f, g):
                       cross)
     if not slices:
         return SymPoly(Q, gamma, dense=(term, Lf * Lg))
-    coordinates = {}
-    for e, c in term.items():
-        hit = _alternant_key(e, slices)
-        if hit:
-            key, sign = hit
-            coordinates[key] = coordinates.get(key, 0) + sign * c
     result = {}
-    for key, c in coordinates.items():
-        if not _increasing(key, slices):
-            raise InternalConsistencyError(
-                f"alternant key {key} of a shuffle product is not strictly increasing"
-                " on its mixed vertices"
-            )
-        if c:
-            for e, b in _schur_expansion(key, slices).items():
-                result[e] = result.get(e, 0) + c * b
+    for key, c in _alternant_fold(term.items(), slices).items():
+        for e, b in _schur_expansion(key, slices).items():
+            result[e] = result.get(e, 0) + c * b
     return SymPoly(Q, gamma, dense=({e: c for e, c in result.items() if c}, Lf * Lg))
 
 

@@ -101,6 +101,32 @@ def test_higgs_quadratic_is_unsupported(tmp_path, capsys):
     assert code == 4
 
 
+def test_higgs_and_mutate_differ_on_a_remainder_holding_the_pair(tmp_path, capsys):
+    """contraction.higgs and qp.reduce_trivial each run the quadratic
+    elimination step, and only reduce_trivial refuses when the remainder
+    dW/db - c or dW/dc - b holds b or c.  Here the pair eliminated next to
+    a0 is a3 and a5*a0, and dW/da3 holds a3 through a4.a3.a4.a3: higgs
+    answers with a zero potential, mutate at v1 refuses.  Pinned until one
+    shared step decides both."""
+    f = tmp_path / "pair.qp"
+    f.write_text(
+        "vertices: v0, v1, v2\n"
+        "arrows: a0: v0 -> v1; a1: v2 -> v0; a2: v0 -> v1; a3: v2 -> v0; a4: v0 -> v2;"
+        " a5: v1 -> v2\n"
+        "potential: 1 * a4.a3 + 1 * a4.a3.a4.a3 + -1 * a3.a5.a0\n"
+    )
+    assert run(capsys, "higgs", "--arrow", "a0", str(f)) == (
+        0,
+        "quiver Q_hat\n"
+        "vertices: v0, v2\n"
+        "arrows: a1: v2 -> v0; a0^-1*a2: v0 -> v0; a4: v0 -> v2\n",
+        "",
+    )
+    code, out, err = run(capsys, "mutate", "--vertex", "v1", str(f))
+    assert (code, out) == (4, "")
+    assert "reintroduces a3" in err
+
+
 # ---------------------------------------------------------------- mutation
 
 

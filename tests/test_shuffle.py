@@ -25,12 +25,16 @@ from quiveralg.shuffle import (
     _compositions,
     _cross,
     _cross_shape,
+    _dense_mul,
     _from_dense,
+    _increasing,
     _layout,
     _merge_plan,
+    _schur_coordinates,
     _schur_keys,
     _schur_poly,
     _standard_blocks,
+    _times_diff,
     _to_dense,
     _vertex_words,
     contract_shuffle,
@@ -1231,6 +1235,92 @@ def test_factor_without_its_vandermonde_is_caught_by_the_reference_product(monke
 
     monkeypatch.setattr(shuffle_module, "_schur_coordinates", without_vandermonde)
     assert shuffle_mul(f, g) != want
+
+
+def _reference_schur_coordinates(terms, slices):
+    """Schur coordinates by the full Vandermonde: the terms of terms * Vdm
+    (the slices' Vandermondes) strictly increasing on every slice, since
+    terms * Vdm = sum_key c_key Alt(x^key), Alt over the slices, and
+    Alt(x^key) has x^key with coefficient 1."""
+    if not slices or not terms:
+        return terms
+    vdm = {(0,) * len(next(iter(terms))): 1}
+    for lo, hi in slices:
+        for a, b in combinations(range(lo, hi), 2):
+            vdm = _times_diff(vdm, b, a)
+    return {e: c for e, c in _dense_mul(terms, vdm).items() if _increasing(e, slices)}
+
+
+def _random_slices(rng):
+    """(n, slices): 1-3 slices (start, stop) of 1-4 slots each, with 0-2
+    positions before, between and after them, in a tuple of n positions."""
+    slices = []
+    n = rng.randint(0, 2)
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(1, 4)
+        slices.append((n, n + size))
+        n += size + rng.randint(0, 2)
+    return n, tuple(slices)
+
+
+def _orbit_sums(rng, n, slices, seeds, top=3):
+    """Dense terms symmetric on every slice: each of `seeds` random
+    exponent tuples adds a random coefficient to every reordering of its
+    entries inside the slices; positions outside the slices stay put."""
+    terms = {}
+    for _ in range(seeds):
+        e = [rng.randint(0, top) for _ in range(n)]
+        c = rng.choice((1, -1, 2, -3, 5))
+        for parts in product(*(set(permutations(e[lo:hi])) for lo, hi in slices)):
+            for (lo, hi), part in zip(slices, parts):
+                e[lo:hi] = part
+            terms[tuple(e)] = terms.get(tuple(e), 0) + c
+    return {e: c for e, c in terms.items() if c}
+
+
+def test_schur_coordinates_match_the_vandermonde_route(rng):
+    """The fold of terms * x^delta against the Vandermonde route on seeded
+    symmetric terms: 1-3 slices of 1-4 slots with positions outside them,
+    60 draws.  A delta reversed (Alt(x^delta reversed) = -Vdm on 2 or 3
+    slots), no shift, or a fold that drops the sign of the sort disagree."""
+    checked = 0
+    while checked < 60:
+        n, slices = _random_slices(rng)
+        terms = _orbit_sums(rng, n, slices, rng.randint(1, 3))
+        vdm_terms = 1
+        for lo, hi in slices:
+            for k in range(2, hi - lo + 1):
+                vdm_terms *= k
+        if not terms or len(terms) * vdm_terms > 20_000:
+            continue
+        got = _schur_coordinates(terms, slices)
+        assert got == _reference_schur_coordinates(terms, slices), (slices, terms)
+        assert got and 0 not in got.values()
+        checked += 1
+
+
+def test_schur_coordinates_drop_cancelling_keys():
+    """h_k, the sum of every monomial of degree k in n slots, is s_(k): its
+    monomials fold onto many keys, every one but delta + (0, ..., 0, k)
+    cancelling.  One slice of n = 1-4 slots between two fixed positions."""
+    for n in range(1, 5):
+        slices = ((1, n + 1),)
+        for k in range(5):
+            terms = {(2,) + e + (1,): 1 for e in product(range(k + 1), repeat=n)
+                     if sum(e) == k}
+            want = {(2, *range(n - 1), n - 1 + k, 1): 1}
+            assert _schur_coordinates(terms, slices) == want, (n, k)
+            assert _reference_schur_coordinates(terms, slices) == want, (n, k)
+
+
+def test_schur_coordinates_of_the_constant_are_delta():
+    """The constant 1 at ranks 1-6 has the one coordinate delta = (0, 1,
+    ..., n - 1), since Vdm = Alt(x^delta)."""
+    for n in range(1, 7):
+        terms, slices = {(0,) * n: 1}, ((0, n),)
+        want = {tuple(range(n)): 1}
+        assert _schur_coordinates(terms, slices) == want
+        assert _reference_schur_coordinates(terms, slices) == want
 
 
 def _criterion_9_queries():

@@ -31,6 +31,7 @@ PRODUCTS = (
      (("l1", "v", "v"), ("l2", "v", "v"), ("l3", "v", "v")), (3,), (2,)),
     ("C3 (3 loops) (3)*(3)", ("v",),
      (("l1", "v", "v"), ("l2", "v", "v"), ("l3", "v", "v")), (3,), (3,)),
+    ("Jordan (8)*(1)", ("v",), (("l", "v", "v"),), (8,), (1,)),
 )
 
 
