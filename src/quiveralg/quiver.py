@@ -30,6 +30,8 @@ class Quiver:
     # (rank vector, degree) -> reduced Schur basis of the spherical span;
     # shuffle.spherical_membership gives a quiver its own dict on first use
     _spherical_bases = None
+    # arrow id -> arrow, built by the first ``arrow`` or ``has_arrow`` call
+    _by_id = None
 
     def __init__(self, vertices, arrows, name="Q"):
         self.name = name
@@ -50,7 +52,6 @@ class Quiver:
         ids = [a.id for a in self.arrows]
         if len(set(ids)) != len(ids):
             raise PreconditionError("duplicate arrow identifiers")
-        self._by_id = {a.id: a for a in self.arrows}
 
     def __repr__(self):
         return f"Quiver({self.name}: {len(self.vertices)} vertices, {len(self.arrows)} arrows)"
@@ -66,11 +67,13 @@ class Quiver:
         return hash((self.vertices, tuple(sorted(self.arrows))))
 
     def arrow(self, aid):
-        if aid not in self._by_id:
+        if not self.has_arrow(aid):
             raise PreconditionError(f"no arrow named {aid!r}")
         return self._by_id[aid]
 
     def has_arrow(self, aid):
+        if self._by_id is None:
+            self._by_id = {a.id: a for a in self.arrows}
         return aid in self._by_id
 
     def arrows_from(self, v):

@@ -34,17 +34,23 @@ enumerated lazily, in a fixed order that decides the witness, and
 arrow once both its ends are chosen.  A representation's images M u are
 computed once for all of its searches, and membership in a subspace
 (``linalg.in_span``) rebuilds the image from its entries at the pivots.
-The verdict depends on kappa only through the destabilizing set, so one
-``wall_support_scan`` or ``eta_embedding_check`` call decides each
-(gamma, set) pair once, from one cached table of the set's searches
-(``_searches``): a d with no arrow that can fail makes it false and an
-empty set makes it true, with no enumeration and no call of
-``king_semistable_exists``, which enumerates only where a representation
-must be searched.  That function, the witness API, reads the same table
-and keeps its own input checks, witness and errors.  Scans and eta checks
-stay in integers: a scan projects every sample to an integer direction and
-removes repeats there, and the eta check lifts directions by
-``_eta_lift``; Fractions are built only for the kappas a scan reports.
+The verdict depends on kappa only through the destabilizing set, and on
+the quiver only through the arrows with both ends in the support of gamma
+(an arrow that touches a zero-rank vertex has an empty matrix).  So
+``wall_support_scan`` and ``eta_embedding_check`` read each verdict from
+one bounded, process-wide table (``_support_verdict``) keyed by those
+arrows, renumbered and without ids, gamma on its support, the set as a bit
+mask over ``_dims_below(gamma)`` (``_mask``), and p.  An empty mask is true
+with no table; that covers every gamma at one vertex, which a scan decides
+itself.  On a miss, a d with no arrow that can fail makes the verdict false
+with no enumeration (``_searches``); otherwise ``_first_semistable``, the
+one enumeration loop, searches.  ``king_semistable_exists``, the witness
+API, runs the same loop on the whole quiver and never reads the table.
+The caps only gate whether a search may run, so scans and eta checks
+still check them before their first query.  Scans and eta checks stay in
+integers: a scan projects every sample to an integer direction and removes
+repeats there, and the eta check lifts directions by ``_eta_lift``;
+Fractions are built only for the kappas a scan reports.
 """
 
 from __future__ import annotations
@@ -106,8 +112,9 @@ def _by_vertices(Q, vec):
 
 
 def _vec(Q, v):
+    """A rational vector: int entries as they are, the others as Fractions."""
     try:
-        t = tuple(map(Fraction, _by_vertices(Q, v)))
+        t = tuple(x if type(x) is int else Fraction(x) for x in _by_vertices(Q, v))
     except (TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"vector {v} has an entry that is not rational: {exc}") from None
     if len(t) != len(Q.vertices):
@@ -616,13 +623,14 @@ def _check_representation(Q, gamma, rep, p):
             raise PreconditionError(f"arrow {aid!r} has an entry outside range({p}): {M!r}")
 
 
-def _all_representations(Q, gamma, p):
+def _all_representations(slots, gamma, p):
     """Every representation of dimension gamma over F_p as {arrow id:
-    matrix}, generated lazily in lexicographic order of the arrows'
-    row-major entries (the order that fixes which witness is reported)."""
+    matrix}, for the arrows ``slots`` (see ``_arrow_slots``), generated
+    lazily in lexicographic order of the arrows' row-major entries (the
+    order that fixes which witness is reported)."""
     layout = []  # (arrow id, the slice of each matrix row in the flat entries)
     at = 0
-    for aid, si, ti in _arrow_slots(Q):
+    for aid, si, ti in slots:
         cols = gamma[si]
         layout.append((aid, [slice(at + r * cols, at + (r + 1) * cols) for r in range(gamma[ti])]))
         at += gamma[ti] * cols
@@ -683,6 +691,32 @@ def _destabilizing(gamma, direction):
     return tuple(d for d in _dims_below(gamma) if sum(map(operator.mul, direction, d)) > 0)
 
 
+@lru_cache(maxsize=1024)
+def _mask(gamma, direction):
+    """``_destabilizing(gamma, direction)`` as a bit mask over
+    ``_dims_below(gamma)``: bit i is set when its i-th d destabilizes."""
+    return sum(
+        1 << i
+        for i, d in enumerate(_dims_below(gamma))
+        if sum(map(operator.mul, direction, d)) > 0
+    )
+
+
+def _first_semistable(slots, gamma, searches, p):
+    """The first representation, in the order of ``_all_representations``,
+    in which none of ``searches`` (see ``_searches``) finds a
+    subrepresentation, or None.  The images of a representation's matrices
+    are computed once for all of its searches."""
+    for rep in _all_representations(slots, gamma, p):
+        images = {}
+        if not any(
+            next(_stable_tuples(levels, rep, candidates, p, images), None) is not None
+            for candidates, levels in searches
+        ):
+            return rep
+    return None
+
+
 def king_semistable_exists(Q, gamma, kappa, p, *, limits=LIMITS):
     """Brute-force existence of a semistable representation: some rep of
     dimension gamma whose every proper subrepresentation F has
@@ -690,49 +724,56 @@ def king_semistable_exists(Q, gamma, kappa, p, *, limits=LIMITS):
 
     The witness is the first semistable representation in the order of
     ``_all_representations``.  Each representation is searched only for
-    subrepresentations whose dimension vector destabilizes, and the images
-    of its matrices are computed once for all of those searches."""
+    subrepresentations whose dimension vector destabilizes."""
     gamma = _gamma_tuple(Q, gamma)
     kappa = _vec(Q, kappa)
     _, direction = _clear_denominators(kappa)
     if sum(map(operator.mul, direction, gamma)) != 0:
         raise PreconditionError(f"kappa(gamma) = {_kappa_of_dims(kappa, gamma)} != 0")
     _check_enumeration_bounds(Q, gamma, p, limits)
-    searches = _searches(_arrow_slots(Q), gamma, _destabilizing(gamma, direction), p)
+    slots = _arrow_slots(Q)
+    searches = _searches(slots, gamma, _destabilizing(gamma, direction), p)
     if searches is None:
         return KingVerdict(False, None)
-    for rep in _all_representations(Q, gamma, p):
-        images = {}
-        if not any(
-            next(_stable_tuples(levels, rep, candidates, p, images), None) is not None
-            for candidates, levels in searches
-        ):
-            return KingVerdict(True, rep)
-    return KingVerdict(False, None)
+    rep = _first_semistable(slots, gamma, searches, p)
+    return KingVerdict(rep is not None, rep)
+
+
+def _support(slots, gamma):
+    """The arrows with both ends in the support of gamma, as the sorted
+    (source, target) positions of their ends among the support's vertices,
+    and gamma restricted to its support."""
+    at = {i: k for k, i in enumerate(i for i, g in enumerate(gamma) if g)}
+    arrows = sorted((at[si], at[ti]) for _, si, ti in slots if si in at and ti in at)
+    return tuple(arrows), tuple(g for g in gamma if g)
+
+
+@lru_cache(maxsize=1024)
+def _support_verdict(arrows, gamma, mask, p):
+    """Is some representation of dimension gamma over F_p, of the quiver
+    with these arrows (see ``_support``), semistable for the destabilizing
+    set ``mask`` (see ``_mask``)?  Arrows are numbered by their position."""
+    slots = tuple((n, si, ti) for n, (si, ti) in enumerate(arrows))
+    destabilizing = tuple(d for i, d in enumerate(_dims_below(gamma)) if mask >> i & 1)
+    searches = _searches(slots, gamma, destabilizing, p)
+    return searches is not None and _first_semistable(slots, gamma, searches, p) is not None
 
 
 def _exists_once(memo, Q, gamma, kappa, direction, p, limits):
-    """``king_semistable_exists(Q, gamma, kappa, p, limits=limits).exists``,
-    decided once per (gamma, destabilizing dimension vectors) in ``memo``:
-    the verdict depends on kappa only through that set.  The ``_searches``
-    table decides it with no enumeration when some destabilizing d has no
-    arrow that can fail (false) and when nothing destabilizes (true);
-    otherwise ``king_semistable_exists`` searches ``direction``, a positive
-    integer multiple of kappa, which has the same set.  The caller has
-    checked the brute-force caps of gamma."""
-    destabilizing = _destabilizing(gamma, direction)
-    key = (gamma, destabilizing)
-    verdict = memo.get(key)
-    if verdict is None:
-        searches = _searches(_arrow_slots(Q), gamma, destabilizing, p)
-        if searches is None:
-            verdict = False
-        elif not searches:
-            verdict = True
-        else:
-            verdict = king_semistable_exists(Q, gamma, direction, p, limits=limits).exists
-        memo[key] = verdict
-    return verdict
+    """``king_semistable_exists(Q, gamma, kappa, p, limits=limits).exists``
+    for ``direction``, a positive integer multiple of kappa, read from the
+    process-wide table ``_support_verdict``.  ``memo`` holds the
+    ``_support`` of each gamma of one quiver.  The caller has checked the
+    caps of gamma: a verdict in the table is a fact about the quiver, and
+    the caps only gate whether a search may run."""
+    g = math.gcd(*direction)
+    mask = g and _mask(gamma, tuple(x // g for x in direction))
+    if not mask:
+        return True
+    support = memo.get(gamma)
+    if support is None:
+        support = memo[gamma] = _support(_arrow_slots(Q), gamma)
+    return _support_verdict(*support, mask, p)
 
 
 def _quotient_rep(Q, gamma, rep, choice, p):
@@ -853,10 +894,14 @@ def wall_support_scan(Q, maxgamma, samples, p=2, *, limits=LIMITS):
     memo = {}
     entries = []
     for gamma, scale, directions in queries:
+        # kappa(gamma) = 0 makes kappa vanish on every d <= gamma at one vertex
+        one_vertex = sum(map(bool, gamma)) == 1
         verdicts = []
         for direction in directions:
             kappa = tuple(map(_ratio, direction, itertools.repeat(scale)))
-            verdicts.append((kappa, _exists_once(memo, Q, gamma, kappa, direction, p, limits)))
+            verdicts.append(
+                (kappa, one_vertex or _exists_once(memo, Q, gamma, kappa, direction, p, limits))
+            )
         entries.append(WallScanEntry(gamma, gamma, tuple(verdicts)))
     return entries
 

@@ -241,49 +241,6 @@ class SymPoly:
     __repr__ = __str__
 
 
-class ShuffleElement:
-    """Finite sum of SymPoly components indexed by their rank vectors."""
-
-    __slots__ = ("quiver", "parts")
-
-    def __init__(self, quiver, parts=()):
-        self.quiver = quiver
-        self.parts = {}
-        for sp in parts:
-            self._add_part(sp)
-
-    def _add_part(self, sp):
-        if sp.quiver != self.quiver:
-            raise PreconditionError("component over a different quiver")
-        key = sp.gamma_key()
-        if key in self.parts:
-            sp = self.parts[key] + sp
-        if sp.is_zero():
-            self.parts.pop(key, None)
-        else:
-            self.parts[key] = sp
-
-    def __add__(self, other):
-        out = ShuffleElement(self.quiver, self.parts.values())
-        for sp in other.parts.values():
-            out._add_part(sp)
-        return out
-
-    def mul(self, other):
-        out = ShuffleElement(self.quiver)
-        for f in self.parts.values():
-            for g in other.parts.values():
-                out._add_part(shuffle_mul(f, g))
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ShuffleElement)
-            and self.quiver == other.quiver
-            and self.parts == other.parts
-        )
-
-
 def _arrow_factors(counts, block1, block2):
     """Arrow part of fac(block1|block2), as (vb, va, a_ij): one entry per
     arrow class i->j, va in block1[i] and vb in block2[j], standing for

@@ -431,7 +431,7 @@ def test_wall_scan_export_lines():
 def test_wall_scan_refuses_over_cap_before_searching(tmp_path, capsys, monkeypatch):
     """v0 => v1, v1 -> v3, v1 -> v2, v3 -> v0, v2 -> v0: max gamma
     (1,1,1,2) reaches total dimension 5, and the scan refuses before its
-    first King search; in cap the export stays as it was."""
+    first King query; in cap the export stays as it was."""
     f = tmp_path / "overcap.qp"
     f.write_text(
         "vertices: v0, v1, v2, v3\n"
@@ -439,13 +439,13 @@ def test_wall_scan_refuses_over_cap_before_searching(tmp_path, capsys, monkeypat
         "b: v3 -> v0; c: v2 -> v0\n"
     )
     searches = []
-    search = scattering.king_semistable_exists
+    search = scattering._exists_once
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         searches.append(args)
-        return search(*args, **kwargs)
+        return search(*args)
 
-    monkeypatch.setattr(scattering, "king_semistable_exists", counting)
+    monkeypatch.setattr(scattering, "_exists_once", counting)
     over = ["walls", "--max-gamma", "v0=1,v1=1,v2=1,v3=2", "--field", "3", str(f)]
     assert main(over) == 4
     assert capsys.readouterr().err == "error: total dimension 5 exceeds the brute-force bound 4\n"
@@ -722,10 +722,9 @@ def test_all_representations_order_matches_eager_product():
     Q = Quiver(("1", "2", "3"), arrows, name="mixed")
     # zero entries give arrows with no rows, no columns, or neither
     for gamma, p in [((1, 1, 0), 2), ((2, 1, 0), 2), ((1, 0, 0), 3), ((0, 0, 0), 2), ((0, 2, 0), 3)]:
-        fast = list(scattering._all_representations(Q, gamma, p))
+        fast = list(scattering._all_representations(scattering._arrow_slots(Q), gamma, p))
         assert fast == list(reference_representations(Q, gamma, p))
-    Q0 = Quiver(("1",), [], name="pt")
-    assert list(scattering._all_representations(Q0, (2,), 3)) == [{}]
+    assert list(scattering._all_representations((), (2,), 3)) == [{}]
 
 
 def unmemoized_reference(memo, Q, gamma, kappa, direction, p, limits):
@@ -1068,17 +1067,17 @@ def test_hn_filtration_validates_the_representation_before_searching(monkeypatch
 
 def test_exists_once_decides_settled_queries_without_searching(monkeypatch):
     """Random in-cap queries over F_2 and F_3 on quivers with loops,
-    parallel arrows and 2-cycles: the table's verdict equals the witness
-    API's, and only queries with searches left call it.  Catches the two
-    settled verdicts swapped and ``searches is None`` read as ``not
-    searches`` (an empty table would then be false)."""
+    parallel arrows and 2-cycles, each asked of an empty verdict table: the
+    verdict equals the witness API's, and only queries with searches left
+    enumerate.  Catches the two settled verdicts swapped and ``searches is
+    None`` read as ``not searches`` (an empty table would then be false)."""
     rng = random.Random(71)
     searched = []
-    search = scattering.king_semistable_exists
+    search = scattering._first_semistable
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         searched.append(args)
-        return search(*args, **kwargs)
+        return search(*args)
 
     classes = {"none": 0, "empty": 0, "searched": 0}
     loops = parallel = cycles = 0
@@ -1099,13 +1098,115 @@ def test_exists_once_decides_settled_queries_without_searching(monkeypatch):
         parallel += len(set(pairs)) < len(pairs)
         cycles += any(s != t and (t, s) in pairs for s, t in pairs)
         want = king_semistable_exists(Q, gamma, kappa, p).exists
+        scattering._support_verdict.cache_clear()
         with monkeypatch.context() as m:
-            m.setattr(scattering, "king_semistable_exists", counting)
+            m.setattr(scattering, "_first_semistable", counting)
             got = scattering._exists_once({}, Q, gamma, kappa, direction, p, LIMITS)
         assert got == want, (Q.arrows, gamma, kappa, p)
         assert len(searched) == classes["searched"], kind
     assert min(classes.values()) >= 30, classes
     assert min(loops, parallel, cycles) >= 10
+
+
+def quivers_sharing_a_support(rng):
+    """Two quivers on the same support subquiver (vertices s0, s1, ... in
+    that order, with loops, parallel arrows and 2-cycles) and ranks 1-2 on
+    it; s0 has rank 2 and a loop.  Each adds zero-rank vertices z0, z1, ...
+    at its own places in the vertex order, each carrying a loop and an
+    arrow to or from another vertex; the two name and order their arrows
+    differently."""
+    support = [f"s{k}" for k in range(rng.randint(2, 3))]
+    inner = [(support[0], support[0])]
+    for _ in range(rng.randint(1, 3)):
+        s, t = rng.choice(support), rng.choice(support)
+        inner += rng.choice(([(s, t)], [(s, t), (s, t)], [(s, t), (t, s)]))
+    ranks = {v: rng.randint(1, 2) for v in support}
+    ranks[support[0]] = 2
+    quivers = []
+    for tag in "AB":
+        vertices = list(support)
+        zeros = [f"z{k}" for k in range(rng.randint(1, 2))]
+        for z in zeros:
+            vertices.insert(rng.randint(0, len(vertices)), z)
+        outer = []
+        for z in zeros:
+            v = rng.choice(support + zeros)
+            outer += [(z, z), rng.choice(((z, v), (v, z)))]
+        pairs = inner + outer
+        rng.shuffle(pairs)
+        ids = rng.sample(range(100), len(pairs))
+        arrows = [Arrow(f"{tag}{k}", s, t) for k, (s, t) in zip(ids, pairs)]
+        quivers.append(Quiver(vertices, arrows, name=tag))
+    return quivers, ranks
+
+
+def test_verdict_table_matches_reference():
+    """Verdicts read from the process-wide table equal the exhaustive
+    reference's, on pairs of quivers that share a support subquiver but
+    differ in arrow ids, arrow order, zero-rank vertices and the loops and
+    arrows at them, and the kappa entries there.  Each query of the pair's
+    second quiver is asked after the same query of the first, so it reads
+    the first one's verdict.  A query over F_3 after the same one over F_2
+    searches again.  Catches loops at support vertices dropped from the
+    key, p left out of it, and the destabilizing mask replaced by gamma."""
+    rng = random.Random(73)
+    table = scattering._support_verdict
+    hits_before = table.cache_info().hits
+    verdicts = []
+    pairs = 0
+    while pairs < 60:
+        (QA, QB), ranks = quivers_sharing_a_support(rng)
+        p = rng.choice((2, 3))
+        gammas = [tuple(ranks.get(v, 0) for v in Q.vertices) for Q in (QA, QB)]
+        if sum(ranks.values()) > 4 or reference_work(QA, gammas[0], p) > 1500:
+            continue
+        pairs += 1
+        for _ in range(3):
+            on_support = dict(zip(ranks, random_projection(rng, tuple(ranks.values()))))
+            for Q, gamma in zip((QA, QB), gammas):
+                kappa = tuple(on_support.get(v, rng.randint(-3, 3)) for v in Q.vertices)
+                direction = scattering._clear_denominators(kappa)[1]
+                got = scattering._exists_once({}, Q, gamma, kappa, direction, p, LIMITS)
+                assert got == reference_king(Q, gamma, kappa, p).exists, (Q.arrows, gamma, kappa, p)
+                verdicts.append(got)
+    assert True in verdicts and False in verdicts
+    assert table.cache_info().hits - hits_before >= 60
+
+    searched = []
+    search = scattering._first_semistable
+
+    def counting(slots, gamma, searches, p):
+        searched.append(p)
+        return search(slots, gamma, searches, p)
+
+    K2 = Quiver(("1", "2"), [Arrow("a", "1", "2"), Arrow("b", "1", "2")], name="K2")
+    table.cache_clear()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(scattering, "_first_semistable", counting)
+        for p in (2, 3, 2, 3):
+            assert scattering._exists_once({}, K2, (1, 1), (1, -1), (1, -1), p, LIMITS)
+    assert searched == [2, 3]
+
+
+def test_one_vertex_scan_verdicts_match_reference():
+    """A scanned gamma with one non-zero entry is true at every projection,
+    decided in the scan itself: each such verdict equals the exhaustive
+    reference's, also with loops at that vertex and at zero-rank ones."""
+    rng = random.Random(79)
+    checked = 0
+    while checked < 150:
+        Q = random_king_quiver(rng)
+        p = rng.choice((2, 3))
+        maxgamma = tuple(rng.randint(0, 2) for _ in Q.vertices)
+        if not any(maxgamma) or reference_work(Q, maxgamma, p) > 3000:
+            continue
+        samples = rational_samples(rng, len(Q.vertices), 3)
+        for entry in wall_support_scan(Q, maxgamma, samples, p):
+            if sum(map(bool, entry.gamma)) != 1:
+                continue
+            for kappa, verdict in entry.verdicts:
+                assert verdict and reference_king(Q, entry.gamma, kappa, p).exists
+                checked += 1
 
 
 def test_eta_check_checks_the_caps_of_each_lift():

@@ -18,7 +18,6 @@ from quiveralg.qpformat import parse_qp
 from quiveralg.quiver import Arrow, Quiver, euler_form
 from quiveralg.shuffle import (
     INCONCLUSIVE,
-    ShuffleElement,
     SymPoly,
     _alternant_key,
     _arrow_factors,
@@ -602,17 +601,6 @@ def test_mul_associative(rng):
         left = shuffle_mul(shuffle_mul(f, g), h)
         right = shuffle_mul(f, shuffle_mul(g, h))
         assert left == right
-
-
-def test_shuffle_element_bilinearity():
-    J = jordan_quiver()
-    one = SymPoly.one(J, {"1": 1})
-    fx = SymPoly(J, {"1": 1}, x("1"))
-    a = ShuffleElement(J, [one, fx])
-    b = ShuffleElement(J, [one])
-    out = a.mul(b)
-    expected = ShuffleElement(J, [shuffle_mul(one, one) + shuffle_mul(fx, one)])
-    assert out == expected
 
 
 # ------------------------------------------------------------- contraction
