@@ -37,10 +37,11 @@ offset[v] + slot - 1.  A SymPoly holds either a Poly or such a dense form
 contractions are built dense, and a Poly is made only when asked for
 (printing, hopf, ==); a parsed element's dense form is made for each
 product or contraction and not kept.  A product's L is the product of f's
-and g's.  The layouts with their adjacent-swap getters (the symmetry check
-of a dense form), each product's block placement and mixed slices, Cross
-(keyed by the ranks and the arrow counts between the block vertices, so
-quivers of one shape share it) and the Schur polynomials are cached.
+and g's.  Every symmetry check tries two slot permutations per vertex
+(_symmetric_on).  The layouts (positions only), each product's block
+placement and mixed slices, Cross (keyed by the ranks and the arrow
+counts between the block vertices, so quivers of one shape share it) and
+the Schur polynomials are cached.
 
 Contraction acts on these polynomials by the slotwise substitution
 x[i-,a] |-> x[i0,a], x[i+,a] |-> x[i0,a]: on exponent tuples, the exponent
@@ -95,8 +96,8 @@ class SymPoly:
     .poly is kept once made, a dense form made from a Poly is not.
 
     Invariance under slot permutations at every vertex is validated at
-    construction, on the form given (adjacent transpositions suffice);
-    asymmetric input is rejected, not symmetrized.
+    construction, on the form given (the swap (1 2) and the cycle (1 2 ...
+    n) suffice); asymmetric input is rejected, not symmetrized.
     """
 
     __slots__ = ("quiver", "gamma", "_poly", "_dense")
@@ -116,7 +117,7 @@ class SymPoly:
 
     def _validate_poly(self):
         gamma = self.gamma
-        slots = Counter()
+        slots = {}  # vertex -> the variables of its slots that the polynomial holds
         for v in self._poly.variables():
             if len(v) != 3 or v[0] != "x":
                 raise PreconditionError(f"foreign variable {v!r}")
@@ -127,30 +128,29 @@ class SymPoly:
                 raise PreconditionError(
                     f"slot {slot} out of range 1..{gamma[vertex]} at vertex {vertex!r}"
                 )
-            slots[vertex] += 1
-        # Swapping two slots is a bijection on monomials, so the polynomial
-        # is invariant iff every term's swapped monomial has its coefficient.
+            slots.setdefault(vertex, []).append(v)
+        # Renaming variables is a bijection on monomials, so the polynomial
+        # is invariant iff every term's renamed monomial has its coefficient.
         # A vertex no variable mentions is invariant, and one with only some
-        # of its slots mentioned is not, so swaps are tried only at vertices
-        # with every slot mentioned: at most as many as there are variables.
+        # of its slots mentioned is not; at the others, the renamings of the
+        # swap (1 2) and the cycle (1 2 ... n) are made from its variables.
         terms = self._poly.terms
         for vertex, n in gamma.items():
-            if slots[vertex] not in (0, n):
+            xs = sorted(slots.get(vertex, ()))
+            renamings = [{xs[0]: xs[1], xs[1]: xs[0]}] if len(xs) > 1 else []
+            if len(xs) > 2:
+                renamings.append(dict(zip(xs, xs[1:] + xs[:1])))
+            if len(xs) not in (0, n) or any(
+                (renamed := tuple(sorted([(r.get(v, v), e) for v, e in m]))) != m
+                and terms.get(renamed) != c
+                for r in renamings for m, c in terms.items()
+            ):
                 raise PreconditionError(f"polynomial is not symmetric in the slots of {vertex!r}")
-            for a in range(1, n if slots[vertex] else 0):
-                va, vb = xvar(vertex, a), xvar(vertex, a + 1)
-                swap = {va: vb, vb: va}
-                for m, c in terms.items():
-                    swapped = tuple(sorted([(swap.get(v, v), e) for v, e in m]))
-                    if swapped != m and terms.get(swapped) != c:
-                        raise PreconditionError(
-                            f"polynomial is not symmetric in the slots of {vertex!r}"
-                        )
 
     def _validate_dense(self):
         """The checks of _validate_poly on exponent tuples: one entry per
-        slot, no zero coefficient, and invariance under each adjacent slot
-        swap, in gamma's vertex order."""
+        slot, no zero coefficient, and _symmetric_on at each vertex's slots,
+        in gamma's vertex order."""
         terms, _L = self._dense
         layout = self.layout()
         n = len(layout.variables)
@@ -158,13 +158,10 @@ class SymPoly:
             raise PreconditionError(
                 f"dense terms need {n}-entry exponent tuples and non-zero coefficients"
             )
-        get = terms.get
-        for vertex in self.gamma:
-            for swap in layout.swaps[vertex]:
-                if any(get(swap(e)) != c for e, c in terms.items()):
-                    raise PreconditionError(
-                        f"polynomial is not symmetric in the slots of {vertex!r}"
-                    )
+        for vertex, r in self.gamma.items():
+            lo = layout.offset[vertex]
+            if not _symmetric_on(terms, lo, lo + r):
+                raise PreconditionError(f"polynomial is not symmetric in the slots of {vertex!r}")
 
     @staticmethod
     def one(quiver, gamma):
@@ -304,7 +301,7 @@ class _Layout:
     quiver's order, slots ascending.  It depends only on these two tuples,
     so _layout caches it for every quiver; its dicts are never changed."""
 
-    __slots__ = ("offset", "variables", "index", "swaps", "names", "to_names")
+    __slots__ = ("offset", "variables", "index", "names", "to_names")
 
     def __init__(self, vertices, ranks):
         self.offset = {}  # vertex -> position of its slot 1
@@ -315,19 +312,23 @@ class _Layout:
         n = len(variables)
         self.variables = tuple(variables)
         self.index = {x: i for i, x in enumerate(variables)}
-        self.swaps = {}  # vertex -> one exponent-tuple map per adjacent slot swap
-        for v, r in zip(vertices, ranks):
-            self.swaps[v] = []
-            for p in range(self.offset[v], self.offset[v] + r - 1):
-                perm = list(range(n))
-                perm[p], perm[p + 1] = p + 1, p
-                self.swaps[v].append(itemgetter(*perm))
         order = sorted(range(n), key=variables.__getitem__)
         self.names = tuple(variables[i] for i in order)  # as in a Poly monomial
         self.to_names = _picker(order)  # exponent tuple -> entries in names' order
 
 
 _layout = lru_cache(maxsize=1024)(_Layout)
+
+
+def _symmetric_on(terms, lo, hi):
+    """Whether dense terms are invariant under the permutations of positions
+    lo..hi-1, which the swap of the first two and, from three on, the cycle
+    of all generate: each must take every term to one with its coefficient."""
+    get = terms.get
+    return (hi - lo < 2 or all(get(e[:lo] + (e[lo + 1], e[lo]) + e[lo + 2:]) == c
+                               for e, c in terms.items())
+            and (hi - lo == 2 or all(get(e[:lo] + e[lo + 1:hi] + e[lo:lo + 1] + e[hi:]) == c
+                                     for e, c in terms.items())))
 
 
 def _to_dense(poly, layout):
@@ -454,8 +455,8 @@ def _cross(ranks1, ranks2, shape):
     """Cross, the arrow factor of the standard split of a product of ranks1
     by ranks2 (_arrow_factors) on a quiver of this _cross_shape, dense over
     the product's layout; products on different quivers of one shape share
-    it.  It is checked symmetric under every adjacent slot swap inside one
-    block: the alternant read-off of shuffle_mul relies on it."""
+    it.  It is checked symmetric in the slots of each block
+    (_symmetric_on): the alternant read-off of shuffle_mul relies on it."""
     starts = (0, *accumulate(map(add, ranks1, ranks2)))
     block1 = {k: range(lo, lo + a) for k, (lo, a) in enumerate(zip(starts, ranks1))}
     block2 = {k: range(lo + a, hi) for k, (lo, a, hi) in enumerate(zip(starts, ranks1, starts[1:]))}
@@ -463,9 +464,7 @@ def _cross(ranks1, ranks2, shape):
     for b, a, a_ij in _arrow_factors(dict(shape), block1, block2):
         for _ in range(a_ij):
             cross = _times_diff(cross, b, a)
-    swaps = [p for block in (*block1.values(), *block2.values()) for p in block[:-1]]
-    if any({e[:p] + (e[p + 1], e[p]) + e[p + 2:]: c for e, c in cross.items()} != cross
-           for p in swaps):
+    if not all(_symmetric_on(cross, b.start, b.stop) for b in [*block1.values(), *block2.values()]):
         raise InternalConsistencyError(
             "the arrow factor of a shuffle product is not symmetric in its blocks"
         )

@@ -1,9 +1,12 @@
 """Command dispatch: exit codes, canonical byte-stable output, suites."""
 
 import hashlib
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +155,28 @@ def test_shuffle_mul(pairq, capsys):
     code, out, _ = run(capsys, "shuffle-mul", pairq)
     assert code == 0
     assert out == "gamma: 1=2,2=2; poly: -x[1,1]*x[1,2] - x[2,1]*x[2,2] + 4\n"
+
+
+def test_rank_3000_point_product_answers_under_an_address_space_cap(tmp_path):
+    """1 * 1 at rank 3000 on the point quiver, in a child process whose
+    address space is capped at 1.5 GB: no per-slot state grows
+    quadratically with the rank, so it prints the zero element of rank
+    6000 (the alternant of x^(delta + delta) repeats an exponent) and exits
+    0.  A layout holding one slot-swap getter of 6,000 entries per slot
+    ends in a MemoryError under this cap."""
+    resource = pytest.importorskip("resource")
+    f = tmp_path / "point.qp"
+    f.write_text("vertices: u\narrows:\n" + "gamma: u=3000; poly: 1\n" * 2)
+    cap = 1_500_000_000
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from quiveralg.cli import main; sys.exit(main(sys.argv[1:]))",
+         "shuffle-mul", str(f)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "gamma: u=6000; poly: 0\n", "")
 
 
 def test_contract_shuffle(pairq, capsys):

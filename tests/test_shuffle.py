@@ -194,6 +194,76 @@ def test_dense_symmetry_check_matches_the_poly_check(rng):
     assert None in verdicts and len(verdicts) > 2, verdicts
 
 
+def _one_generator_invariant(v, n):
+    """At rank n >= 3 of vertex v: x1*x2 and x1*x2 + x3 + ... + xn, fixed by
+    the swap of slots 1 and 2 but not by the cycle of all n slots, and
+    x1^2 x2 + x2^2 x3 + ... + xn^2 x1, fixed by the cycle but not by the
+    swap.  (The Poly check refuses x1*x2 at once: it mentions some of v's
+    slots but not all.)"""
+    pair = x(v, 1) * x(v, 2)
+    return (pair, pair + power_sum({v: n}, v, 1) - x(v, 1) - x(v, 2),
+            sum((x(v, a, 2) * x(v, a % n + 1) for a in range(1, n + 1)), Poly.zero()))
+
+
+def _symmetrized(poly, v, n):
+    """The sum of poly over every permutation of the n slots of v."""
+    return sum((poly.rename_vars({xvar(v, a): xvar(v, b) for a, b in zip(range(1, n + 1), p)})
+                for p in permutations(range(1, n + 1))), Poly.zero())
+
+
+def test_symmetry_checks_need_both_the_swap_and_the_cycle():
+    """At ranks 3 and 4, a polynomial fixed by only one of the two
+    generators, the swap of slots 1 and 2 or the cycle of all slots, is
+    refused by the Poly check and by the dense check, with one message
+    naming the first vertex in gamma's order that is not symmetric; their
+    symmetrizations are accepted.  Broken copies caught: a check of the
+    swap only, of the cycle only, or with the cycle skipped at rank 3; and
+    a dense check on a slice shifted by one position, which refuses the
+    symmetrized element (the slices of w and u are adjacent)."""
+    Q = Quiver(["w", "u"], [Arrow("a", "w", "u")])
+    for n in (3, 4):
+        layout = _layout(Q.vertices, (n, n))
+        for pw, pu in product(_one_generator_invariant("w", n), _one_generator_invariant("u", n)):
+            sw, su = _symmetrized(pw, "w", n), _symmetrized(pu, "u", n)
+            for gamma in ({"w": n, "u": n}, {"u": n, "w": n}):
+                cases = ((pw * su, "w"), (sw * pu, "u"), (pw * pu, next(iter(gamma))),
+                         (sw * su + 1, None))
+                for poly, refused in cases:
+                    for form in ({"poly": poly}, {"dense": _to_dense(poly, layout)}):
+                        if refused is None:
+                            assert SymPoly(Q, gamma, **form).poly == poly
+                            continue
+                        with pytest.raises(PreconditionError) as err:
+                            SymPoly(Q, gamma, **form)
+                        assert str(err.value) == (
+                            f"polynomial is not symmetric in the slots of {refused!r}"), (n, form)
+
+
+def test_product_checks_its_arrow_factor_under_both_generators(monkeypatch):
+    """Broken copies of _arrow_factors on J at ranks n = 3, 4 and 1, whose
+    Cross is fixed by only one generator of block 1's slot permutations:
+    (x2 - x1)^2 by the swap of slots 1 and 2 alone, and (x2 - x1)(x3 - x2)
+    ... (x1 - xn) by the cycle alone.  Each is refused; the true Cross is
+    accepted.  Broken copies caught: the swap only, the cycle only, the
+    cycle skipped at rank 3, and a slice shifted by one position, which
+    refuses the true Cross (x4 - x1)(x4 - x2)(x4 - x3) at n = 3."""
+    J = jordan_quiver()
+    # Cross is cached: clear it around every broken copy
+    try:
+        for n in (3, 4):
+            f, g = SymPoly(J, {"1": n}, power_sum({"1": n}, "1", 1)), SymPoly.one(J, {"1": 1})
+            _cross.cache_clear()
+            assert shuffle_mul(f, g) == _reference_shuffle_mul(f, g)
+            for factors in ([(1, 0, 2)], [((a + 1) % n, a, 1) for a in range(n)]):
+                _cross.cache_clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(shuffle_module, "_arrow_factors", lambda *_: factors)
+                    with pytest.raises(InternalConsistencyError, match="not symmetric in its blocks"):
+                        shuffle_mul(f, g)
+    finally:
+        _cross.cache_clear()
+
+
 def test_dense_form_checks_its_slots():
     """A dense form needs one exponent per slot and no zero coefficient."""
     J = jordan_quiver()
