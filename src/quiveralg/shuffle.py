@@ -13,10 +13,12 @@ Both the product and the spherical span are read off alternants: Alt(x^e)
 / Vdm, Alt the signed sum over the slot permutations at every vertex, is 0
 if e repeats an exponent at a vertex, and otherwise the sign of sorting e
 times the product over vertices of the Schur polynomials s_lambda, lambda
-= sorted(e) - (0, 1, ...) (_alternant_key, _schur_expansion).  A sparse
-integer vector over these sorted keys is an element's Schur coordinates;
-one fold reads them off (_alternant_fold), and f's are the fold of
-f*x^delta, delta = (0, 1, ..., n-1) on n slots, as f*Vdm = Alt(f*x^delta).
+= sorted(e) - (0, 1, ...) (_alternant_key).  A sparse integer vector over
+these sorted keys is an element's Schur coordinates; one fold reads them
+off (_alternant_fold), and f's are the fold of f*x^delta, delta = (0, 1,
+..., n-1) on n slots, as f*Vdm = Alt(f*x^delta).  Back to monomials by
+s_lambda = sum_mu K_lambda,mu m_mu (_kostka, _m_coordinates), each m_mu
+the orbit of x^mu (_monomial_symmetric).
 
 Over the common denominator prod_i Vdm(x[i,*]), the term of a split is its
 shuffle's sign times f*g*Vdm(block1)*Vdm(block2)*arrows.  At a vertex with
@@ -40,8 +42,8 @@ product or contraction and not kept.  A product's L is the product of f's
 and g's.  Every symmetry check tries two slot permutations per vertex
 (_symmetric_on).  The layouts (positions only), each product's block
 placement and mixed slices, Cross (keyed by the ranks and the arrow
-counts between the block vertices, so quivers of one shape share it) and
-the Schur polynomials are cached.
+counts between the block vertices, so quivers of one shape share it), the
+Kostka numbers and the orbits are cached.
 
 Contraction acts on these polynomials by the slotwise substitution
 x[i-,a] |-> x[i0,a], x[i+,a] |-> x[i0,a]: on exponent tuples, the exponent
@@ -58,8 +60,9 @@ every Schur key of the degree, its products made only as rref reads them.
 rref stops once every key has a pivot; such a full degree is the whole
 symmetric space of its degree, whose reduced basis over monomials is the
 monomial symmetric functions m_lambda.  In any other degree the basis rows
-are expanded to monomials and row-reduced again.  The degrees, which share
-no monomial, are merged in pivot order.  A reduced row echelon form is
+are taken to monomial-symmetric coordinates and row-reduced again, columns
+ordered by each orbit's least monomial.  The degrees, which share no
+monomial, are merged in pivot order.  A reduced row echelon form is
 unique, so this is the basis that reducing every product over its
 monomials gives.  The first product made in every span is also built by
 shuffle_mul as a check.  Membership tests f's Schur coordinates against
@@ -73,11 +76,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import lcm
-from operator import add, itemgetter, lt
+from operator import add, eq, itemgetter, lt, sub
 
 from .contraction import contract_quiver
 from .errors import InternalConsistencyError, PreconditionError
-from .linalg import QQ, in_span, rref
+from .linalg import QQ, _as_ints, in_span, rref
 from .poly import Poly, Rat, xvar
 from .quiver import check_dimvec
 
@@ -492,11 +495,9 @@ def shuffle_mul(f, g):
                       cross)
     if not slices:
         return SymPoly(Q, gamma, dense=(term, Lf * Lg))
-    result = {}
-    for key, c in _alternant_fold(term.items(), slices).items():
-        for e, b in _schur_expansion(key, slices).items():
-            result[e] = result.get(e, 0) + c * b
-    return SymPoly(Q, gamma, dense=({e: c for e, c in result.items() if c}, Lf * Lg))
+    coordinates = _m_coordinates(_alternant_fold(term.items(), slices), slices)
+    result = {e: c for s, c in coordinates.items() for e in _monomial_symmetric(s, slices)}
+    return SymPoly(Q, gamma, dense=(result, Lf * Lg))
 
 
 def _contracted_quiver(Q, a0_id):
@@ -555,10 +556,11 @@ def contract_shuffle(f, a0_id):
     return SymPoly(Qhat, ghat, dense=(out, L))
 
 
+@lru_cache(maxsize=1024)
 def _orderings(items):
-    """Every distinct ordering of the multiset items, in lexicographic
-    order.  Each is made once, by stepping to the next permutation of the
-    multiset, so the work is the number of orderings, not len(items)!."""
+    """Every distinct ordering of the tuple items, in lexicographic order,
+    as a cached list.  Each is made once, by stepping to the next permutation
+    of the multiset, so the work is the number of orderings, not len(items)!."""
     word = sorted(items)
     out = [tuple(word)]
     while True:
@@ -578,7 +580,7 @@ def _orderings(items):
 def _vertex_words(Q, gamma):
     """Every distinct word with gamma[v] letters v at each vertex v, in
     lexicographic order."""
-    return _orderings(v for v in Q.vertices for _ in range(gamma[v]))
+    return _orderings(tuple(v for v in Q.vertices for _ in range(gamma[v])))
 
 
 def _compositions(m, total):
@@ -633,7 +635,7 @@ def spherical_products(Q, gamma, d):
 def _vertex_slices(Q, gamma, offset):
     """(start, stop) of each vertex's slot positions, vertices of rank 0
     left out."""
-    return [(offset[v], offset[v] + gamma[v]) for v in Q.vertices if gamma[v]]
+    return tuple((offset[v], offset[v] + gamma[v]) for v in Q.vertices if gamma[v])
 
 
 def _alternant_key(e, slices):
@@ -644,16 +646,20 @@ def _alternant_key(e, slices):
     slice, where Alt(x^e) = 0."""
     key = ()
     start = 0
-    inversions = 0
+    swaps = 0  # transpositions undoing each sort: slots minus cycles, the sort's parity
     for lo, hi in slices:
         part = e[lo:hi]
         ordered = tuple(sorted(part))
-        if any(a == b for a, b in zip(ordered, ordered[1:])):
+        if any(map(eq, ordered, ordered[1:])):
             return None
-        inversions += sum(1 for a, b in combinations(part, 2) if a > b)
+        order = sorted(range(hi - lo), key=part.__getitem__)
+        for i in range(hi - lo):
+            while (j := order[i]) != i:
+                order[i], order[j] = order[j], j
+                swaps += 1
         key += e[start:lo] + ordered
         start = hi
-    return key + e[start:], -1 if inversions % 2 else 1
+    return key + e[start:], -1 if swaps % 2 else 1
 
 
 class _SchurRows:
@@ -791,49 +797,53 @@ def _schur_keys(runs, total, low=0):
     return tuple(out)
 
 
-@lru_cache(maxsize=1024)
-def _schur_poly(lam):
-    """s_lam(x_1..x_n), n = len(lam), for lam weakly decreasing padded with
-    zeros, as {exponent tuple: int}; the dict is cached, never changed.
-    Branching rule: s_lam is the sum, over mu with lam_{i+1} <= mu_i <=
-    lam_i (lam/mu a horizontal strip), of s_mu(x_1..x_{n-1}) *
-    x_n^(|lam| - |mu|)."""
+@lru_cache(maxsize=4096)
+def _kostka(lam, floor=0):
+    """s_lam(x_1..x_n), lam weakly decreasing padded with zeros, on its weakly
+    decreasing exponent tuples with entries >= floor, as a cached dict: with
+    floor 0, the K_lam,mu of s_lam = sum_mu K_lam,mu m_mu (Macdonald I.6).
+    Branching rule (I.5): s_lam sums s_mu(x_1..x_{n-1}) * x_n^(|lam| - |mu|)
+    over mu with lam_{i+1} <= mu_i <= lam_i; x_n's exponent floors the rest."""
     if not lam:
         return {(): 1}
     out = {}
     size = sum(lam)
     for mu in product(*(range(lam[i + 1], lam[i] + 1) for i in range(len(lam) - 1))):
-        top = (size - sum(mu),)
-        for e, c in _schur_poly(mu).items():
-            out[e + top] = out.get(e + top, 0) + c
+        top = size - sum(mu)
+        if top >= floor:
+            for e, c in _kostka(mu, top).items():
+                e += (top,)
+                out[e] = out.get(e, 0) + c
     return out
 
 
-def _schur_expansion(key, slices):
-    """Alt(x^key) / prod Vdm on exponent tuples, Alt and the Vandermondes
-    over the slices (start, stop): the product over slices of s_lambda,
-    lambda = key - (0, 1, ...) on the slice, times x^key at the positions
-    outside the slices."""
-    out = {(): 1}
+def _m_coordinates(coordinates, slices):
+    """Schur coordinates {key: c} over the slices (start, stop) as
+    monomial-symmetric ones, {e: c} for c times x^e's orbit: slice by slice,
+    _kostka of lambda = key - (0, 1, ...) reversed gives e there, weakly
+    decreasing; positions outside are kept and zero coordinates dropped."""
+    for lo, hi in slices:
+        out = {}
+        for key, c in coordinates.items():
+            head, tail = key[:lo], key[hi:]
+            for mu, k in _kostka(tuple(map(sub, key[lo:hi], range(hi - lo)))[::-1]).items():
+                e = head + mu + tail
+                out[e] = out.get(e, 0) + c * k
+        coordinates = out
+    return {e: c for e, c in coordinates.items() if c}
+
+
+@lru_cache(maxsize=4096)
+def _monomial_symmetric(e, slices):
+    """The orbit of e under the slot permutations inside the slices (start,
+    stop), as a cached tuple: every ordering of e on each slice, the runs
+    between slices kept; its sum is the product over slices of m_mu."""
+    orbit = [()]
     start = 0
     for lo, hi in slices:
-        kept = key[start:lo]
-        part = key[lo:hi]
-        s = _schur_poly(tuple(part[i] - i for i in reversed(range(hi - lo))))
-        out = {e + kept + f: c * b for e, c in out.items() for f, b in s.items()}
+        orbit = [a + e[start:lo] + b for a in orbit for b in _orderings(e[lo:hi])]
         start = hi
-    if start < len(key):
-        kept = key[start:]
-        out = {e + kept: c for e, c in out.items()}
-    return out
-
-
-def _monomial_symmetric(key, slices):
-    """The exponent tuples of the product over slices of m_lambda, lambda =
-    key - (0, 1, ...) on the slice: every ordering of lambda's entries on
-    every slice, once; the slices cover every position."""
-    orbits = (_orderings(key[lo + i] - i for i in range(hi - lo)) for lo, hi in slices)
-    return [sum(parts, ()) for parts in product(*orbits)]
+    return tuple(a + e[start:] for a in orbit)
 
 
 def _monomial_order(m):
@@ -851,20 +861,21 @@ def spherical_span(Q, gamma, d):
     pivot.  Such a full degree is the whole symmetric space of its degree,
     whose reduced basis over monomials is the monomial symmetric functions
     m_lambda, each with coefficient 1 (their supports are disjoint).  In
-    any other degree only the basis rows are expanded to monomials, and
-    row-reduced once more.  Degrees have disjoint monomials, so their
-    reduced rows, merged in order of pivot, are the reduced form of the
-    whole span."""
+    any other degree the basis rows are taken to monomial-symmetric
+    coordinates and row-reduced once more, columns in the order of each
+    orbit's least monomial: the rows are symmetric, so this is their
+    reduced form over monomials, orbit by orbit.  Degrees have disjoint
+    monomials, so their reduced rows, merged in order of pivot, are the
+    reduced form of the whole span."""
     source = _SchurRows(Q, gamma)
     slices = source.slices
     layout = _layout(Q.vertices, tuple(gamma[v] for v in Q.vertices))
-    names, to_names = layout.names, layout.to_names
 
-    def monomial(e):
-        """The Poly monomial of x^e, named as _from_dense names it."""
-        return tuple((v, k) for v, k in zip(names, to_names(e)) if k)
+    def orbit(s):
+        """x^s's orbit as Poly monomials (named as by _from_dense), least first."""
+        return sorted((tuple((v, k) for v, k in zip(layout.names, layout.to_names(e)) if k)
+                       for e in _monomial_symmetric(s, slices)), key=_monomial_order)
 
-    expansions = {}
     basis = []
     for D in source.degrees(d):
         keys = source.keys(D)
@@ -872,35 +883,23 @@ def spherical_span(Q, gamma, d):
             continue
         index = {key: i for i, key in enumerate(keys)}
         reduced, pivots = rref(QQ, _RowsRead(source.rows(D, index)))
-        if len(pivots) == len(keys):
-            for key in keys:
-                monos = sorted(map(monomial, _monomial_symmetric(key, slices)),
-                               key=_monomial_order)
-                p = Poly.zero()
-                p.terms.update(dict.fromkeys(monos, Fraction(1)))
-                basis.append((_monomial_order(monos[0]), p))
-            continue
         if not pivots:
             continue
-        expanded = []
-        for row in reduced:
-            L = lcm(*(c.denominator for c in row))
-            terms = {}
-            for key, c in zip(keys, row):
-                if not c:
-                    continue
-                if key not in expansions:
-                    expansions[key] = _schur_expansion(key, slices)
-                c = c.numerator * (L // c.denominator)
-                for e, b in expansions[key].items():
-                    terms[e] = terms.get(e, 0) + c * b
-            expanded.append({monomial(e): c for e, c in terms.items() if c})
-        monos = sorted({m for row in expanded for m in row}, key=_monomial_order)
-        reduced, pivots = rref(QQ, [tuple(row.get(m, 0) for m in monos) for row in expanded])
-        for row, pivot in zip(reduced, pivots):
+        if len(pivots) == len(keys):  # m_lambda, lambda = key - (0, 1, ...) reversed
+            rows = [{tuple(key[i] - i + lo for lo, hi in slices for i in reversed(range(lo, hi))):
+                     Fraction(1)} for key in keys]
+        else:
+            rows = [_m_coordinates({key: c for key, c in zip(keys, _as_ints(QQ, row)) if c}, slices)
+                    for row in reduced]
+        orbits = {s: orbit(s) for row in rows for s in row}
+        if len(pivots) < len(keys):
+            columns = sorted(orbits, key=lambda s: _monomial_order(orbits[s][0]))
+            reduced, _ = rref(QQ, [[row.get(s, 0) for s in columns] for row in rows])
+            rows = [{s: c for s, c in zip(columns, row) if c} for row in reduced]
+        for row in rows:
             p = Poly.zero()
-            p.terms.update((m, c) for m, c in zip(monos, row) if c)
-            basis.append((_monomial_order(monos[pivot]), p))
+            p.terms.update((m, c) for s, c in row.items() for m in orbits[s])
+            basis.append((min(_monomial_order(orbits[s][0]) for s in row), p))
     basis.sort(key=itemgetter(0))
     return [SymPoly(Q, gamma, p) for _, p in basis]
 

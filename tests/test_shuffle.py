@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from operator import add
 from math import comb
@@ -27,11 +28,12 @@ from quiveralg.shuffle import (
     _dense_mul,
     _from_dense,
     _increasing,
+    _kostka,
     _layout,
     _merge_plan,
+    _monomial_symmetric,
     _schur_coordinates,
     _schur_keys,
-    _schur_poly,
     _standard_blocks,
     _times_diff,
     _to_dense,
@@ -673,6 +675,25 @@ def test_mul_associative(rng):
         assert left == right
 
 
+def test_mul_associative_at_rank_two(rng):
+    """(f*g)*h = f*(g*h) with ranks up to 2 per factor, so products fold
+    and expand mixed slices of two to six slots through the Kostka numbers:
+    four expansions per case, none of them checked against another route."""
+    seen = Counter()
+    for _ in range(80):
+        Q = random_quiver(rng, max_vertices=3, max_arrows=2)
+        gs = [{v: rng.randint(0, 2) for v in Q.vertices} for _ in range(3)]
+        f, g, h = (random_sympoly(rng, Q, gg, max_deg=2, coeffs=RATIONALS) for gg in gs)
+        left = shuffle_mul(shuffle_mul(f, g), h)
+        assert (left - shuffle_mul(f, shuffle_mul(g, h))).is_zero(), (Q.arrows, gs)
+        if not left.is_zero():
+            seen["non-zero"] += 1
+            seen["mixed slice of 3+ slots"] += any(
+                sum(gg[v] for gg in gs) >= 3 and sum(gg[v] > 0 for gg in gs) >= 2
+                for v in Q.vertices)
+    assert seen["non-zero"] >= 20 and seen["mixed slice of 3+ slots"] >= 10, seen
+
+
 # ------------------------------------------------------------- contraction
 
 
@@ -1018,10 +1039,39 @@ def _partitions(size, parts, largest=None):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=1024)
+def _schur_poly(lam):
+    """s_lam(x_1..x_n), n = len(lam), for lam weakly decreasing padded with
+    zeros, as {exponent tuple: int}; the dict is cached, never changed.
+    Branching rule: s_lam is the sum, over mu with lam_{i+1} <= mu_i <=
+    lam_i (lam/mu a horizontal strip), of s_mu(x_1..x_{n-1}) *
+    x_n^(|lam| - |mu|)."""
+    if not lam:
+        return {(): 1}
+    out = {}
+    size = sum(lam)
+    for mu in product(*(range(lam[i + 1], lam[i] + 1) for i in range(len(lam) - 1))):
+        top = (size - sum(mu),)
+        for e, c in _schur_poly(mu).items():
+            out[e + top] = out.get(e + top, 0) + c
+    return out
+
+
+def _kostka_orbits(lam):
+    """s_lam as _kostka's numbers times their orbits, summed term by term,
+    so an orbit emitted twice counts twice."""
+    out = {}
+    for mu, k in _kostka(lam).items():
+        for e in _monomial_symmetric(mu, ((0, len(lam)),)):
+            out[e] = out.get(e, 0) + k
+    return out
+
+
 def test_schur_poly_is_the_bialternant():
-    """The branching-rule Schur polynomial equals a_{lam+delta} / a_delta,
-    the alternant divided by the Vandermonde one linear factor at a time
-    with Poly.divide_linear: every lam with |lam| <= 6 in 1-4 variables."""
+    """The tableau-by-tableau Schur polynomial and the Kostka numbers, each
+    orbit expanded, both equal a_{lam+delta} / a_delta, the alternant
+    divided by the Vandermonde one linear factor at a time with
+    Poly.divide_linear: every lam with |lam| <= 6 in 1-4 variables."""
     checked = 0
     for n in range(1, 5):
         layout = _layout(("t",), (n,))
@@ -1040,6 +1090,7 @@ def test_schur_poly_is_the_bialternant():
                 for a, b in combinations(range(n), 2):
                     quotient = quotient.divide_linear(variables[b], variables[a])
                 assert _from_dense(_schur_poly(lam), 1, layout) == quotient, lam
+                assert _kostka_orbits(lam) == _schur_poly(lam), lam
                 checked += 1
     assert checked == 7 + 16 + 23 + 27  # partitions of 0..6 into at most n parts
 
@@ -1197,27 +1248,44 @@ def test_span_degree_blocks_merge_in_pivot_order():
     assert degrees != sorted(degrees)
 
 
+def test_span_orders_orbits_by_their_least_monomial():
+    """The 2-loop quiver at rank 2, d = 5: degree 4 has rank 2 of its three
+    Schur keys, and its rows hold m_(3,1) and m_(2,2).  Both orbits have
+    two variables; by least monomial m_(3,1) comes first (x1*x2^3 before
+    x1^2*x2^2), by largest m_(2,2) (x1^2*x2^2 before x1^3*x2), so only the
+    first order gives the reduction over monomials.  Degree 5 is alike."""
+    Q = Quiver(["1"], [Arrow("l1", "1", "1"), Arrow("l2", "1", "1")])
+    got = spherical_span(Q, {"1": 2}, 5)
+    assert got == _reference_spherical_span(Q, {"1": 2}, 5)
+    assert len(_schur_keys((2,), 4 + 1)) == 3
+    quartic = [b.poly for b in got if b.poly.total_degree() == 4]
+    assert sorted(quartic, key=str) == sorted([
+        x("1", 1, 4) - 2 * x("1", 1, 2) * x("1", 2, 2) + x("1", 2, 4),
+        x("1", 1, 3) * x("1", 2) - 2 * x("1", 1, 2) * x("1", 2, 2) + x("1", 1) * x("1", 2, 3),
+    ], key=str)
+
+
 def test_span_checks_its_first_product_against_the_shuffle_kernel(monkeypatch):
     """The Schur route is checked on every call against the shuffle product
     of its first word.  Both read Schur coordinates with _alternant_key, so
-    the check sees a broken copy of the product's expansion: a _schur_poly
+    the check sees a broken copy of the product's expansion: a _kostka
     that drops its last term makes the first product of J at rank 2, 1 * 1,
     zero, while its row is 2 * s_(0,0)."""
     J = jordan_quiver()
-    schur_poly = shuffle_module._schur_poly
+    kostka = shuffle_module._kostka
 
-    def dropping(lam):
-        return dict(list(schur_poly(lam).items())[:-1])
+    def dropping(lam, floor=0):
+        return dict(list(kostka(lam, floor).items())[:-1])
 
     # the cached function recurses through the module's name, so the broken
     # copy's values reach its cache: clear it on both sides
-    schur_poly.cache_clear()
-    monkeypatch.setattr(shuffle_module, "_schur_poly", dropping)
+    kostka.cache_clear()
+    monkeypatch.setattr(shuffle_module, "_kostka", dropping)
     try:
         with pytest.raises(InternalConsistencyError, match="disagree with its shuffle product"):
             spherical_span(J, {"1": 2}, 1)
     finally:
-        schur_poly.cache_clear()
+        kostka.cache_clear()
 
 
 def test_unsigned_alternant_key_is_caught_by_the_reference_product(monkeypatch):

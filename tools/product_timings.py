@@ -7,9 +7,10 @@ Imports quiveralg from DIR (default: this checkout's src/), times
 shuffle_mul on each product below N times (default 3) and prints one JSON
 line per product: the seconds of every repetition, the number of result
 terms, and a digest of the sorted result terms, so that two checkouts can
-be compared product by product.  Every element is 2 + sum_v p1_v * p2_v,
-p_k the k-th power sum of the slot variables at vertex v.  Standard library
-only.
+be compared product by product.  An element is 2 + sum_v p1_v * p2_v, p_k
+the k-th power sum of the slot variables at vertex v, unless the product
+gives f and g as {k: coefficient} (sum_v c * p_k,v, k = 0 the constant c).
+Standard library only.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ import hashlib
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 PRODUCTS = (
-    # (label, vertices, arrows (id, source, target), ranks of f, ranks of g)
+    # (label, vertices, arrows (id, source, target), ranks of f, ranks of g,
+    #  optionally f and g as {k: coefficient})
     ("a=>b, b->a (2,2)*(2,2)", ("a", "b"),
      (("c1", "a", "b"), ("c2", "a", "b"), ("d", "b", "a")), (2, 2), (2, 2)),
     ("a=>b, b->a (2,2)*(1,2)", ("a", "b"),
@@ -32,6 +35,9 @@ PRODUCTS = (
     ("C3 (3 loops) (3)*(3)", ("v",),
      (("l1", "v", "v"), ("l2", "v", "v"), ("l3", "v", "v")), (3,), (3,)),
     ("Jordan (8)*(1)", ("v",), (("l", "v", "v"),), (8,), (1,)),
+    *((f"{m}-loop (2)*(3), f = -3p2 + 2, g = 3/4", ("v",),
+       tuple((f"l{k}", "v", "v") for k in range(1, m + 1)), (2,), (3,),
+       {0: 2, 2: -3}, {0: Fraction(3, 4)}) for m in (4, 5)),
 )
 
 
@@ -45,20 +51,28 @@ def main(argv=None):
     from quiveralg.quiver import Arrow, Quiver
     from quiveralg.shuffle import SymPoly, shuffle_mul
 
-    def element(Q, ranks):
-        """2 + sum_v p1_v * p2_v in the sector of the given ranks."""
-        poly = Poly.const(2)
-        for v, r in zip(Q.vertices, ranks):
-            p1 = p2 = Poly.zero()
-            for a in range(1, r + 1):
-                p1 = p1 + Poly.var(xvar(v, a))
-                p2 = p2 + Poly.var(xvar(v, a), 2)
-            poly = poly + p1 * p2
-        return SymPoly(Q, dict(zip(Q.vertices, ranks)), poly)
+    def power_sum(v, r, k):
+        return sum((Poly.var(xvar(v, a), k) for a in range(1, r + 1)), Poly.zero())
 
-    for label, vertices, arrows, r1, r2 in PRODUCTS:
+    def element(Q, ranks, spec=None):
+        """2 + sum_v p1_v * p2_v or, given spec, the sum over its items k: c
+        of c * sum_v p_k,v (k = 0 standing for the constant c)."""
+        gamma = dict(zip(Q.vertices, ranks))
+        if spec is None:
+            poly = Poly.const(2)
+            for v, r in gamma.items():
+                poly = poly + power_sum(v, r, 1) * power_sum(v, r, 2)
+        else:
+            poly = Poly.const(spec.get(0, 0))
+            for k, c in spec.items():
+                if k:
+                    for v, r in gamma.items():
+                        poly = poly + Poly.const(c) * power_sum(v, r, k)
+        return SymPoly(Q, gamma, poly)
+
+    for label, vertices, arrows, r1, r2, *specs in PRODUCTS:
         Q = Quiver(vertices, [Arrow(*a) for a in arrows])
-        f, g = element(Q, r1), element(Q, r2)
+        f, g = element(Q, r1, *specs[:1]), element(Q, r2, *specs[1:])
         seconds = []
         for _ in range(args.reps):
             start = time.perf_counter()
