@@ -48,7 +48,7 @@ from .poly import Poly, xvar
 from .preprojective import adhm_elimination_check, contract_triple_check
 from .qp import QuiverWithPotential
 from .qpformat import QPDocument, parse_qp, print_element, print_qp
-from .quiver import Arrow, Quiver, euler_form
+from .quiver import Arrow, Quiver, contraction_ends, euler_form
 from .scattering import (
     LIMITS,
     GComplex,
@@ -330,7 +330,7 @@ def suite_homomorphism(seed, limits):
     mult_ok = euler_ok = 0
     for _ in range(trials):
         Q, a0 = _random_instance(rng)
-        ip, im = Q.arrow(a0).source, Q.arrow(a0).target
+        ip, im = contraction_ends(Q, a0)
         g1 = {v: rng.randint(0, 1) for v in Q.vertices}
         g1[im] = g1[ip]
         g2 = {v: rng.randint(0, 1) for v in Q.vertices}

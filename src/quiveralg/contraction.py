@@ -17,23 +17,30 @@ that for every term.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial, reduce
 
 from .errors import InternalConsistencyError, PreconditionError, UnsupportedReductionError
 from .linalg import GF, QQ, mat_inverse, mat_mul
 from .paths import Path, Potential, Sym, _cancel_cyclic, cyclic_normal_form, least_rotation
 from .qp import QuiverWithPotential, delete_arrows
-from .quiver import Arrow, Quiver
+from .quiver import Arrow, Quiver, contraction_ends
+
+
+def hatted(a, a0_id, i_minus):
+    """The name and the letters of the hatted arrow for a.  Its letters, in
+    path order, are a0^-1 if a ends at i-, then a, then a0 if a starts at
+    i-; its name is those letters joined by *, built alongside them."""
+    name, letters = a.id, (Sym(a.id),)
+    if a.target == i_minus:
+        name, letters = f"{a0_id}^-1*{name}", (Sym(a0_id, True),) + letters
+    if a.source == i_minus:
+        name, letters = f"{name}*{a0_id}", letters + (Sym(a0_id),)
+    return name, letters
 
 
 def hat_arrow_name(a, a0_id, i_minus):
-    """Canonical name of the hatted arrow for a (an Arrow touching i-)."""
-    if a.source == i_minus and a.target == i_minus:
-        return f"{a0_id}^-1*{a.id}*{a0_id}"
-    if a.source == i_minus:
-        return f"{a.id}*{a0_id}"
-    if a.target == i_minus:
-        return f"{a0_id}^-1*{a.id}"
-    return a.id
+    """Canonical name of the hatted arrow for a (see ``hatted``)."""
+    return hatted(a, a0_id, i_minus)[0]
 
 
 def contract_quiver(Q, a0_id):
@@ -43,10 +50,7 @@ def contract_quiver(Q, a0_id):
     new ids (a0 absent) and expansion sends new ids to the symbol sequences
     they stand for in the old quiver.
     """
-    a0 = Q.arrow(a0_id)
-    if a0.source == a0.target:
-        raise PreconditionError(f"cannot contract the loop {a0_id!r}")
-    ip, im = a0.source, a0.target
+    ip, im = contraction_ends(Q, a0_id)
     vertices = tuple(v for v in Q.vertices if v != im)
     hat_map = {}
     expansion = {}
@@ -54,19 +58,12 @@ def contract_quiver(Q, a0_id):
     for a in Q.arrows:
         if a.id == a0_id:
             continue
-        name = hat_arrow_name(a, a0_id, im)
+        name, letters = hatted(a, a0_id, im)
         src = ip if a.source == im else a.source
         tgt = ip if a.target == im else a.target
         arrows.append(Arrow(name, src, tgt))
         hat_map[a.id] = name
-        if a.source == im and a.target == im:
-            expansion[name] = (Sym(a0_id, True), Sym(a.id), Sym(a0_id))
-        elif a.source == im:
-            expansion[name] = (Sym(a.id), Sym(a0_id))
-        elif a.target == im:
-            expansion[name] = (Sym(a0_id, True), Sym(a.id))
-        else:
-            expansion[name] = (Sym(a.id),)
+        expansion[name] = letters
     Qhat = Quiver(vertices, arrows, name=Q.name + "_hat")
     return Qhat, hat_map, expansion
 
@@ -100,7 +97,7 @@ def hat_word(word_syms, a0_id, hat_map, expansion=None):
     return tuple(out)
 
 
-def contract_potential(Q, Qhat, W, a0_id, hat_map, expansion):
+def contract_potential(Qhat, W, a0_id, hat_map, expansion):
     def terms():
         for w, c in W.terms.items():
             syms = hat_word(w.syms, a0_id, hat_map, expansion)
@@ -115,14 +112,18 @@ def contract_potential(Q, Qhat, W, a0_id, hat_map, expansion):
 
 def contract_qp(qp, a0_id):
     """Edge contraction of a quiver with potential along a0: i+ -> i-."""
-    Q = qp.quiver
+    return _contract_qp(qp, a0_id)[0]
+
+
+def _contract_qp(qp, a0_id):
+    """contract_qp's result and the hat map of its arrows."""
     for w in qp.potential.terms:
         for s in w.syms:
             if s.inv:
                 raise PreconditionError("cannot contract a potential with inverse letters")
-    Qhat, hat_map, expansion = contract_quiver(Q, a0_id)
-    What = contract_potential(Q, Qhat, qp.potential, a0_id, hat_map, expansion)
-    return QuiverWithPotential(Qhat, What, inverted=None)
+    Qhat, hat_map, expansion = contract_quiver(qp.quiver, a0_id)
+    What = contract_potential(Qhat, qp.potential, a0_id, hat_map, expansion)
+    return QuiverWithPotential(Qhat, What, inverted=None), hat_map
 
 
 class Representation:
@@ -164,13 +165,13 @@ class Representation:
 def contract_rep(qp, a0_id, M):
     """Contract a representation along a0 (requires M_{a0} invertible).
 
-    Composite arrows multiply matrices: the new arrow "a*a0" carries
-    M_a M_{a0}, "a0^-1*a" carries M_{a0}^{-1} M_a, and the loop conjugate
-    "a0^-1*a*a0" carries M_{a0}^{-1} M_a M_{a0}.
+    A hatted arrow carries the product of the matrices of its letters
+    (``hatted``, with M_{a0}^{-1} for a0^-1): the new arrow "a*a0"
+    carries M_a M_{a0}, "a0^-1*a" carries M_{a0}^{-1} M_a, and the loop
+    conjugate "a0^-1*a*a0" carries M_{a0}^{-1} M_a M_{a0}.
     """
     Q = qp.quiver
-    a0 = Q.arrow(a0_id)
-    ip, im = a0.source, a0.target
+    ip, im = contraction_ends(Q, a0_id)
     M.validate(Q)
     if M.dims[ip] != M.dims[im]:
         raise PreconditionError("M_{a0} is not square: endpoint dimensions differ")
@@ -179,22 +180,12 @@ def contract_rep(qp, a0_id, M):
         inv0 = mat_inverse(p, M.mats[a0_id])
     except ZeroDivisionError:
         raise PreconditionError(f"M_{{{a0_id}}} is singular; not in the heart locus")
-    Qhat, hat_map, _ = contract_quiver(Q, a0_id)
+    Qhat, _, expansion = contract_quiver(Q, a0_id)
     dims = {v: M.dims[v] for v in Qhat.vertices}
-    mats = {}
-    for a in Q.arrows:
-        if a.id == a0_id:
-            continue
-        m = M.mats[a.id]
-        if a.source == im and a.target == im:
-            new = mat_mul(p, mat_mul(p, inv0, m), M.mats[a0_id])
-        elif a.source == im:
-            new = mat_mul(p, m, M.mats[a0_id])
-        elif a.target == im:
-            new = mat_mul(p, inv0, m)
-        else:
-            new = m
-        mats[hat_map[a.id]] = new
+    mats = {
+        name: reduce(partial(mat_mul, p), (inv0 if s.inv else M.mats[s.arrow] for s in letters))
+        for name, letters in expansion.items()
+    }
     return Representation(p, dims, mats, Q=Qhat)
 
 
@@ -209,7 +200,6 @@ def higgs(qp, a0_id):
     delete the pair) is applied to exactly those pairs.  A quadratic term
     containing a0 would be a mass term for a0 itself and is unsupported.
     """
-    Q = qp.quiver
     cubic_pairs = []
     for w, _c in qp.potential.terms.items():
         arrows = [s.arrow for s in w.syms]
@@ -221,14 +211,12 @@ def higgs(qp, a0_id):
             if len(w.syms) == 3:
                 others = [a for a in arrows if a != a0_id]
                 cubic_pairs.append(tuple(sorted(others)))
-    hatted = contract_qp(qp, a0_id)
+    cur, hat_map = _contract_qp(qp, a0_id)
     if not cubic_pairs:
-        return hatted
+        return cur
     # eliminate exactly the quadratic 2-cycles descending from cubic a0-terms
     from .paths import NCPoly, cyclic_derivative, substitute_arrow
 
-    cur = hatted
-    _, hat_map, _ = contract_quiver(Q, a0_id)
     remaining = [tuple(sorted((hat_map[x], hat_map[y]))) for x, y in cubic_pairs]
     for pair in remaining:
         quads = [

@@ -21,7 +21,7 @@ from .errors import (
     ScopeError,
 )
 from .poly import Combination, Poly, Rat, fvar, residue_at_infinity_poly, xvar
-from .quiver import check_dimvec
+from .quiver import check_dimvec, check_equal_rank, contraction_ends
 from .shuffle import SymPoly, contract_shuffle, fac
 
 ZVAR = fvar("z")
@@ -52,15 +52,9 @@ def contraction_ratio_check(Q, a0_id, gamma):
     i- action ratios, with every x[i-,alpha] renamed to x[i+,alpha], must
     equal the action ratio of the surviving vertex on the contracted
     quiver.  Returns the truth of that identity of rational functions."""
-    a0 = Q.arrow(a0_id)
-    ip, im = a0.source, a0.target
-    if ip == im:
-        raise PreconditionError(f"cannot contract the loop {a0_id!r}")
+    ip, im = contraction_ends(Q, a0_id)
     check_dimvec(Q, gamma)
-    if gamma[ip] != gamma[im]:
-        raise PreconditionError(
-            f"equal-rank precondition: gamma[{ip}]={gamma[ip]} != gamma[{im}]={gamma[im]}"
-        )
+    check_equal_rank(gamma, ip, im)
     ratio = psi_action_ratio(Q, ip, gamma) * psi_action_ratio(Q, im, gamma)
     ren = {xvar(im, a): xvar(ip, a) for a in range(1, gamma[im] + 1)}
     lhs = ratio.rename_vars(ren)
@@ -506,10 +500,7 @@ def double_cross_check(f, g, a0_id):
     Q = f.quiver
     if g.quiver != Q:
         raise PreconditionError("cross check requires a common quiver")
-    a0 = Q.arrow(a0_id)
-    ip, im = a0.source, a0.target
-    if ip == im:
-        raise PreconditionError(f"cannot contract the loop {a0_id!r}")
+    ip, im = contraction_ends(Q, a0_id)
     for h in (f, g):
         if h.gamma[ip] != 1 or h.gamma[im] != 1 or sum(h.gamma.values()) != 2:
             raise ScopeError(
@@ -550,10 +541,7 @@ def normalization_collapse_check(Q, a0_id, k, block_poly):
     into exactly gamma^{i-}! = k! copies."""
     from itertools import permutations
 
-    a0 = Q.arrow(a0_id)
-    ip, im = a0.source, a0.target
-    if ip == im:
-        raise PreconditionError(f"cannot contract the loop {a0_id!r}")
+    ip, im = contraction_ends(Q, a0_id)
     allowed = {xvar(ip, a) for a in range(1, k + 1)}
     if not set(block_poly.variables()) <= allowed:
         raise PreconditionError(

@@ -17,7 +17,7 @@ from .contraction import contract_qp, hat_arrow_name
 from .errors import InternalConsistencyError, PreconditionError
 from .paths import Path, Potential, Sym, cyclic_normal_form
 from .qp import QuiverWithPotential, reduce_trivial
-from .quiver import Arrow, Quiver
+from .quiver import Arrow, Quiver, contraction_ends
 
 
 def reversed_name(aid):
@@ -267,10 +267,7 @@ def theorem_check_366(qp, a0_id):
     documented arrow correspondence, which twists one arrow family by -1.
     """
     Q = qp.quiver
-    a0 = Q.arrow(a0_id)
-    ip, im = a0.source, a0.target
-    if ip == im:
-        raise PreconditionError(f"arrow {a0_id!r} is a loop")
+    ip, im = contraction_ends(Q, a0_id)
     loops = [a.id for a in Q.arrows if a.source == a.target]
     if loops:
         raise PreconditionError(f"quiver must be loop-free, found {loops}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .contraction import contract_qp, contract_quiver, expand_hatted, hat_word
+from .contraction import contract_potential, contract_quiver, expand_hatted, hat_word
 from .errors import PreconditionError
 from .paths import (
     CyclicWord,
@@ -28,7 +28,7 @@ from .paths import (
     reduce_syms,
 )
 from .qp import QuiverWithPotential
-from .quiver import Arrow, Quiver, double_quiver, dual_name
+from .quiver import Arrow, Quiver, contraction_ends, double_quiver, dual_name
 
 
 def loop_name(v):
@@ -106,14 +106,12 @@ def contract_triple_check(Q, a0_id):
     -- the two leftover quadratic loop terms cancel each other under the
     fusion, eliminating the dual of a0.
     """
-    a0 = Q.arrow(a0_id)
-    ip, im = a0.source, a0.target
+    ip, im = contraction_ends(Q, a0_id)
     T = triple_qp(Q)
-    lhs = contract_qp(T, a0_id)
-    _, hat_map_T, expansion_T = contract_quiver(T.quiver, a0_id)
+    T_hat, hat_map_T, expansion_T = contract_quiver(T.quiver, a0_id)
+    lhs = contract_potential(T_hat, T.potential, a0_id, hat_map_T, expansion_T)
     expanded = Potential.from_paths(
-        T.quiver,
-        ((Path(expand_hatted(w.syms, expansion_T)), c) for w, c in lhs.potential.terms.items()),
+        T.quiver, ((Path(expand_hatted(w.syms, expansion_T)), c) for w, c in lhs.terms.items())
     )
     if expanded != T.potential:
         return False
@@ -128,7 +126,7 @@ def contract_triple_check(Q, a0_id):
     rename[hat_map_T[loop_name(im)]] = loop_name(ip)
     renamed = Potential.from_pairs(
         (CyclicWord(least_rotation(Sym(rename.get(s.arrow, s.arrow), s.inv) for s in w.syms)), c)
-        for w, c in lhs.potential.terms.items()
+        for w, c in lhs.terms.items()
     )
     return renamed == rhs.potential
 
@@ -143,10 +141,7 @@ def adhm_elimination_check(Q, a0_id):
     the contracted quiver, and the relations away from the endpoints must
     match after the same rewrite, vertex by vertex.
     """
-    a0 = Q.arrow(a0_id)
-    if a0.source == a0.target:
-        raise PreconditionError(f"cannot contract the loop {a0_id!r}")
-    ip, im = a0.source, a0.target
+    ip, im = contraction_ends(Q, a0_id)
     D = double_quiver(Q)
     rel = preprojective_relations(Q)
     Qhat, hat_map_Q, _ = contract_quiver(Q, a0_id)

@@ -133,6 +133,23 @@ def double_quiver(Q):
     return Quiver(Q.vertices, doubled, name=Q.name + "_double")
 
 
+def contraction_ends(Q, a0_id):
+    """The ends (i+, i-) of the contracted arrow a0: i+ -> i-; a loop has
+    no contraction."""
+    a0 = Q.arrow(a0_id)
+    if a0.source == a0.target:
+        raise PreconditionError(f"cannot contract the loop {a0_id!r}")
+    return a0.source, a0.target
+
+
+def check_equal_rank(gamma, ip, im):
+    """Contraction keeps only the equal-rank sector gamma^{i+} = gamma^{i-}."""
+    if gamma[ip] != gamma[im]:
+        raise PreconditionError(
+            f"equal-rank precondition: gamma[{ip}]={gamma[ip]} != gamma[{im}]={gamma[im]}"
+        )
+
+
 def contract_vectors(Q, a0_id, g, w):
     """Dimension and framing vector of the contracted quiver.
 
@@ -140,16 +157,10 @@ def contract_vectors(Q, a0_id, g, w):
     entry is dropped and the framing entries of the merged endpoints add:
     w^{i0} = w^{i+} + w^{i-}.
     """
-    a0 = Q.arrow(a0_id)
-    if a0.source == a0.target:
-        raise PreconditionError(f"cannot contract the loop {a0_id!r}")
-    ip, im = a0.source, a0.target
+    ip, im = contraction_ends(Q, a0_id)
     check_dimvec(Q, g)
     check_dimvec(Q, w, what="framing vector")
-    if g[ip] != g[im]:
-        raise PreconditionError(
-            f"equal-rank precondition: g[{ip}]={g[ip]} != g[{im}]={g[im]}"
-        )
+    check_equal_rank(g, ip, im)
     ghat = {v: g[v] for v in Q.vertices if v != im}
     what = {v: w[v] for v in Q.vertices if v != im}
     what[ip] = w[ip] + w[im]

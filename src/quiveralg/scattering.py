@@ -66,7 +66,7 @@ from .contraction import contract_quiver
 from .errors import InternalConsistencyError, PreconditionError, ScopeError
 from .linalg import in_span, mat_vec, reduce
 from .poly import Combination
-from .quiver import euler_form
+from .quiver import contraction_ends, euler_form
 
 DEFAULT_KPARAM_GRID = (
     Fraction(1, 4),
@@ -668,33 +668,28 @@ def _search_table(slots, gamma, d, p):
     return tuple(_subspaces(g, p)[r] for g, r in zip(gamma, d)), _levels(len(gamma), live)
 
 
-@lru_cache(maxsize=1024)
-def _searches(slots, gamma, destabilizing, p):
-    """The ``_search_table`` of every destabilizing d, or None when some d
-    has no arrow that can fail: then no representation is semistable.  An
-    empty table means nothing destabilizes, so every representation is."""
+def _searches(slots, gamma, mask, p):
+    """The ``_search_table`` of every destabilizing d (see ``_mask``), or
+    None when some d has no arrow that can fail: then no representation is
+    semistable.  An empty table means nothing destabilizes, so every
+    representation is."""
     searches = []
-    for d in destabilizing:
-        table = _search_table(slots, gamma, d, p)
-        if table is None:
-            return None
-        searches.append(table)
+    for i, d in enumerate(_dims_below(gamma)):
+        if mask >> i & 1:
+            table = _search_table(slots, gamma, d, p)
+            if table is None:
+                return None
+            searches.append(table)
     return tuple(searches)
-
-
-@lru_cache(maxsize=256)
-def _destabilizing(gamma, direction):
-    """Dimension vectors d <= gamma with kappa(d) > 0, for kappa any positive
-    multiple of the integer vector ``direction``: a representation of
-    dimension gamma is unstable exactly when it has a subrepresentation of
-    one of these dimensions."""
-    return tuple(d for d in _dims_below(gamma) if sum(map(operator.mul, direction, d)) > 0)
 
 
 @lru_cache(maxsize=1024)
 def _mask(gamma, direction):
-    """``_destabilizing(gamma, direction)`` as a bit mask over
-    ``_dims_below(gamma)``: bit i is set when its i-th d destabilizes."""
+    """The dimension vectors d <= gamma with kappa(d) > 0, for kappa any
+    positive multiple of the integer vector ``direction``, as a bit mask over
+    ``_dims_below(gamma)``: bit i is set when its i-th d destabilizes.  A
+    representation of dimension gamma is unstable exactly when it has a
+    subrepresentation of one of these dimensions."""
     return sum(
         1 << i
         for i, d in enumerate(_dims_below(gamma))
@@ -732,7 +727,7 @@ def king_semistable_exists(Q, gamma, kappa, p, *, limits=LIMITS):
         raise PreconditionError(f"kappa(gamma) = {_kappa_of_dims(kappa, gamma)} != 0")
     _check_enumeration_bounds(Q, gamma, p, limits)
     slots = _arrow_slots(Q)
-    searches = _searches(slots, gamma, _destabilizing(gamma, direction), p)
+    searches = _searches(slots, gamma, _mask(gamma, direction), p)
     if searches is None:
         return KingVerdict(False, None)
     rep = _first_semistable(slots, gamma, searches, p)
@@ -754,8 +749,7 @@ def _support_verdict(arrows, gamma, mask, p):
     with these arrows (see ``_support``), semistable for the destabilizing
     set ``mask`` (see ``_mask``)?  Arrows are numbered by their position."""
     slots = tuple((n, si, ti) for n, (si, ti) in enumerate(arrows))
-    destabilizing = tuple(d for i, d in enumerate(_dims_below(gamma)) if mask >> i & 1)
-    searches = _searches(slots, gamma, destabilizing, p)
+    searches = _searches(slots, gamma, mask, p)
     return searches is not None and _first_semistable(slots, gamma, searches, p) is not None
 
 
@@ -1000,8 +994,7 @@ def eta_embedding_check(
     value.  On v0 => v1 (a1, a2), a0: v1 -> v3, a3: v1 -> v2, contracting
     a0, gamma_hat = (0, 1, 1) is reported not ok over F_2 and F_3 with the
     default grid, while ``grid=(0,)`` lifts every wall."""
-    a0 = Q.arrow(a0_id)
-    ip, im = a0.source, a0.target
+    ip, im = contraction_ends(Q, a0_id)
     Qhat, _, _ = contract_quiver(Q, a0_id)
     i0 = ip  # the merged vertex keeps the source's name
     entries = wall_support_scan(Qhat, maxgamma_hat, samples, p, limits=limits)

@@ -82,7 +82,7 @@ from .contraction import contract_quiver
 from .errors import InternalConsistencyError, PreconditionError
 from .linalg import QQ, _as_ints, in_span, rref
 from .poly import Poly, Rat, xvar
-from .quiver import check_dimvec
+from .quiver import check_dimvec, check_equal_rank, contraction_ends
 
 INCONCLUSIVE = "inconclusive"
 
@@ -532,14 +532,8 @@ def contract_shuffle(f, a0_id):
     """Image of f under edge contraction: both merged blocks land on the
     surviving vertex, slotwise."""
     Q = f.quiver
-    a0 = Q.arrow(a0_id)
-    ip, im = a0.source, a0.target
-    if ip == im:
-        raise PreconditionError(f"cannot contract the loop {a0_id!r}")
-    if f.gamma[ip] != f.gamma[im]:
-        raise PreconditionError(
-            f"equal-rank precondition: gamma[{ip}]={f.gamma[ip]} != gamma[{im}]={f.gamma[im]}"
-        )
+    ip, im = contraction_ends(Q, a0_id)
+    check_equal_rank(f.gamma, ip, im)
     Qhat = _contracted_quiver(Q, a0_id)
     ghat = {v: f.gamma[v] for v in Qhat.vertices}
     terms, L = f.dense

@@ -20,10 +20,20 @@ from quiveralg.errors import (
     PreconditionError,
     UnsupportedReductionError,
 )
+from quiveralg.hopf import (
+    contraction_ratio_check,
+    double_cross_check,
+    normalization_collapse_check,
+)
 from quiveralg.linalg import GF, QQ, mat_mul
+from quiveralg.mutation import theorem_check_366
 from quiveralg.paths import Path, Potential, Sym
+from quiveralg.poly import Poly
+from quiveralg.preprojective import adhm_elimination_check, contract_triple_check
 from quiveralg.qp import QuiverWithPotential
-from quiveralg.quiver import Arrow, Quiver, euler_form
+from quiveralg.quiver import Arrow, Quiver, contract_vectors, euler_form
+from quiveralg.scattering import eta_embedding_check
+from quiveralg.shuffle import SymPoly, contract_shuffle
 
 from conftest import (
     jordan_quiver,
@@ -96,6 +106,64 @@ def test_contract_loop_rejected():
     qp = QuiverWithPotential(jordan_quiver())
     with pytest.raises(PreconditionError):
         contract_qp(qp, "l")
+
+
+LOOPED = Quiver(("i+", "i-"), [Arrow("a0", "i+", "i-"), Arrow("l", "i-", "i-")], name="looped")
+EQUAL = {"i+": 1, "i-": 1}
+UNEQUAL = {"i+": 1, "i-": 2}
+
+
+def _rep(dims):
+    mats = {a.id: ((1,) * dims[a.source],) * dims[a.target] for a in LOOPED.arrows}
+    return Representation(GF(2), dims, mats, Q=LOOPED)
+
+
+# Every public entry point that contracts an arrow, called on (a0, ranks);
+# those that take no rank vector ignore the ranks.
+ENTRY_POINTS = {
+    "contract_quiver": lambda a0, g: contract_quiver(LOOPED, a0),
+    "contract_qp": lambda a0, g: contract_qp(QuiverWithPotential(LOOPED), a0),
+    "contract_rep": lambda a0, g: contract_rep(QuiverWithPotential(LOOPED), a0, _rep(EQUAL)),
+    "contract_shuffle": lambda a0, g: contract_shuffle(SymPoly(LOOPED, g, 1), a0),
+    "contraction_ratio_check": lambda a0, g: contraction_ratio_check(LOOPED, a0, g),
+    "double_cross_check": lambda a0, g: double_cross_check(
+        SymPoly(LOOPED, EQUAL, 1), SymPoly(LOOPED, EQUAL, 1), a0
+    ),
+    "normalization_collapse_check": lambda a0, g: normalization_collapse_check(
+        LOOPED, a0, 1, Poly.const(1)
+    ),
+    "contract_vectors": lambda a0, g: contract_vectors(LOOPED, a0, g, EQUAL),
+    "contract_triple_check": lambda a0, g: contract_triple_check(LOOPED, a0),
+    "adhm_elimination_check": lambda a0, g: adhm_elimination_check(LOOPED, a0),
+    "eta_embedding_check": lambda a0, g: eta_embedding_check(LOOPED, a0, (1,), [(0,)]),
+    "theorem_check_366": lambda a0, g: theorem_check_366(QuiverWithPotential(LOOPED), a0),
+}
+RANKED = ("contract_shuffle", "contraction_ratio_check", "contract_vectors")
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_contraction_entry_points_share_their_refusals(name):
+    """Each entry point refuses a loop a0 with the one message, and each
+    that takes a rank vector refuses unequal ranks at i+ and i- with the
+    one message."""
+    call = ENTRY_POINTS[name]
+    with pytest.raises(PreconditionError) as err:
+        call("l", EQUAL)
+    assert str(err.value) == "cannot contract the loop 'l'"
+    if name in RANKED:
+        with pytest.raises(PreconditionError) as err:
+            call("a0", UNEQUAL)
+        assert str(err.value) == "equal-rank precondition: gamma[i+]=1 != gamma[i-]=2"
+        call("a0", EQUAL)
+
+
+def test_contract_rep_refuses_a_loop_before_reading_the_matrices():
+    qp = QuiverWithPotential(LOOPED)
+    bad = Representation(GF(2), EQUAL, {})
+    with pytest.raises(PreconditionError, match="cannot contract the loop 'l'"):
+        contract_rep(qp, "l", bad)
+    with pytest.raises(PreconditionError, match="no matrix for arrow"):
+        contract_rep(qp, "a0", bad)
 
 
 def test_contract_counts():
@@ -259,6 +327,60 @@ def test_contract_rep_rational_field():
     inv0 = ((Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1)))
     expected = mat_mul(F, inv0, a2)
     assert out.mats["a0^-1*a2"] == expected
+
+
+def _conjugated(F, a, a0, ip, im, M):
+    """The contracted name and matrix of arrow a, from the case formulas of
+    the module and ``contract_rep`` docstrings, read off a's ends."""
+    from quiveralg.linalg import mat_inverse
+
+    m, m0 = M.mats[a.id], M.mats[a0]
+    inv0 = mat_inverse(F, m0)
+    if a.source == im and a.target == im:
+        return f"{a0}^-1*{a.id}*{a0}", mat_mul(F, mat_mul(F, inv0, m), m0)
+    if a.source == im:
+        return f"{a.id}*{a0}", mat_mul(F, m, m0)
+    if a.target == im:
+        return f"{a0}^-1*{a.id}", mat_mul(F, inv0, m)
+    return a.id, m
+
+
+def test_contract_rep_matches_the_case_formulas():
+    """Oracle independent of the hatted letters: every contracted matrix is
+    M_a M_a0 (a starts at i-), M_a0^-1 M_a (a ends at i-), M_a0^-1 M_a M_a0
+    (a loop at i-) or M_a, over GF(2), GF(3) and QQ, on quivers with loops
+    at i-, arrows from i- to i+ and arrows parallel to a0.  Half the cases
+    give every vertex one dimension, so a copy that puts a0^-1 after a still
+    makes matrices of the right shape; only their entries catch it.  Every
+    hatted name is its expansion's letters joined by *."""
+    rng = random.Random(37)
+    pool = [("i+", "i-"), ("i-", "i-"), ("i-", "i+"), ("i+", "i+"), ("j", "i-"),
+            ("i-", "j"), ("j", "i+"), ("i+", "j"), ("j", "j")]
+    seen = {"loop at i-": 0, "i- to i+": 0, "parallel": 0, "equal dims": 0}
+    for trial in range(120):
+        F = (GF(2), GF(3), QQ)[trial % 3]
+        ends = [rng.choice(pool) for _ in range(rng.randint(2, 5))]
+        Q = Quiver(("i+", "i-", "j"), [Arrow("a0", "i+", "i-")] +
+                   [Arrow(f"b{k}", s, t) for k, (s, t) in enumerate(ends)])
+        n = rng.randint(1, 3)
+        dims = {"i+": n, "i-": n, "j": n if trial % 2 else rng.randint(0, 3)}
+        entries = range(F) if F else range(-2, 3)
+        mats = {a.id: tuple(tuple(rng.choice(entries) for _ in range(dims[a.source]))
+                            for _ in range(dims[a.target])) for a in Q.arrows}
+        M = Representation(F, dims, mats, Q=Q)
+        if not _invertible(F, M.mats["a0"]):
+            continue
+        out = contract_rep(QuiverWithPotential(Q), "a0", M)
+        want = dict(_conjugated(F, a, "a0", "i+", "i-", M) for a in Q.arrows[1:])
+        assert out.dims == {"i+": n, "j": dims["j"]}
+        assert out.mats == want, (F, Q.arrows, dims)
+        expansion = contract_quiver(Q, "a0")[2]
+        assert all(name == "*".join(map(str, e)) for name, e in expansion.items())
+        seen["loop at i-"] += ("i-", "i-") in ends
+        seen["i- to i+"] += ("i-", "i+") in ends
+        seen["parallel"] += ("i+", "i-") in ends
+        seen["equal dims"] += trial % 2
+    assert min(seen.values()) >= 15, seen
 
 
 # ---------------------------------------------------------------- higgs

@@ -1089,8 +1089,8 @@ def test_exists_once_decides_settled_queries_without_searching(monkeypatch):
             continue
         kappa = random_projection(rng, gamma)
         direction = scattering._clear_denominators(kappa)[1]
-        destabilizing = scattering._destabilizing(gamma, direction)
-        searches = scattering._searches(scattering._arrow_slots(Q), gamma, destabilizing, p)
+        mask = scattering._mask(gamma, direction)
+        searches = scattering._searches(scattering._arrow_slots(Q), gamma, mask, p)
         kind = "none" if searches is None else ("searched" if searches else "empty")
         classes[kind] += 1
         pairs = [(a.source, a.target) for a in Q.arrows]
@@ -1227,8 +1227,8 @@ def test_eta_check_checks_the_caps_of_each_lift():
         lift = scattering._eta_lift(Q.vertices, Qhat.vertices, "i+", "i+", "i-", kparam)
         for d in true_samples:
             direction = tuple(d[i] * f for i, f in lift)
-            destabilizing = scattering._destabilizing(lifted_top, direction)
-            assert scattering._searches(slots, lifted_top, destabilizing, 2) is None
+            mask = scattering._mask(lifted_top, direction)
+            assert scattering._searches(slots, lifted_top, mask, 2) is None
     got = outcome(eta_embedding_check, Q, "a0", (1, 1), AXES, 2, limits=limits)
     assert got == ("ScopeError", "total dimension 3 exceeds the brute-force bound 2")
     report = eta_embedding_check(Q, "a0", (1, 1), AXES, 2, limits=Limits(max_total_dim=3))
