@@ -121,7 +121,7 @@ def _parse_ranks(spec, Q, what):
         if name in seen:
             raise PreconditionError(f"{what}: duplicate rank for vertex {name!r}")
         seen.add(name)
-        if not val.isdigit():
+        if not (val.isascii() and val.isdigit()):
             raise PreconditionError(
                 f"{what}: rank must be a nonnegative integer, got {val!r}"
             )
@@ -308,10 +308,7 @@ def _random_instance(rng):
 def _power_sum(gamma, v, k):
     p = Poly.zero()
     for slot in range(1, gamma[v] + 1):
-        m = Poly.var(xvar(v, slot))
-        for _ in range(k - 1):
-            m = m * Poly.var(xvar(v, slot))
-        p = p + m
+        p = p + Poly.var(xvar(v, slot), k)
     return p
 
 

@@ -22,7 +22,7 @@ from functools import partial, reduce
 from .errors import InternalConsistencyError, PreconditionError, UnsupportedReductionError
 from .linalg import GF, QQ, mat_inverse, mat_mul
 from .paths import Path, Potential, Sym, _cancel_cyclic, cyclic_normal_form, least_rotation
-from .qp import QuiverWithPotential, delete_arrows
+from .qp import QuiverWithPotential, eliminate_pair
 from .quiver import Arrow, Quiver, contraction_ends
 
 
@@ -195,10 +195,9 @@ def higgs(qp, a0_id):
 
     When a0 only appears in terms of length >= 4 this coincides with
     contract_qp.  A cubic term a0.b.c turns, after contraction, into the
-    quadratic 2-cycle bhat.chat; the mass-integration recipe (cyclic
-    derivatives with respect to the pair, substitute the negated remainders,
-    delete the pair) is applied to exactly those pairs.  A quadratic term
-    containing a0 would be a mass term for a0 itself and is unsupported.
+    quadratic 2-cycle bhat.chat, and ``qp.eliminate_pair`` removes exactly
+    those pairs.  A quadratic term containing a0 would be a mass term for a0
+    itself and is unsupported.
     """
     cubic_pairs = []
     for w, _c in qp.potential.terms.items():
@@ -212,13 +211,8 @@ def higgs(qp, a0_id):
                 others = [a for a in arrows if a != a0_id]
                 cubic_pairs.append(tuple(sorted(others)))
     cur, hat_map = _contract_qp(qp, a0_id)
-    if not cubic_pairs:
-        return cur
-    # eliminate exactly the quadratic 2-cycles descending from cubic a0-terms
-    from .paths import NCPoly, cyclic_derivative, substitute_arrow
-
-    remaining = [tuple(sorted((hat_map[x], hat_map[y]))) for x, y in cubic_pairs]
-    for pair in remaining:
+    for x, y in cubic_pairs:
+        pair = tuple(sorted((hat_map[x], hat_map[y])))
         quads = [
             (w, c)
             for w, c in cur.potential.terms.items()
@@ -228,23 +222,5 @@ def higgs(qp, a0_id):
             raise UnsupportedReductionError(
                 f"expected a quadratic term on the pair {pair}; found none"
             )
-        w, coeff = quads[0]
-        if coeff not in (1, -1):
-            raise UnsupportedReductionError(
-                f"quadratic term {w} has non-unit coefficient {coeff}"
-            )
-        s1, s2 = w.syms
-        b, c = s1.arrow, s2.arrow
-        W = cur.potential.scale(1 / coeff) if coeff != 1 else cur.potential
-        db = cyclic_derivative(cur.quiver, W, b)
-        dc = cyclic_derivative(cur.quiver, W, c)
-        W1 = db - NCPoly.of_path(Path((Sym(c),)))
-        W2 = dc - NCPoly.of_path(Path((Sym(b),)))
-        Wnew = substitute_arrow(cur.quiver, cur.potential, {c: -W1, b: -W2})
-        for w2 in Wnew.terms:
-            if any(s.arrow in (b, c) for s in w2.syms):
-                raise UnsupportedReductionError(
-                    f"mass integration left the eliminated arrow in {w2}"
-                )
-        cur = QuiverWithPotential(delete_arrows(cur.quiver, {b, c}), Wnew)
+        cur = eliminate_pair(cur, *quads[0])
     return cur

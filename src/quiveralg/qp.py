@@ -3,17 +3,20 @@
 A QuiverWithPotential bundles a quiver, a potential (rational combination
 of cyclic words in its arrows), and an optional designated arrow that may
 appear formally inverted in words.  The trivial-part reduction repeatedly
-eliminates quadratic 2-cycle terms b.c by the substitution recipe
-(c -> -dW/db + c, b -> -dW/dc + b, then delete b and c), the syntactic
-shadow of reduction up to right-equivalence.
+eliminates quadratic 2-cycle terms b.c, at any non-zero coefficient, by one
+exact step (``eliminate_pair``: c -> -dW/db + c, b -> -dW/dc + b, then
+delete b and c), which Higgsing shares; each step is a right-equivalence
+followed by dropping a trivial summand.
 """
 
 from __future__ import annotations
 
-from .errors import PreconditionError, UnsupportedReductionError
+from .errors import InternalConsistencyError, PreconditionError, UnsupportedReductionError
 from .paths import (
     NCPoly,
+    Path,
     Potential,
+    Sym,
     cyclic_derivative,
     quadratic_two_cycles,
     substitute_arrow,
@@ -69,51 +72,51 @@ def delete_arrows(Q, ids):
     return Quiver(Q.vertices, keep, name=Q.name)
 
 
-def reduce_trivial(qp):
-    """Delete the trivial (quadratic) part of the potential.
+def _holds(value, arrows):
+    """Whether a letter of some term of value is one of arrows."""
+    return any(s.arrow in arrows for t in value.terms for s in t.syms)
 
-    Repeatedly pick a quadratic term b.c with coefficient +-1, substitute
-    c -> -(dW/db - c), b -> -(dW/dc - b) simultaneously, and delete the two
-    arrows.  Errors out (never silently) on non-unit quadratic coefficients
-    or if a replacement reintroduces an eliminated arrow.
+
+def eliminate_pair(qp, w, coeff):
+    """Remove the quadratic term coeff * w of the potential, w = b.c, and
+    the arrows b and c.
+
+    Write W' = W/coeff = b.c + R, W1 = dR/db and W2 = dR/dc.  The step
+    refuses (UnsupportedReductionError) only when both W1 and W2 hold b or
+    c, or when b or c is the formally inverted arrow.  Otherwise it
+    substitutes c -> -W1 and b -> -W2 into W, and that is exact for any
+    non-zero coeff.  Say W2 is free of b and c: c.dR/dc is, up to rotation,
+    the sum of R's terms weighted by their number of c letters, so every
+    term of R with c holds it once and no b, and W' = (b + W2).c + S with S
+    free of c.  The unitriangular changes b' = b + W2, then c' = c + T
+    (b'.T the terms of S(b -> b' - W2) with b') give W' ~ b'.c' + S(b -> -W2),
+    and the substitution yields exactly coeff * S(b -> -W2).  The case of W1
+    free is symmetric.
     """
-    qp_cur = qp
-    eliminated = set()
-    while True:
-        quads = quadratic_two_cycles(qp_cur.quiver, qp_cur.potential)
-        if not quads:
-            return qp_cur
-        w, coeff = min(quads, key=lambda t: t[0].sort_key())
-        if coeff not in (1, -1):
-            raise UnsupportedReductionError(
-                f"quadratic term {w} has non-unit coefficient {coeff}"
-            )
-        s1, s2 = w.syms  # word s1.s2, s2 acts first
-        b, c = s1.arrow, s2.arrow
-        Q = qp_cur.quiver
-        W = qp_cur.potential.scale(1 / coeff) if coeff != 1 else qp_cur.potential
-        # dW/db = c + W1  and  dW/dc = b + W2 (as NCPoly identities)
-        from .paths import Path, Sym
-
-        db = cyclic_derivative(Q, W, b)
-        dc = cyclic_derivative(Q, W, c)
-        W1 = db - NCPoly.of_path(Path((Sym(c),)))
-        W2 = dc - NCPoly.of_path(Path((Sym(b),)))
-        for poly in (W1, W2):
-            for p in poly.terms:
-                for s in p.syms:
-                    if s.arrow in (b, c) or s.arrow in eliminated:
-                        raise UnsupportedReductionError(
-                            f"elimination of ({b},{c}) reintroduces {s.arrow}"
-                        )
-        Wnew = substitute_arrow(Q, qp_cur.potential, {c: -W1, b: -W2})
-        for w2 in Wnew.terms:
-            for s in w2.syms:
-                if s.arrow in (b, c):
-                    raise UnsupportedReductionError(
-                        f"substitution left eliminated arrow {s.arrow} in {w2}"
-                    )
-        eliminated.update((b, c))
-        qp_cur = QuiverWithPotential(
-            delete_arrows(Q, {b, c}), Wnew, inverted=qp_cur.inverted
+    b, c = (s.arrow for s in w.syms)  # word b.c, c acts first
+    if qp.inverted in (b, c):
+        raise UnsupportedReductionError(
+            f"cannot eliminate the formally inverted arrow {qp.inverted}"
         )
+    Q = qp.quiver
+    W = qp.potential.scale(1 / coeff)
+    W1 = cyclic_derivative(Q, W, b) - NCPoly.of_path(Path((Sym(c),)))
+    W2 = cyclic_derivative(Q, W, c) - NCPoly.of_path(Path((Sym(b),)))
+    if _holds(W1, (b, c)) and _holds(W2, (b, c)):
+        raise UnsupportedReductionError(
+            f"cannot eliminate {w}: both dW/d{b} - {c} and dW/d{c} - {b} hold {b} or {c}"
+        )
+    Wnew = substitute_arrow(Q, qp.potential, {c: -W1, b: -W2})
+    if _holds(Wnew, (b, c)):
+        raise InternalConsistencyError(f"eliminating {w} left {b} or {c} in {Wnew}")
+    return QuiverWithPotential(delete_arrows(Q, {b, c}), Wnew, inverted=qp.inverted)
+
+
+def reduce_trivial(qp):
+    """Delete the trivial (quadratic) part of the potential: eliminate the
+    least quadratic term by ``eliminate_pair`` until none is left."""
+    while True:
+        quads = quadratic_two_cycles(qp.quiver, qp.potential)
+        if not quads:
+            return qp
+        qp = eliminate_pair(qp, *min(quads, key=lambda t: t[0].sort_key()))

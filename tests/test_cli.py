@@ -104,13 +104,12 @@ def test_higgs_quadratic_is_unsupported(tmp_path, capsys):
     assert code == 4
 
 
-def test_higgs_and_mutate_differ_on_a_remainder_holding_the_pair(tmp_path, capsys):
-    """contraction.higgs and qp.reduce_trivial each run the quadratic
-    elimination step, and only reduce_trivial refuses when the remainder
-    dW/db - c or dW/dc - b holds b or c.  Here the pair eliminated next to
-    a0 is a3 and a5*a0, and dW/da3 holds a3 through a4.a3.a4.a3: higgs
-    answers with a zero potential, mutate at v1 refuses.  Pinned until one
-    shared step decides both."""
+def test_higgs_and_mutate_answer_on_a_remainder_holding_the_pair(tmp_path, capsys):
+    """contraction.higgs and qp.reduce_trivial share qp.eliminate_pair, which
+    answers when either remainder dW/db - c or dW/dc - b is free of b and c.
+    Here dW/da3 holds a3 through a4.a3.a4.a3, and the other remainder of
+    each eliminated pair is free: a copy that accepted only one of the two
+    sides would refuse one of these commands."""
     f = tmp_path / "pair.qp"
     f.write_text(
         "vertices: v0, v1, v2\n"
@@ -125,9 +124,52 @@ def test_higgs_and_mutate_differ_on_a_remainder_holding_the_pair(tmp_path, capsy
         "arrows: a1: v2 -> v0; a0^-1*a2: v0 -> v0; a4: v0 -> v2\n",
         "",
     )
-    code, out, err = run(capsys, "mutate", "--vertex", "v1", str(f))
-    assert (code, out) == (4, "")
-    assert "reintroduces a3" in err
+    assert run(capsys, "mutate", "--vertex", "v1", str(f)) == (
+        0,
+        "quiver premut_v1(Q)\n"
+        "vertices: v0, v1, v2\n"
+        "arrows: a0*: v1 -> v0; a1: v2 -> v0; a2*: v1 -> v0; a4: v0 -> v2; a5*: v2 -> v1;"
+        " [a5*a2]: v0 -> v2\n"
+        "potential: 1 * [a5*a2].a2*.a5* + 1 * a0*.a5*.a4 + 1 * a0*.a5*.a4.a0*.a5*.a4\n",
+        "",
+    )
+
+
+def test_mutate_ignores_the_scale_of_a_cubic_term(tmp_path, capsys):
+    """Mutating the 3-cycle at 2 leaves the quadratic term [b*a].c, with the
+    cubic term's coefficient; rescaling an arrow makes 2 * c.b.a and
+    1 * c.b.a right-equivalent, so both print the same bytes."""
+    outs = []
+    for coeff in (2, 1):
+        f = tmp_path / f"tri{coeff}.qp"
+        f.write_text(
+            "vertices: 1, 2, 3\narrows: a: 1 -> 2; b: 2 -> 3; c: 3 -> 1\n"
+            f"potential: {coeff} * c.b.a\n"
+        )
+        outs.append(run(capsys, "mutate", "--vertex", "2", str(f)))
+    assert outs[0] == outs[1] == (
+        0, "quiver premut_2(Q)\nvertices: 1, 2, 3\narrows: a*: 2 -> 1; b*: 3 -> 2\n", ""
+    )
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u2460"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("spherical-span", "--degree", "0", "--gamma"),
+        ("walls", "--max-gamma"),
+        ("eta-check", "--arrow", "a", "--max-gamma"),
+    ],
+)
+def test_ranks_are_ascii_digits(tmp_path, capsys, command, digit):
+    """str.isdigit accepts superscripts and circled digits, which int()
+    refuses: every rank option exits 3 on them, and u=12 still parses."""
+    f = tmp_path / "a2.qp"
+    f.write_text("vertices: u, v\narrows: a: u -> v\n")
+    code, out, err = run(capsys, *command, f"u={digit}", str(f))
+    assert (code, out) == (3, "")
+    assert f"rank must be a nonnegative integer, got '{digit}'" in err
+    assert cli._parse_ranks("u=12", Quiver(["u", "v"], []), "--gamma") == {"u": 12, "v": 0}
 
 
 # ---------------------------------------------------------------- mutation

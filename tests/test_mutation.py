@@ -2,11 +2,7 @@
 
 import pytest
 
-from quiveralg.errors import (
-    InternalConsistencyError,
-    PreconditionError,
-    UnsupportedReductionError,
-)
+from quiveralg.errors import InternalConsistencyError, PreconditionError
 from quiveralg.mutation import (
     composite_name,
     mutate,
@@ -202,15 +198,16 @@ def test_mutate_reduction_identity_without_pairs():
     assert rep.reduced == rep.premutated
 
 
-def test_mutate_requires_unit_quadratic_coefficients():
-    # far quadratic two-cycle with coefficient 2 blocks the reduction
+def test_mutate_reduces_non_unit_quadratic_coefficients():
+    # the far quadratic two-cycle with coefficient 2 is eliminated
     qp = qp_of(
         ["1", "2", "3"],
         [("x", "1", "2"), ("y", "2", "1"), ("a", "1", "3")],
         [(2, "y", "x")],
     )
-    with pytest.raises(UnsupportedReductionError):
-        mutate(qp, "3")
+    red = mutate(qp, "3").reduced
+    assert arrow_set(red.quiver) == {("a*", "3", "1")}
+    assert red.potential.is_zero()
 
 
 # ------------------------------------------------------- theorem check

@@ -266,8 +266,79 @@ def test_reduce_trivial_no_quadratic_part():
 def test_reduce_trivial_non_unit_coefficient():
     Q = Quiver(["u", "v"], [Arrow("a", "u", "v"), Arrow("b", "v", "u")])
     qp = QuiverWithPotential(Q, Potential.from_paths(Q, [(word("a", "b"), 2)]))
-    with pytest.raises(UnsupportedReductionError):
-        reduce_trivial(qp)
+    out = reduce_trivial(qp)
+    assert out.quiver.arrows == ()
+    assert out.potential.is_zero()
+
+
+def test_reduce_trivial_refuses_when_both_remainders_hold_the_pair():
+    """W = b.c + b.c.b.c: dW/db - c = 2 c.b.c and dW/dc - b = 2 b.c.b."""
+    Q = Quiver(["u", "v"], [Arrow("b", "v", "u"), Arrow("c", "u", "v")])
+    W = Potential.from_paths(Q, [(word("b", "c"), 1), (word("b", "c", "b", "c"), 1)])
+    with pytest.raises(UnsupportedReductionError, match="both dW/db - c and dW/dc - b"):
+        reduce_trivial(QuiverWithPotential(Q, W))
+
+
+def test_reduce_trivial_refuses_to_eliminate_the_inverted_arrow():
+    """No substitution reaches the letter a^-1 of d.l.a^-1, so eliminating
+    a.b would leave it behind: a refusal, not a broken invariant."""
+    Q = Quiver(
+        ["u", "v"],
+        [Arrow("a", "u", "v"), Arrow("b", "v", "u"), Arrow("d", "u", "v"), Arrow("l", "u", "u")],
+    )
+    inverse_term = Path((Sym("d"), Sym("l"), Sym("a", True)))
+    W = Potential.from_paths(Q, [(word("a", "b"), 1), (inverse_term, 1)])
+    with pytest.raises(UnsupportedReductionError, match="formally inverted arrow a"):
+        reduce_trivial(QuiverWithPotential(Q, W, inverted="a"))
+
+
+def _closed_walks(rng, Q, count):
+    """Up to count random cycles of length 3 or 4 in Q, as words."""
+    walks = []
+    for _ in range(50 * count):
+        if len(walks) == count:
+            break
+        letters = [rng.choice(Q.arrows)]
+        for _ in range(rng.randint(2, 3)):
+            outs = Q.arrows_from(letters[-1].target)
+            if not outs:
+                break
+            letters.append(rng.choice(outs))
+        if len(letters) > 2 and letters[-1].target == letters[0].source:
+            walks.append(word(*reversed([a.id for a in letters])))
+    return walks
+
+
+def test_reduce_trivial_is_unchanged_by_rescaling_the_eliminated_arrow():
+    """For W holding k * b.c, substituting b -> b/k (a right-equivalence that
+    makes the quadratic coefficient 1) leaves the reduction unchanged: both
+    refuse, or both give the same QP.  A step that substituted into W/k
+    instead of W would scale the reduced potential by 1/k."""
+    rng = random.Random(41)
+    answered = 0
+    for _ in range(400):
+        n = rng.randint(2, 4)
+        vertices = [f"v{i}" for i in range(n)]
+        arrows = [Arrow("b", "v1", "v0"), Arrow("c", "v0", "v1")] + [
+            Arrow(f"x{i}", rng.choice(vertices), rng.choice(vertices))
+            for i in range(rng.randint(2, 5))
+        ]
+        Q = Quiver(vertices, arrows)
+        kappa = Fraction(rng.choice([2, -1, 3, -2])) / rng.choice([1, 3])
+        cycles = [(w, Fraction(rng.choice([1, -1, 2, 3])) / rng.choice([1, 2]))
+                  for w in _closed_walks(rng, Q, rng.randint(1, 4))]
+        qp = QuiverWithPotential(Q, Potential.from_paths(Q, [(word("b", "c"), kappa)] + cycles))
+        b_over_kappa = {"b": NCPoly.of_path(word("b"), 1 / kappa)}
+        rescaled = QuiverWithPotential(Q, substitute_arrow(Q, qp.potential, b_over_kappa))
+        outcomes = []
+        for case in (qp, rescaled):
+            try:
+                outcomes.append(reduce_trivial(case))
+            except UnsupportedReductionError:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
+        answered += outcomes[0] is not None and not outcomes[0].potential.is_zero()
+    assert answered > 50
 
 
 def test_reduce_trivial_strictly_fewer_arrows_property():
