@@ -196,7 +196,10 @@ def higgs(qp, a0_id):
     When a0 only appears in terms of length >= 4 this coincides with
     contract_qp.  A cubic term a0.b.c turns, after contraction, into the
     quadratic 2-cycle bhat.chat, and ``qp.eliminate_pair`` removes exactly
-    those pairs.  A quadratic term containing a0 would be a mass term for a0
+    those pairs.  A born pair with no quadratic term left is skipped: when
+    two cubic a0-terms share a letter, eliminating the first pair absorbs
+    the second pair's quadratic term, and no mass term is left on that
+    pair.  A quadratic term containing a0 would be a mass term for a0
     itself and is unsupported.
     """
     cubic_pairs = []
@@ -218,9 +221,6 @@ def higgs(qp, a0_id):
             for w, c in cur.potential.terms.items()
             if len(w.syms) == 2 and tuple(sorted(s.arrow for s in w.syms)) == pair
         ]
-        if not quads:
-            raise UnsupportedReductionError(
-                f"expected a quadratic term on the pair {pair}; found none"
-            )
-        cur = eliminate_pair(cur, *quads[0])
+        if quads:
+            cur = eliminate_pair(cur, *quads[0])
     return cur

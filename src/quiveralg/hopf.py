@@ -8,6 +8,9 @@ residue pairing.  Two families of series words are carried ("psi" for the
 first factor of the double, "phi" for the second); the second family
 differs from the first by the per-vertex sign (-1)^{r_i+1} (r_i = number of
 loops), carried as metadata and never folded into the words themselves.
+The cross relation (1 (x) g)(f (x) 1) at rank (1,1) is taken in closed
+form, three terms in the block pairing p = (f, g); the counit and the
+antipode are public API that the closed form's derivation rests on.
 """
 
 from fractions import Fraction
@@ -326,22 +329,6 @@ def coassociativity_check(f):
 # residue pairing
 
 
-def residue_at_infinity(h, var):
-    """Residue at infinity in `var`, with the convention fixed by
-    Res(1/x) = -1: minus the coefficient of var^{-1} in the expansion at
-    infinity.  Accepts a polynomial or a factored rational function; other
-    variables ride along as parameters.  Returns an exact scalar when the
-    result is constant, else the residual polynomial."""
-    if isinstance(h, Poly):
-        num, den = h, Poly.const(1)
-    elif isinstance(h, Rat):
-        num, den = h.num(), h.den()
-    else:
-        raise ScopeError(f"residue_at_infinity undefined for {h!r}")
-    out = residue_at_infinity_poly(num, den, var)
-    return out.constant_value() if out.is_constant() else out
-
-
 class PsiGenerator(NamedTuple):
     """First-family diagonal series at a vertex, in its own formal variable."""
 
@@ -423,78 +410,33 @@ def skew_pairing(f, g):
 # cross relation of the combined double under contraction
 
 
-def _pair_antipode_factor(a1, b1):
-    """(a1, S_B(b1)) as (rational, pairing_power): the block-vs-block
-    pairing value stays symbolic as one power of p = (f, g).
+def _cross_relation(f, g, slots, p):
+    """The three terms (coeff, legs) of (1 (x) g)(f (x) 1) for positive-rank
+    blocks f, g on the slots S, with p = (f, g):
 
-    S_B on the two-term coalgebra sends the right-hand block polynomial g
-    to -(g times the inverse full-block second-family word); pairing that
-    against a block polynomial absorbs the word and leaves -(f, g)."""
-    if isinstance(b1, PsiWord):
-        if not b1.is_unit():
-            raise InternalConsistencyError("unexpected series word in slot 1")
-        return counit(a1), 0
-    if isinstance(b1, SymPoly):
-        if isinstance(a1, PsiWord):
-            return Fraction(0), 0
-        return Fraction(-1), 1
-    raise InternalConsistencyError(f"bad leg {b1!r}")
+        p * (psi_S (x) 1) + (f (x) g) - p * (1 (x) phi_S).
 
-
-def _pair_plain_factor(a3, b3):
-    """(a3, b3) as (rational, pairing_power)."""
-    if isinstance(a3, PsiWord):
-        if a3.is_unit():
-            return counit(b3), 0
-        if isinstance(b3, SymPoly):
-            return Fraction(0), 0
-        raise InternalConsistencyError("unexpected word-word pairing in slot 3")
-    if isinstance(a3, SymPoly):
-        if isinstance(b3, PsiWord):
-            return Fraction(0), 0
-        return Fraction(1), 1
-    raise InternalConsistencyError(f"bad leg {a3!r}")
-
-
-def _cross_terms(f, g, slots):
-    """Terms of (1 (x) g)(f (x) 1) from the iterated two-term coproducts.
-
-    The first factor's iterated coproduct is word (x) word (x) f +
-    word (x) f (x) 1 + f (x) 1 (x) 1; the second factor's (opposite,
-    second-family) version mirrors it.  Each of the nine combinations
-    contributes (a1, S_B(b1)) * a2 (x) b2 * (a3, b3); coefficients are kept
-    as (rational, power of the block pairing p = (f,g)) so the pairing
-    ingredient stays visible for the contraction comparison."""
-    word_psi = PsiWord("psi", {s: 1 for s in slots})
-    word_phi = PsiWord("phi", {s: 1 for s in slots})
+    Of the nine pairs of f's and g's iterated two-term coproducts, each
+    giving (a1, S_B(b1)) * a2 (x) b2 * (a3, b3), the counit kills every
+    block paired with a word, and S_B(g) paired with f gives -p."""
     unit = PsiWord.unit()
-    a_triples = [(word_psi, word_psi, f), (word_psi, f, unit), (f, unit, unit)]
-    b_triples = [(g, word_phi, word_phi), (unit, g, word_phi), (unit, unit, g)]
-    terms = []
-    for a1, a2, a3 in a_triples:
-        for b1, b2, b3 in b_triples:
-            c1, k1 = _pair_antipode_factor(a1, b1)
-            c2, k2 = _pair_plain_factor(a3, b3)
-            c = c1 * c2
-            if c:
-                terms.append((c, k1 + k2, (a2, b2)))
-    return terms
-
-
-def _terms_to_tensor(terms, p):
-    return TensorElement.of(2, *((c * (p**k if k else 1), legs) for c, k, legs in terms))
+    return [
+        (p, (PsiWord("psi", {s: 1 for s in slots}), unit)),
+        (1, (f, g)),
+        (-p, (unit, PsiWord("phi", {s: 1 for s in slots}))),
+    ]
 
 
 def double_cross_check(f, g, a0_id):
     """Cross relation versus contraction, at one slot on each endpoint of
     the contracted arrow.
 
-    Expands (1 (x) g)(f (x) 1) on the source quiver, applies the
-    contraction to every ingredient (series words by slot fusion, block
-    polynomials by substitution, the block pairing by recomputing it on the
-    contracted quiver), and compares with the expansion of
-    (1 (x) g^) (f^ (x) 1) computed directly on the contracted quiver.
-    Also requires the pairing value itself to be preserved."""
+    Takes the terms of (1 (x) g)(f (x) 1) on the source quiver
+    (`_cross_relation`), applies the contraction to every leg (series
+    words by slot fusion, block polynomials by substitution), and compares
+    them with the terms of (1 (x) g^)(f^ (x) 1) computed on the contracted
+    quiver, both at the contracted pairing p^.  Also requires the pairing
+    value itself to be preserved."""
     if not isinstance(f, SymPoly) or not isinstance(g, SymPoly):
         raise ScopeError("double_cross_check expects block polynomials")
     Q = f.quiver
@@ -512,19 +454,16 @@ def double_cross_check(f, g, a0_id):
     phat = skew_pairing(fhat, ghat)
     if p != phat:
         return False
-    source_terms = _cross_terms(f, g, [(ip, 1), (im, 1)])
-    contracted_terms = []
-    for c, k, (l1, l2) in source_terms:
-        legs = tuple(
-            contract_psi_word(leg, ip, im)
-            if isinstance(leg, PsiWord)
-            else contract_shuffle(leg, a0_id)
-            for leg in (l1, l2)
-        )
-        contracted_terms.append((c, k, legs))
-    side_ingredient = _terms_to_tensor(contracted_terms, phat)
-    side_direct = _terms_to_tensor(_cross_terms(fhat, ghat, [(ip, 1)]), phat)
-    return side_ingredient == side_direct
+
+    def contract(leg):
+        if isinstance(leg, PsiWord):
+            return contract_psi_word(leg, ip, im)
+        return contract_shuffle(leg, a0_id)
+
+    source = _cross_relation(f, g, [(ip, 1), (im, 1)], phat)
+    contracted = [(c, tuple(map(contract, legs))) for c, legs in source]
+    direct = _cross_relation(fhat, ghat, [(ip, 1)], phat)
+    return TensorElement.of(2, *contracted) == TensorElement.of(2, *direct)
 
 
 # ---------------------------------------------------------------------------

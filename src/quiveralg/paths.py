@@ -96,7 +96,7 @@ class Path:
 
 
 def check_composable(Q, syms):
-    """Validate that consecutive symbols compose (right acts first)."""
+    """Validate that consecutive symbols are composable (right acts first)."""
     for left, right in zip(syms, syms[1:]):
         if sym_source(Q, left) != sym_target(Q, right):
             raise PreconditionError(
@@ -116,24 +116,6 @@ def reduce_syms(syms):
     return tuple(out)
 
 
-def compose(Q, left, right):
-    """The path left*right (right acts first), with inverse cancellation."""
-    if right.is_idempotent():
-        if left.source(Q) != right.base:
-            raise PreconditionError("idempotent mismatch in composition")
-        return left
-    if left.is_idempotent():
-        if right.target(Q) != left.base:
-            raise PreconditionError("idempotent mismatch in composition")
-        return right
-    if left.source(Q) != right.target(Q):
-        raise PreconditionError(f"cannot compose {left} . {right}")
-    syms = reduce_syms(left.syms + right.syms)
-    if not syms:
-        return Path.idempotent(right.source(Q))
-    return Path(syms)
-
-
 class NCPoly(Combination):
     """Finite Q-linear combination of paths (no zero coefficients stored)."""
 
@@ -142,13 +124,6 @@ class NCPoly(Combination):
     @staticmethod
     def of_path(p, c=1):
         return NCPoly({p: c})
-
-    def mul(self, other, Q):
-        return NCPoly.from_pairs(
-            (compose(Q, p1, p2), c1 * c2)
-            for p1, c1 in self.terms.items()
-            for p2, c2 in other.terms.items()
-        )
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
@@ -240,10 +215,6 @@ class Potential(Combination):
     """Finite Q-linear combination of cyclic words."""
 
     __slots__ = ()
-
-    @staticmethod
-    def of_word(w, c=1):
-        return Potential({w: c})
 
     @staticmethod
     def from_paths(Q, path_coeffs):

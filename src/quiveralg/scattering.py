@@ -259,10 +259,6 @@ class QuantumTorusElement(Combination):
     __repr__ = __str__
 
 
-def truncate(x, k):
-    return x._of({(g, h): c for (g, h), c in x.terms.items() if sum(g) <= k})
-
-
 def quantum_torus_mul(x, y, k):
     """Bilinear extension of e_g1 e_g2 = L^(-chi(g1,g2)) e_(g1+g2), keeping
     only total dimension <= k."""
@@ -753,10 +749,10 @@ def _support_verdict(arrows, gamma, mask, p):
     return searches is not None and _first_semistable(slots, gamma, searches, p) is not None
 
 
-def _exists_once(memo, Q, gamma, kappa, direction, p, limits):
-    """``king_semistable_exists(Q, gamma, kappa, p, limits=limits).exists``
-    for ``direction``, a positive integer multiple of kappa, read from the
-    process-wide table ``_support_verdict``.  ``memo`` holds the
+def _exists_once(memo, Q, gamma, direction, p):
+    """``king_semistable_exists(Q, gamma, kappa, p).exists`` for every
+    kappa of which the integer vector ``direction`` is a positive multiple,
+    read from the process-wide table ``_support_verdict``.  ``memo`` holds the
     ``_support`` of each gamma of one quiver.  The caller has checked the
     caps of gamma: a verdict in the table is a fact about the quiver, and
     the caps only gate whether a search may run."""
@@ -894,7 +890,7 @@ def wall_support_scan(Q, maxgamma, samples, p=2, *, limits=LIMITS):
         for direction in directions:
             kappa = tuple(map(_ratio, direction, itertools.repeat(scale)))
             verdicts.append(
-                (kappa, one_vertex or _exists_once(memo, Q, gamma, kappa, direction, p, limits))
+                (kappa, one_vertex or _exists_once(memo, Q, gamma, direction, p))
             )
         entries.append(WallScanEntry(gamma, gamma, tuple(verdicts)))
     return entries
@@ -1013,7 +1009,7 @@ def eta_embedding_check(
             if n == 0:  # the caps of the lift, before its first query
                 _check_enumeration_bounds(Q, gamma_t, p, limits)
             lifted = [tuple(d[i] * f for i, f in lift) for d in true_samples]
-            if all(_exists_once(memo, Q, gamma_t, k, k, p, limits) for k in lifted):
+            if all(_exists_once(memo, Q, gamma_t, k, p) for k in lifted):
                 found = kparam
                 break
         ok = found is not None

@@ -270,21 +270,6 @@ def fac(Q, block1, block2):
     return Rat(1, factors)
 
 
-def _standard_blocks(g1, g2):
-    """The blocks of the standard split: block 1 is the slots 1..g1^i and
-    block 2 the slots g1^i+1..g1^i+g2^i at every vertex i."""
-    block1 = {v: [xvar(v, a) for a in range(1, n + 1)] for v, n in g1.items()}
-    block2 = {v: [xvar(v, g1[v] + a) for a in range(1, g2[v] + 1)] for v in g1}
-    return block1, block2
-
-
-def fac_kernel(Q, g1, g2):
-    """The shuffle kernel of the standard split, fac(block 1|block 2)."""
-    check_dimvec(Q, g1, what="rank vector")
-    check_dimvec(Q, g2, what="rank vector")
-    return fac(Q, *_standard_blocks(g1, g2))
-
-
 # -- dense kernel: {exponent tuple: int}, position offset[v] + slot - 1 ------
 
 

@@ -104,6 +104,33 @@ def test_higgs_quadratic_is_unsupported(tmp_path, capsys):
     assert code == 4
 
 
+def test_higgs_skips_a_pair_whose_mass_term_was_absorbed(tmp_path, capsys):
+    """The cubic a5-terms 3 * a4.a5.a6 and 3 * a5.a6.a3 share a6, so the
+    contracted quadratic part 3 * (a3*a5 + a4*a5).a6 has rank one.
+    Eliminating the first born pair (a4*a5, a6) substitutes a4*a5 -> -a3*a5
+    and deletes a6, which leaves no quadratic term on the second pair
+    (a3*a5, a6); earlier versions refused it ("found none", exit 4).
+    By hand, A' = a3*a5 + a4*a5 turns the potential into
+    3 * A'.a6 + 3 * D.E.B + (A' - B).E.B.E (B = a4*a5, D = a2*a5,
+    E = a5^-1*a0), and integrating out (A', a6) leaves
+    3 * D.E.B - B.E.B.E, which B -> -a3*a5 maps to the printed one."""
+    f = tmp_path / "shared.qp"
+    f.write_text(
+        "vertices: v0, v1, v2\n"
+        "arrows: a0: v0 -> v1; a1: v0 -> v2; a2: v1 -> v2; a3: v1 -> v0; a4: v1 -> v0;"
+        " a5: v2 -> v1; a6: v0 -> v2\n"
+        "potential: 1 * a0.a4.a0.a3 + 3 * a5.a2.a0.a4 + 3 * a4.a5.a6 + 3 * a5.a6.a3\n"
+    )
+    assert run(capsys, "higgs", "--arrow", "a5", str(f)) == (
+        0,
+        "quiver Q_hat\n"
+        "vertices: v0, v2\n"
+        "arrows: a5^-1*a0: v0 -> v2; a1: v0 -> v2; a2*a5: v2 -> v2; a3*a5: v2 -> v0\n"
+        "potential: -3 * a2*a5.a5^-1*a0.a3*a5 + -1 * a3*a5.a5^-1*a0.a3*a5.a5^-1*a0\n",
+        "",
+    )
+
+
 def test_higgs_and_mutate_answer_on_a_remainder_holding_the_pair(tmp_path, capsys):
     """contraction.higgs and qp.reduce_trivial share qp.eliminate_pair, which
     answers when either remainder dW/db - c or dW/dc - b is free of b and c.

@@ -15,6 +15,7 @@ from quiveralg.hopf import (
     PsiGenerator,
     PsiWord,
     TensorElement,
+    _cross_relation,
     antipode_small,
     coassociativity_check,
     contract_psi_word,
@@ -26,7 +27,6 @@ from quiveralg.hopf import (
     localization_denominator,
     normalization_collapse_check,
     psi_action_ratio,
-    residue_at_infinity,
     skew_pairing,
 )
 from quiveralg.poly import Poly, Rat, residue_at_infinity_poly, xvar
@@ -308,16 +308,19 @@ def test_antipode_equal_sector_sign():
 
 
 def test_residue_conventions():
+    def residue(h):
+        return residue_at_infinity_poly(h.num(), h.den(), ZVAR).constant_value()
+
     zp = Poly.var(ZVAR)
-    assert residue_at_infinity(Rat(1, [(zp, -1)]), ZVAR) == Fraction(-1)
-    assert residue_at_infinity(zp * zp + 3, ZVAR) == 0
+    assert residue(Rat(1, [(zp, -1)])) == Fraction(-1)
+    assert residue(Rat.from_poly(zp * zp + 3)) == 0
     shifted = Rat(1, [(Poly.linear_diff(ZVAR, xvar("1", 1)), -1)])
-    assert residue_at_infinity(shifted, ZVAR) == Fraction(-1)
-    assert residue_at_infinity(Rat(1, [(zp, -2)]), ZVAR) == 0
+    assert residue(shifted) == Fraction(-1)
+    assert residue(Rat(1, [(zp, -2)])) == 0
     ratio = Rat(1, [(zp, 2)]) / Rat.from_poly(
         zp * zp * zp - Poly.const(1)
     )
-    assert residue_at_infinity(ratio, ZVAR) == Fraction(-1)
+    assert residue(ratio) == Fraction(-1)
 
 
 def test_pairing_units_rank_one_vanishes():
@@ -601,6 +604,75 @@ def test_double_cross_scope_errors():
     foreign = rank11(other, "i+", "i-", Poly.const(1))
     with pytest.raises(PreconditionError):
         double_cross_check(one, foreign, "a")
+
+
+def _second_family(leg):
+    return PsiWord("phi", leg.exps) if isinstance(leg, PsiWord) else leg
+
+
+def _iterated_coproduct(h, mirror):
+    """(Delta (x) id) Delta(h) as (coeff, (l1, l2, l3)) triples, Delta being
+    coproduct_small with the group-like rule on words; mirrored, each
+    coproduct has its legs swapped and second-family words (g's side)."""
+
+    def delta(leg):
+        if isinstance(leg, PsiWord):
+            return [(1, (leg, leg))]
+        terms = coproduct_small(leg).terms.items()
+        if not mirror:
+            return [(c, legs) for legs, c in terms]
+        return [(c, (_second_family(l2), _second_family(l1))) for (l1, l2), c in terms]
+
+    return [
+        (c * d, (m1, m2, l2))
+        for c, (l1, l2) in delta(h)
+        for d, (m1, m2) in delta(l1)
+    ]
+
+
+def _nonzero_rank11(rng, Q, u, v):
+    while True:
+        h = rank11(Q, u, v, _random_two_var(rng, u, v))
+        if not h.is_zero():
+            return h
+
+
+def test_cross_relation_matches_the_nine_way_expansion(rng):
+    """`_cross_relation` against (1 (x) g)(f (x) 1) expanded from
+    coproduct_small itself: each of the nine pairs of f's and g's iterated
+    coproduct terms gives (a1, S_B(b1)) * a2 (x) b2 * (a3, b3), where a
+    word pairs with anything through the counit, two blocks pair to p, and
+    S_B(g) = -g * phi^-1 (from the mirrored coproduct g (x) phi + 1 (x) g)
+    pairs with a block to -p.  At p = 7/3 this fails on three broken
+    copies that pass `double_cross_check`, whose two sides share the
+    closed form: the phi term's sign flipped, the psi word moved to the
+    second leg, and p dropped from the psi term."""
+    p = Fraction(7, 3)
+
+    def pair(a, b, antipode=False):
+        if isinstance(a, PsiWord) or isinstance(b, PsiWord):
+            return counit(a) * counit(b)
+        return -p if antipode else p
+
+    quivers = [
+        (a2_quiver(), "1", "2"),
+        (kronecker_quiver(), "i+", "i-"),
+        (showcase_qp().quiver, "i+", "i-"),
+    ]
+    for n in range(18):
+        Q, u, v = quivers[n % len(quivers)]
+        f, g = (_nonzero_rank11(rng, Q, u, v) for _ in range(2))
+        a_triples = _iterated_coproduct(f, mirror=False)
+        b_triples = _iterated_coproduct(g, mirror=True)
+        assert len(a_triples) == len(b_triples) == 3
+        nine = [
+            (ca * cb * pair(a1, b1, antipode=True) * pair(a3, b3), (a2, b2))
+            for ca, (a1, a2, a3) in a_triples
+            for cb, (b1, b2, b3) in b_triples
+        ]
+        want = TensorElement.of(2, *nine)
+        assert len(want.terms) == 3
+        assert TensorElement.of(2, *_cross_relation(f, g, [(u, 1), (v, 1)], p)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ def qp_of(vertices, arrows, terms=()):
     W = Potential.zero()
     for coeff, *letters in terms:
         p = Path(tuple(Sym(x) for x in letters))
-        W = W + Potential.of_word(cyclic_normal_form(Q, p), coeff)
+        W = W + Potential({cyclic_normal_form(Q, p): coeff})
     return QuiverWithPotential(Q, W)
 
 
@@ -60,7 +60,7 @@ def test_premutate_reverses_and_composes():
         ("a0*", "i-", "i+"),
         ("[a0*a]", "j", "i-"),
     }
-    expected = Potential.of_word(word(pre.quiver, "[a0*a]", "a*", "a0*"), 1)
+    expected = Potential({word(pre.quiver, "[a0*a]", "a*", "a0*"): 1})
     assert pre.potential == expected
 
 
@@ -94,13 +94,9 @@ def test_premutate_brackets_every_passage():
         [(1, "g1", "b1", "a1", "g2", "b2", "a2")],
     )
     pre = premutate(qp, "i")
-    expected = Potential.of_word(
-        word(pre.quiver, "g1", "[b1*a1]", "g2", "[b2*a2]"), 1
-    ) + sum(
+    expected = Potential({word(pre.quiver, "g1", "[b1*a1]", "g2", "[b2*a2]"): 1}) + sum(
         (
-            Potential.of_word(
-                word(pre.quiver, composite_name(b, a), f"{a}*", f"{b}*"), 1
-            )
+            Potential({word(pre.quiver, composite_name(b, a), f"{a}*", f"{b}*"): 1})
             for b in ("b1", "b2")
             for a in ("a1", "a2")
         ),

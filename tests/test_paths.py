@@ -130,7 +130,7 @@ def test_cyclic_derivative_counts_rotations():
         der = cyclic_derivative(Q, W, aid)
         for p, c in der.terms.items():
             closed = Path((Sym(aid),) + p.syms)
-            total = total + Potential.of_word(cyclic_normal_form(Q, closed), c)
+            total = total + Potential({cyclic_normal_form(Q, closed): c})
     assert total == Potential.from_paths(Q, [(w, 4)])
 
 

@@ -34,12 +34,11 @@ from quiveralg.shuffle import (
     _monomial_symmetric,
     _schur_coordinates,
     _schur_keys,
-    _standard_blocks,
     _times_diff,
     _to_dense,
     _vertex_words,
     contract_shuffle,
-    fac_kernel,
+    fac,
     shuffle_mul,
     spherical_membership,
     spherical_products,
@@ -279,10 +278,23 @@ def test_dense_form_checks_its_slots():
 # ------------------------------------------------------------- fac
 
 
+def standard_blocks(g1, g2):
+    """The blocks of the standard split: block 1 is the slots 1..g1^i and
+    block 2 the slots g1^i+1..g1^i+g2^i at every vertex i."""
+    block1 = {v: [xvar(v, a) for a in range(1, n + 1)] for v, n in g1.items()}
+    block2 = {v: [xvar(v, g1[v] + a) for a in range(1, g2[v] + 1)] for v in g1}
+    return block1, block2
+
+
+def standard_fac(Q, g1, g2):
+    """The shuffle kernel fac(block 1|block 2) of the standard split."""
+    return fac(Q, *standard_blocks(g1, g2))
+
+
 def test_fac_kernel_single_arrow():
     A2 = a2_quiver()
     g = {"1": 1, "2": 1}
-    got = fac_kernel(A2, g, g)
+    got = standard_fac(A2, g, g)
     expected = Rat(
         1,
         [
@@ -296,19 +308,19 @@ def test_fac_kernel_single_arrow():
 
 def test_fac_kernel_jordan_is_one():
     J = jordan_quiver()
-    assert fac_kernel(J, {"1": 1}, {"1": 1}) == Rat.one()
+    assert standard_fac(J, {"1": 1}, {"1": 1}) == Rat.one()
 
 
 def test_fac_kernel_loop_free_vertex():
     pt = point_quiver()
-    got = fac_kernel(pt, {"1": 1}, {"1": 1})
+    got = standard_fac(pt, {"1": 1}, {"1": 1})
     expected = Rat(1, [(Poly.linear_diff(xvar("1", 2), xvar("1", 1)), -1)])
     assert got == expected
 
 
 def test_cross_is_the_arrow_part_of_fac_kernel(rng):
     """The arrow factor Cross that shuffle_mul takes from _cross is
-    fac_kernel(Q, g1, g2) times the same-vertex differences (x_b - x_a), a
+    standard_fac(Q, g1, g2) times the same-vertex differences (x_b - x_a), a
     in block 1 and b in block 2: the kernel checked above is the one the
     product uses.  Mixed vertices, and vertices with one block empty, both
     occur."""
@@ -320,11 +332,11 @@ def test_cross_is_the_arrow_part_of_fac_kernel(rng):
         g2 = {v: rng.randint(0, 2) for v in Q.vertices}
         if sum(g1[a.source] * g2[a.target] for a in Q.arrows) > 6:
             continue
-        block1, block2 = _standard_blocks(g1, g2)
+        block1, block2 = standard_blocks(g1, g2)
         same = Rat(1, [
             (Poly.linear_diff(vb, va), 1) for v in Q.vertices for va in block1[v] for vb in block2[v]
         ])
-        full = fac_kernel(Q, g1, g2) * same
+        full = standard_fac(Q, g1, g2) * same
         assert full.is_polynomial()
         ranks1, ranks2 = tuple(g1[v] for v in Q.vertices), tuple(g2[v] for v in Q.vertices)
         cross = _cross(ranks1, ranks2, _cross_shape(Q, ranks1, ranks2))
@@ -402,7 +414,7 @@ def _poly_split_term(f, g):
     """The standard split's numerator term multiplied out as a Poly:
     f * g(shifted into block 2) * Vdm(block 1) * Vdm(block 2) * arrows."""
     Q = f.quiver
-    block1, block2 = _standard_blocks(f.gamma, g.gamma)
+    block1, block2 = standard_blocks(f.gamma, g.gamma)
     kernel = Poly.const(1)
     for v in Q.vertices:
         for block in (block1[v], block2[v]):

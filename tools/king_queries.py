@@ -79,9 +79,9 @@ def main(argv=None):
     exists_once, all_representations = scattering._exists_once, scattering._all_representations
     enumerations = 0
 
-    def recording(memo, Q, gamma, kappa, direction, p, limits):
+    def recording(memo, Q, gamma, direction, p):
         queries.append((Q, gamma, direction, p))
-        return exists_once(memo, Q, gamma, kappa, direction, p, limits)
+        return exists_once(memo, Q, gamma, direction, p)
 
     def counting(*a):
         nonlocal enumerations
