@@ -40,6 +40,12 @@ def xvar(vertex, slot):
     return ("x", str(vertex), int(slot))
 
 
+@lru_cache(maxsize=4096)
+def xfactor(var, exp):
+    """The monomial factor (var, exp), one cached tuple like xvar's."""
+    return var, exp
+
+
 def fvar(letter):
     """A one-letter formal variable such as z, u, w."""
     return (str(letter),)
@@ -273,14 +279,6 @@ class Poly(Combination):
                 del out[key]
         return Poly._of(out)
 
-    def negate_var(self, var):
-        """Substitute var -> -var."""
-        out = {}
-        for m, c in self.terms.items():
-            e = dict(m).get(var, 0)
-            out[m] = -c if e % 2 else c
-        return Poly._of(out)
-
     # -- division ---------------------------------------------------------------
 
     def divmod_in(self, var, den):
@@ -375,25 +373,6 @@ class Poly(Combination):
         return out
 
     __repr__ = __str__
-
-
-def residue_at_infinity_poly(num, den, var):
-    """Residue at infinity, in `var`, of num/den: returns -(coefficient of
-    var**-1 in the Laurent expansion at infinity), a polynomial in the
-    remaining variables.
-
-    Requires den's leading coefficient in var to be constant.  With
-    num = q*den + r (deg_var r < deg_var den), the var**-1 coefficient is
-    the var**(d-1)-coefficient of r divided by that leading constant.
-    """
-    if den.is_zero():
-        raise ScopeError("zero denominator")
-    d = den.degree_in(var)
-    if d == 0:
-        return Poly()  # polynomial in var (up to constant den): no residue
-    _, r = num.divmod_in(var, den)
-    lc = den.coeff_of_power(var, d).constant_value()
-    return -r.coeff_of_power(var, d - 1).scale(Fraction(1) / lc)
 
 
 # ---------------------------------------------------------------------------

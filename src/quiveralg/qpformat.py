@@ -33,8 +33,8 @@ only for diagnostics, from the section's table of source offsets.
 A parsed document holds each name once: vertex names, arrow ids, potential
 letters and the document name are interned (sys.intern), so equal names
 in any documents alive at once are one string object; an arrow's source
-and target are the vertex list's own strings; and every variable of every
-element's monomials is the one tuple poly.xvar keeps for it.
+and target are the vertex list's own strings; and every (variable, exponent)
+factor of element monomials is the one tuple poly.xfactor keeps for it.
 """
 
 import re
@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateTermError, PreconditionError, QPParseError
 from .paths import Path, Potential, Sym, cyclic_normal_form, sym_source, sym_target
-from .poly import Poly, xvar
+from .poly import Poly, xfactor, xvar
 from .qp import QuiverWithPotential
 from .quiver import Arrow, Quiver
 from .shuffle import SymPoly
@@ -468,7 +468,7 @@ class _Parser:
         if text[-1] == "*":  # a factor never ends in '*', so the loop took it as a separator
             self.error((sec, ti + len(text) - 1, ti + len(text)), "dangling '*' ends the term")
             return None
-        return (tuple(sorted(exps.items())), coeff) if coeff else None
+        return (tuple(xfactor(v, e) for v, e in sorted(exps.items())), coeff) if coeff else None
 
     def parse_element(self, sec, Q):
         text = sec.text

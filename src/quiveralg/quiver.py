@@ -101,7 +101,8 @@ class Quiver:
 def check_dimvec(Q, g, what="dimension vector"):
     """Validate that g is keyed exactly by Q's vertices, values >= 0."""
     if set(g) != set(Q.vertices):
-        raise DimensionVectorError(f"{what} keys {sorted(g)} != vertices {sorted(Q.vertices)}")
+        keys = sorted(g, key=str)  # keys of mixed types sort as text
+        raise DimensionVectorError(f"{what} keys {keys} != vertices {sorted(Q.vertices)}")
     for v, n in g.items():
         if not isinstance(n, int) or n < 0:
             raise DimensionVectorError(f"{what} entry {v}={n!r} not a non-negative integer")

@@ -121,7 +121,8 @@ class SymPoly:
     def _validate_poly(self):
         gamma = self.gamma
         slots = {}  # vertex -> the variables of its slots that the polynomial holds
-        for v in self._poly.variables():
+        # in the terms' order, so the first bad variable is not the hash seed's
+        for v in dict.fromkeys(v for m in self._poly.terms for v, _ in m):
             if len(v) != 3 or v[0] != "x":
                 raise PreconditionError(f"foreign variable {v!r}")
             _, vertex, slot = v

@@ -1,6 +1,7 @@
 """Command dispatch: exit codes, canonical byte-stable output, suites."""
 
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -68,6 +69,54 @@ def test_contract_showcase_prints_expected_bytes(ex31, capsys):
 def test_output_is_byte_stable(ex31, capsys):
     runs = {run(capsys, "contract", "--arrow", "a0", ex31)[1] for _ in range(3)}
     assert len(runs) == 1
+
+
+SHOWCASE_ELEMENTS = EXAMPLE31 + (
+    "gamma: i+=1,i-=1,1=0,2=0; poly: x[i+,1]*x[i-,1] + 2\n"
+    "gamma: i+=1,i-=1,1=0,2=0; poly: x[i+,1] + 3*x[i-,1]^2\n"
+)
+
+SEED_COMMANDS = (
+    ("contract", "--arrow", "a0"),
+    ("mutate", "--vertex", "1"),
+    ("shuffle-mul",),
+    ("contract-shuffle", "--arrow", "a0"),
+    ("spherical-span", "--gamma", "i+=1,i-=1,1=0,2=0", "--degree", "2"),
+    ("pair",),
+    ("walls", "--max-gamma", "i+=1,i-=1,1=1,2=1"),
+    ("eta-check", "--arrow", "a0", "--max-gamma", "i+=1,1=1,2=1"),
+)
+
+RUN_ALL = """
+import contextlib, io, json, sys
+from quiveralg.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    print(code, repr(out.getvalue()))
+"""
+
+
+def test_cli_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Each command's exit code and stdout on the showcase document with two
+    rank-(1,1) elements, and `verify hopf`, are the same under hash seeds 0
+    and 1: set order must never reach the output."""
+    doc = tmp_path / "showcase.qp"
+    doc.write_text(SHOWCASE_ELEMENTS)
+    argvs = [[*c, str(doc)] for c in SEED_COMMANDS] + [["verify", "hopf"]]
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", RUN_ALL, json.dumps(argvs)],
+            capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+                 "PYTHONHASHSEED": seed},
+        ).stdout.splitlines()
+        for seed in ("0", "1")
+    ]
+    assert len(runs[0]) == len(argvs)
+    assert all(line.startswith("0 '") for line in runs[0])
+    assert runs[0] == runs[1]
 
 
 def test_contract_unknown_arrow_is_precondition(ex31, capsys):
@@ -258,6 +307,35 @@ def test_pair(pairq, capsys):
     code, out, _ = run(capsys, "pair", pairq)
     assert code == 0
     assert out == "pair: 0\n"
+
+
+PAIR_CASES = {
+    "rank_0": ("gamma: 1=0,2=0; poly: 3\ngamma: 1=0,2=0; poly: -1/2\n", 0, "pair: -3/2\n", ""),
+    "unequal_ranks": (
+        "gamma: 1=1,2=0; poly: x[1,1]\ngamma: 1=0,2=1; poly: x[2,1] + 1\n", 0, "pair: 0\n", ""
+    ),
+    "one_slot": ("gamma: 1=1,2=0; poly: x[1,1]^2 + 1\ngamma: 1=1,2=0; poly: 2\n", 0, "pair: 0\n", ""),
+    "two_slots_one_vertex": (
+        "gamma: 1=0,2=2; poly: x[2,1] + x[2,2]\ngamma: 1=0,2=2; poly: x[2,1]*x[2,2]\n",
+        0, "pair: 0\n", "",
+    ),
+    "three_slots": (
+        "gamma: 1=2,2=1; poly: 1\ngamma: 1=2,2=1; poly: x[2,1]\n", 4, "",
+        "error: polynomial pairing implemented for blocks of at most two slots\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_pair_branches(case, tmp_path, capsys):
+    """The other branches of the block pairing (test_pair has two slots on
+    two vertices): the product of the constants at rank 0, 0 at unequal
+    ranks and at equal ranks of one or two slots, and a scope refusal
+    (exit 4) from three slots on."""
+    elements, want_code, want_out, want_err = PAIR_CASES[case]
+    f = tmp_path / "pair.qp"
+    f.write_text("quiver pairq\nvertices: 1, 2\narrows: a: 1 -> 2\n" + elements)
+    assert run(capsys, "pair", str(f)) == (want_code, want_out, want_err)
 
 
 def test_missing_elements_is_precondition(ex31, capsys):

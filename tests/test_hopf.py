@@ -29,7 +29,7 @@ from quiveralg.hopf import (
     psi_action_ratio,
     skew_pairing,
 )
-from quiveralg.poly import Poly, Rat, residue_at_infinity_poly, xvar
+from quiveralg.poly import Poly, Rat, xvar
 from quiveralg.quiver import Arrow, Quiver
 from quiveralg.shuffle import SymPoly
 
@@ -40,7 +40,6 @@ from conftest import (
     point_quiver,
     random_dimvec,
     random_quiver,
-    random_sympoly,
     showcase_qp,
 )
 
@@ -304,23 +303,7 @@ def test_antipode_equal_sector_sign():
 
 
 # ---------------------------------------------------------------------------
-# residues and pairing
-
-
-def test_residue_conventions():
-    def residue(h):
-        return residue_at_infinity_poly(h.num(), h.den(), ZVAR).constant_value()
-
-    zp = Poly.var(ZVAR)
-    assert residue(Rat(1, [(zp, -1)])) == Fraction(-1)
-    assert residue(Rat.from_poly(zp * zp + 3)) == 0
-    shifted = Rat(1, [(Poly.linear_diff(ZVAR, xvar("1", 1)), -1)])
-    assert residue(shifted) == Fraction(-1)
-    assert residue(Rat(1, [(zp, -2)])) == 0
-    ratio = Rat(1, [(zp, 2)]) / Rat.from_poly(
-        zp * zp * zp - Poly.const(1)
-    )
-    assert residue(ratio) == Fraction(-1)
+# pairing
 
 
 def test_pairing_units_rank_one_vanishes():
@@ -373,8 +356,8 @@ def _random_two_var(rng, u, v):
 
 
 # ---------------------------------------------------------------------------
-# reference kernels: each fac(A|B) and the block pairing written out by hand,
-# one formula per shape, as the independent slow path for the shared kernel
+# reference kernels: each fac(A|B) written out by hand, one formula per
+# shape, as the independent slow path for the shared kernel
 
 
 def _ref_counts(Q):
@@ -417,43 +400,6 @@ def _ref_fac_single_single(Q, k, l, vk, vl):
     e_l = {v: 1 if v == l else 0 for v in Q.vertices}
     r = _ref_fac_distinguished_block(Q, k, e_l, vk)
     return r.rename_vars({xvar(l, 1): vl})
-
-
-def _ref_pair_block_polys(f, g, residue):
-    """The block pairing, one hand-written branch per supported shape;
-    `residue` is residue_at_infinity_poly, passed in so its calls can be
-    recorded."""
-    total = sum(f.gamma.values())
-    support = [v for v in f.quiver.vertices if f.gamma[v]]
-    if total == 0:
-        return f.poly.constant_value() * g.poly.constant_value()
-    counts = _ref_counts(f.quiver)
-    if total == 1:
-        (i,) = support
-        xi = xvar(i, 1)
-        return residue(f.poly * g.poly.negate_var(xi), Poly.const(1), xi).constant_value()
-    if total == 2 and len(support) == 2:
-        u, v = support
-        xu, xv = xvar(u, 1), xvar(v, 1)
-        num = f.poly * g.poly.negate_var(xu).negate_var(xv)
-        fac = Rat.one()
-        if counts.get((u, v), 0):
-            fac = fac * Rat(1, [(Poly.linear_diff(xv, xu), counts[(u, v)])])
-        if counts.get((v, u), 0):
-            fac = fac * Rat(1, [(Poly.linear_diff(xu, xv), counts[(v, u)])])
-        integrand = Rat.from_poly(num) / fac
-        first = residue(integrand.num(), integrand.den(), xu)
-        return residue(first, Poly.const(1), xv).constant_value()
-    if total == 2 and len(support) == 1:
-        (i,) = support
-        x1, x2 = xvar(i, 1), xvar(i, 2)
-        num = f.poly * g.poly.negate_var(x1).negate_var(x2)
-        r = counts.get((i, i), 0)
-        fac = Rat(1, [(Poly.linear_diff(x2, x1), r - 1), (Poly.linear_diff(x1, x2), r - 1)])
-        integrand = (Rat.from_poly(num) / fac) * Fraction(1, 2)
-        first = residue(integrand.num(), integrand.den(), x1)
-        return residue(first, Poly.const(1), x2).constant_value()
-    raise ScopeError("polynomial pairing implemented for blocks of at most two slots")
 
 
 def _oracle_quiver(rng, seen):
@@ -499,66 +445,6 @@ def test_generator_pairing_matches_reference_kernel(rng):
         )
         assert skew_pairing(PsiGenerator(Q, k), PhiGenerator(Q, l)) == want
     assert seen == {"loop", "parallel", "2-cycle"}
-
-
-def _pairing_gamma(rng, Q, shape):
-    gamma = {v: 0 for v in Q.vertices}
-    if shape == "two vertices":
-        u, v = rng.sample(Q.vertices, 2)
-        gamma[u] = gamma[v] = 1
-    elif shape == "three slots":
-        for _ in range(3):
-            gamma[rng.choice(Q.vertices)] += 1
-    elif shape != "rank 0":
-        gamma[rng.choice(Q.vertices)] = {"one slot": 1, "two slots": 2}[shape]
-    return gamma
-
-
-def test_block_pairing_matches_reference(rng, monkeypatch):
-    """Every residue the pairing takes (its input num/den and variable) and
-    its value equal the hand-written reference's, so the comparison sees
-    the integrand and the first residue, not only the final value."""
-    from quiveralg import hopf
-
-    calls = []
-
-    def recording(num, den, var):
-        out = residue_at_infinity_poly(num, den, var)
-        calls.append((num, den, var))
-        return out
-
-    monkeypatch.setattr(hopf, "residue_at_infinity_poly", recording)
-    seen = set()
-    nonzero_first = 0
-    shapes = ("rank 0", "one slot", "two slots", "two vertices", "three slots")
-    for n in range(150):
-        shape = shapes[n % len(shapes)]
-        Q = _oracle_quiver(rng, seen)
-        if shape == "two vertices" and len(Q.vertices) < 2:
-            continue
-        gamma = _pairing_gamma(rng, Q, shape)
-        f = random_sympoly(rng, Q, gamma, max_deg=4, nterms=3)
-        g = random_sympoly(rng, Q, gamma, max_deg=4, nterms=3)
-        if shape == "three slots":
-            with pytest.raises(ScopeError, match="at most two slots"):
-                skew_pairing(f, g)
-            continue
-        del calls[:]
-        got = skew_pairing(f, g)
-        new_calls = list(calls)
-        del calls[:]
-        want = _ref_pair_block_polys(f, g, recording)
-        assert got == want
-        if shape == "rank 0":
-            assert got == f.poly.constant_value() * g.poly.constant_value()
-        assert len(new_calls) == len(calls) == sum(gamma.values())
-        for (num, den, var), (rnum, rden, rvar) in zip(new_calls, calls):
-            assert var == rvar
-            assert num * rden == rnum * den
-        if len(calls) == 2 and not calls[1][0].is_zero():
-            nonzero_first += 1
-    assert seen == {"loop", "parallel", "2-cycle"}
-    assert nonzero_first > 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from quiveralg.errors import InternalConsistencyError
 from quiveralg.hopf import PsiWord, TensorElement
 from quiveralg.paths import CyclicWord, NCPoly, Path, Potential, Sym
-from quiveralg.poly import Poly, Rat, fvar, residue_at_infinity_poly, var_str, xvar
+from quiveralg.poly import Poly, Rat, fvar, var_str, xvar
 
 
 X1 = xvar("1", 1)
@@ -40,13 +40,6 @@ def test_rename_merges_exponents():
     p = Poly.var(X1) * Poly.var(X2)
     q = p.rename_vars({X2: X1})
     assert q == Poly.var(X1) ** 2
-
-
-def test_eval_and_negate():
-    p = Poly.var(X1) ** 2 + Poly.var(X2)
-    assert p.negate_var(X1) == p
-    q = Poly.var(X1) ** 3
-    assert q.negate_var(X1) == -q
 
 
 def test_divide_linear_exact():
@@ -92,31 +85,6 @@ def test_division_roundtrip(coeffs):
     else:
         with pytest.raises(InternalConsistencyError):
             p.divide_linear(X2, X1)
-
-
-def test_residue_at_infinity_basics():
-    x = fvar("x")
-    one = Poly.const(1)
-    # 1/x -> -1
-    assert residue_at_infinity_poly(one, Poly.var(x), x) == Poly.const(-1)
-    # polynomials have no residue
-    assert residue_at_infinity_poly(Poly.var(x) ** 2 + 3, one, x) == Poly.zero()
-    # 1/(x-a) -> -1
-    a = fvar("a")
-    assert residue_at_infinity_poly(one, Poly.linear_diff(x, a), x) == Poly.const(-1)
-
-
-def test_residue_iterated_poly_over_linear():
-    """Residue in x+ of P/(x- - x+) equals P with x+ set to x-; the outer
-    residue of the resulting polynomial vanishes."""
-    xp, xm = xvar("i+", 1), xvar("i-", 1)
-    P = Poly.var(xp) ** 2 * Poly.var(xm) + 5 * Poly.var(xp)
-    den = Poly.linear_diff(xm, xp)
-    inner = residue_at_infinity_poly(P, den, xp)
-    # hand expansion: 1/(xm-xp) = -1/xp - xm/xp^2 - ..., so the xp^{-1}
-    # coefficient of P/(xm-xp) is -P(xm,xm); residue negates it again.
-    assert inner == P.rename_vars({xp: xm})
-    assert residue_at_infinity_poly(inner, Poly.const(1), xm) == Poly.zero()
 
 
 def test_rat_factored_cancellation():

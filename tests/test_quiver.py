@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quiveralg.errors import DimensionVectorError, PreconditionError
+from quiveralg.poly import Poly
 from quiveralg.quiver import (
     Arrow,
     Quiver,
@@ -16,6 +17,7 @@ from quiveralg.quiver import (
     double_quiver,
     euler_form,
 )
+from quiveralg.shuffle import SymPoly
 
 from conftest import a2_quiver, jordan_quiver, random_dimvec, random_quiver
 
@@ -23,6 +25,18 @@ from conftest import a2_quiver, jordan_quiver, random_dimvec, random_quiver
 def test_euler_form_a2_off_diagonal():
     Q = a2_quiver()
     assert euler_form(Q, {"1": 1, "2": 0}, {"1": 0, "2": 1}) == -1
+
+
+def test_mixed_key_types_are_a_dimension_vector_error():
+    """Keys that do not sort together (an int and a str) still give the
+    typed error; sorting them for the message raised a bare TypeError."""
+    Q = a2_quiver()
+    mixed = {1: 1, "a": 0}
+    message = r"keys \[1, 'a'\] != vertices \['1', '2'\]"
+    with pytest.raises(DimensionVectorError, match=message):
+        euler_form(Q, mixed, {"1": 0, "2": 1})
+    with pytest.raises(DimensionVectorError, match=message):
+        SymPoly(Q, mixed, Poly.const(1))
 
 
 def test_euler_form_jordan_vanishes():

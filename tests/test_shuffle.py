@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from operator import add
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +88,39 @@ def test_sympoly_rejects_out_of_range_slot():
     J = jordan_quiver()
     with pytest.raises(PreconditionError):
         SymPoly(J, {"1": 1}, x("1", 2))
+
+
+FOUR_BAD_VARIABLES = """
+from quiveralg.errors import PreconditionError
+from quiveralg.poly import Poly, fvar, xvar
+from quiveralg.quiver import Quiver
+from quiveralg.shuffle import SymPoly
+
+Q = Quiver(["a", "b", "c"], [("x", "a", "b")])
+poly = Poly.zero()
+for v in (xvar("a", 5), xvar("b", 7), xvar("zz", 1), fvar("y")):
+    poly = poly + Poly.var(v)
+try:
+    SymPoly(Q, {"a": 1, "b": 1, "c": 0}, poly)
+except PreconditionError as exc:
+    print(exc)
+"""
+
+
+def test_first_bad_variable_does_not_depend_on_the_hash_seed():
+    """With four bad variables, the one reported is the first in the terms'
+    order under every hash seed; walking Poly.variables() (a set) reported
+    a different one under seeds 0, 1 and 3."""
+    src = str(Path(shuffle_module.__file__).parents[1])
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", FOUR_BAD_VARIABLES],
+            capture_output=True, text=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert messages == {"slot 5 out of range 1..1 at vertex 'a'\n"}
 
 
 def test_sympoly_accepts_symmetric():
