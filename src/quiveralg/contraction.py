@@ -23,7 +23,7 @@ from .errors import InternalConsistencyError, PreconditionError, UnsupportedRedu
 from .linalg import GF, QQ, mat_inverse, mat_mul
 from .paths import Path, Potential, Sym, _cancel_cyclic, cyclic_normal_form, least_rotation
 from .qp import QuiverWithPotential, eliminate_pair
-from .quiver import Arrow, Quiver, contraction_ends
+from .quiver import Arrow, Quiver, check_dimvec, contraction_ends
 
 
 def hatted(a, a0_id, i_minus):
@@ -126,32 +126,47 @@ def _contract_qp(qp, a0_id):
     return QuiverWithPotential(Qhat, What, inverted=None), hat_map
 
 
+def _read_matrix(aid, m, p):
+    """The matrix m of arrow aid with every entry read by ``Fraction()``, then
+    over F_p taken mod p; an entry whose denominator p divides is refused."""
+    try:
+        rows = tuple(tuple(map(Fraction, row)) for row in m)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise PreconditionError(f"matrix for {aid} is not rows of rationals: {m!r}") from None
+    if not p:
+        return rows
+    if any(x.denominator % p == 0 for row in rows for x in row):
+        raise PreconditionError(f"matrix for {aid} has a denominator that {p} divides: {m!r}")
+    return tuple(tuple(x.numerator * pow(x.denominator, -1, p) % p for x in row) for row in rows)
+
+
 class Representation:
     """Matrices over QQ or GF(p) attached to the arrows of a quiver; the
     field is its characteristic (``linalg.QQ`` or a prime).
 
     The matrix of an arrow a maps the source space into the target space,
-    so its shape is dims[t(a)] x dims[s(a)].
+    so its shape is dims[t(a)] x dims[s(a)].  It is the one reader of a
+    representation's matrices, for ``contract_rep`` and
+    ``scattering.hn_filtration``: see ``_read_matrix``.
     """
 
     __slots__ = ("field", "dims", "mats")
 
     def __init__(self, field, dims, mats, Q=None):
         self.field = p = field if field == QQ else GF(field)
-        conv = (lambda x: int(x) % p) if p else Fraction
         self.dims = dict(dims)
-        self.mats = {k: tuple(tuple(map(conv, row)) for row in m) for k, m in mats.items()}
+        if not isinstance(mats, dict):
+            got = type(mats).__name__
+            raise PreconditionError(f"representation matrices must be a dict, got {got}")
+        self.mats = {k: _read_matrix(k, m, p) for k, m in mats.items()}
         if Q is not None:
             self.validate(Q)
 
     def validate(self, Q):
-        if set(self.dims) != set(Q.vertices):
-            raise PreconditionError("representation dims not keyed by the vertex set")
-        extra = set(self.mats) - {a.id for a in Q.arrows}
+        check_dimvec(Q, self.dims, "representation dims")
+        extra = sorted(set(self.mats) - {a.id for a in Q.arrows}, key=str)
         if extra:
-            raise PreconditionError(
-                f"matrices for arrows the quiver does not have: {sorted(extra)}"
-            )
+            raise PreconditionError(f"matrices for arrows the quiver does not have: {extra}")
         for a in Q.arrows:
             m = self.mats.get(a.id)
             if m is None:
@@ -172,6 +187,8 @@ def contract_rep(qp, a0_id, M):
     """
     Q = qp.quiver
     ip, im = contraction_ends(Q, a0_id)
+    if not isinstance(M, Representation):
+        raise PreconditionError(f"contract_rep needs a Representation, got {type(M).__name__}")
     M.validate(Q)
     if M.dims[ip] != M.dims[im]:
         raise PreconditionError("M_{a0} is not square: endpoint dimensions differ")

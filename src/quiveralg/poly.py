@@ -478,7 +478,9 @@ class Rat:
         return out
 
     def __pow__(self, n):
-        out = Rat(self.coeff**n) if self.coeff or n >= 0 else Rat(0)
+        if n < 0:
+            return self.inverse() ** -n
+        out = Rat(self.coeff**n)
         if n and not self.is_zero():
             for k, e in self.factors.items():
                 out._mul_factor(self._polys[k], e * n)

@@ -62,7 +62,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .contraction import contract_quiver
+from .contraction import Representation, contract_quiver
 from .errors import InternalConsistencyError, PreconditionError, ScopeError
 from .linalg import in_span, mat_vec, reduce
 from .poly import Combination
@@ -597,28 +597,6 @@ def _check_enumeration_bounds(Q, gamma, p, limits):
         )
 
 
-def _check_representation(Q, gamma, rep, p):
-    """A representation of dimension gamma over F_p is a dict giving every
-    arrow, and nothing else, a gamma[target] x gamma[source] matrix with
-    entries in range(p)."""
-    ids = [a.id for a in Q.arrows]
-    if not isinstance(rep, dict) or set(rep) != set(ids):
-        got = sorted(rep) if isinstance(rep, dict) else type(rep).__name__
-        raise PreconditionError(
-            f"representation must give a matrix for each of the arrows {ids}, got {got}"
-        )
-    for aid, si, ti in _arrow_slots(Q):
-        M, rows, cols = rep[aid], gamma[ti], gamma[si]
-        try:
-            shaped = len(M) == rows and all(len(row) == cols for row in M)
-        except TypeError:
-            shaped = False
-        if not shaped:
-            raise PreconditionError(f"arrow {aid!r} needs a {rows}x{cols} matrix, got {M!r}")
-        if not all(isinstance(x, int) and 0 <= x < p for row in M for x in row):
-            raise PreconditionError(f"arrow {aid!r} has an entry outside range({p}): {M!r}")
-
-
 def _all_representations(slots, gamma, p):
     """Every representation of dimension gamma over F_p as {arrow id:
     matrix}, for the arrows ``slots`` (see ``_arrow_slots``), generated
@@ -794,12 +772,13 @@ def hn_filtration(Q, gamma, rep, kappa, p, *, limits=LIMITS):
 
     Returns ((slope, dimension tuple), ...) for the filtration quotients,
     top slope first; computed by repeatedly taking the subrepresentation
-    maximizing (kappa(F)/|F|, |F|) and passing to the quotient.
+    maximizing (kappa(F)/|F|, |F|) and passing to the quotient.  ``rep``
+    is read by ``contraction.Representation`` once the scope is checked.
     """
     gamma = _gamma_tuple(Q, gamma)
     kappa = _vec(Q, kappa)
-    _check_representation(Q, gamma, rep, p)
     _check_scope(gamma, p, limits)
+    rep = Representation(p, dict(zip(Q.vertices, gamma)), rep, Q=Q).mats
     tuples = math.prod(_subspace_count(g, p) for g in gamma)
     if tuples > limits.max_enumeration:
         raise ScopeError(

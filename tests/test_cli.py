@@ -100,11 +100,13 @@ for argv in json.loads(sys.argv[1]):
 
 def test_cli_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     """Each command's exit code and stdout on the showcase document with two
-    rank-(1,1) elements, and `verify hopf`, are the same under hash seeds 0
-    and 1: set order must never reach the output."""
+    rank-(1,1) elements, and every `verify` suite, are the same under hash
+    seeds 0 and 1: set order must never reach the output."""
     doc = tmp_path / "showcase.qp"
     doc.write_text(SHOWCASE_ELEMENTS)
-    argvs = [[*c, str(doc)] for c in SEED_COMMANDS] + [["verify", "hopf"]]
+    suites = [["verify", suite] for suite in sorted(cli.SUITES)]
+    assert len(suites) == 7
+    argvs = [[*c, str(doc)] for c in SEED_COMMANDS] + suites
     runs = [
         subprocess.run(
             [sys.executable, "-c", RUN_ALL, json.dumps(argvs)],

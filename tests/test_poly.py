@@ -8,7 +8,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, strategies as st
 
-from quiveralg.errors import InternalConsistencyError
+from quiveralg.errors import InternalConsistencyError, ScopeError
 from quiveralg.hopf import PsiWord, TensorElement
 from quiveralg.paths import CyclicWord, NCPoly, Path, Potential, Sym
 from quiveralg.poly import Poly, Rat, fvar, var_str, xvar
@@ -96,6 +96,48 @@ def test_rat_factored_cancellation():
     assert s.num() == d1 and s.den() == Poly.const(1)
 
 
+def _rat_example():
+    """3/2 (x12 - x11)^2 / (x21 - x11): a square numerator factor, a
+    denominator factor, and a coefficient."""
+    return Rat(Fraction(3, 2), [(Poly.linear_diff(X2, X1), 2), (Poly.linear_diff(Y1, X1), -1)])
+
+
+def test_rat_power_is_repeated_product_and_inverse():
+    """A negative power is the power of the inverse, power 0 is one and a
+    positive power is the repeated product, factor by factor; the zero
+    function has no negative power (it once returned 0)."""
+    r = _rat_example()
+    inv = r.inverse()
+    for got, want in ((r**-2, inv * inv), (r**0, Rat.one()), (r**3, r * r * r)):
+        assert (got.coeff, got.factors) == (want.coeff, want.factors)
+        assert got == want
+    assert Rat.zero() ** 0 == Rat.one() and Rat.zero() ** 2 == Rat.zero()
+    for n in (-1, -3):
+        with pytest.raises(ScopeError, match="inverse of zero rational function"):
+            Rat.zero() ** n
+
+
+def test_rat_str():
+    assert str(Rat.zero()) == "0"
+    assert str(Rat(Fraction(-2, 3))) == "-2/3"
+    assert str(Rat(2, [(Poly.linear_diff(X1, X2), 1)])) == "2*x[1,1] - 2*x[1,2]"
+    r = _rat_example()
+    assert str(r) == "(-3/2*x[1,1]^2 + 3*x[1,1]*x[1,2] - 3/2*x[1,2]^2) / (x[1,1] - x[2,1])"
+    assert repr(r) == str(r)
+
+
+def test_rat_hash():
+    """Equal functions built from differently ordered or signed factors hash
+    alike, so a set keeps one of them."""
+    a = _rat_example()
+    d, e = Poly.linear_diff(X2, X1), Poly.linear_diff(Y1, X1)
+    b = Rat(Fraction(3, 2), [(e, -1), (d, 1), (d, 1)])
+    c = Rat(Fraction(-3, 2), [(Poly.linear_diff(X1, X2), 2), (Poly.linear_diff(X1, Y1), -1)])
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert hash(Rat(2)) == hash(Rat.from_poly(Poly.const(2)))
+    assert len({a, b, c, Rat.one(), Rat(1)}) == 2
+
+
 def test_rat_sign_normalization():
     a = Rat.from_poly(Poly.linear_diff(X2, X1))
     b = Rat.from_poly(Poly.linear_diff(X1, X2))
@@ -107,8 +149,6 @@ def test_rat_substitution_zero_and_error():
     d = Poly.linear_diff(X2, X1)
     r = Rat.from_poly(d)
     assert r.rename_vars({X2: X1}).is_zero()
-    from quiveralg.errors import ScopeError
-
     with pytest.raises(ScopeError):
         r.inverse().rename_vars({X2: X1})
 

@@ -7,7 +7,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from quiveralg.contraction import Representation
 from quiveralg.errors import DimensionVectorError, PreconditionError
+from quiveralg.linalg import GF
 from quiveralg.poly import Poly
 from quiveralg.quiver import (
     Arrow,
@@ -37,6 +39,17 @@ def test_mixed_key_types_are_a_dimension_vector_error():
         euler_form(Q, mixed, {"1": 0, "2": 1})
     with pytest.raises(DimensionVectorError, match=message):
         SymPoly(Q, mixed, Poly.const(1))
+
+
+def test_mixed_vertex_types_are_a_dimension_vector_error():
+    """Vertex names that do not sort together (an int and a str) give the
+    typed error, through euler_form and through Representation.validate;
+    sorting the vertices for the message raised a bare TypeError."""
+    Q = Quiver([1, "a"], [])
+    with pytest.raises(DimensionVectorError, match=r"keys \[1\] != vertices \[1, 'a'\]"):
+        euler_form(Q, {1: 1}, {1: 1, "a": 0})
+    with pytest.raises(DimensionVectorError, match=r"representation dims keys \[1\] != vertices"):
+        Representation(GF(2), {1: 1}, {}, Q=Q)
 
 
 def test_euler_form_jordan_vanishes():

@@ -1038,27 +1038,28 @@ def test_bad_stability_vectors_raise_precondition_errors():
 
 
 def test_hn_filtration_validates_the_representation_before_searching(monkeypatch):
+    """Malformed matrices are refused by ``contraction.Representation``
+    before any search; integer entries outside range(p) are read mod p."""
+
     def no_search(*args, **kwargs):
         raise AssertionError("searched")
 
     monkeypatch.setattr(scattering, "_stable_tuples", no_search)
     bad = [
-        ({}, "each of the arrows"),  # no matrix for a
-        ({"a": ((1,),), "b": ((1,),)}, "each of the arrows"),  # no arrow b
-        ({"a": ((1, 0),)}, "needs a 1x1 matrix"),
-        ({"a": ()}, "needs a 1x1 matrix"),
-        ({"a": 5}, "needs a 1x1 matrix"),
-        ({"a": ((5,),)}, "outside range"),
-        ({"a": ((-1,),)}, "outside range"),
-        ({"a": ((Fraction(1),),)}, "outside range"),
-        ([("a", ((1,),))], "each of the arrows"),
+        ({}, "no matrix for arrow a"),
+        ({"a": ((1,),), "b": ((1,),)}, r"arrows the quiver does not have: \['b'\]"),
+        ({"a": ((1, 0),)}, "matrix for a is not 1x1"),
+        ({"a": ()}, "matrix for a is not 1x1"),
+        ({"a": 5}, "matrix for a is not rows of rationals"),
+        ([("a", ((1,),))], "must be a dict, got list"),
     ]
     for rep, message in bad:
         with pytest.raises(PreconditionError, match=message):
             hn_filtration(A2, (1, 1), rep, (1, -1), 2)
-    with pytest.raises(PreconditionError, match="outside range"):
-        hn_filtration(A2, (1, 1), {"a": ((2,),)}, (1, -1), 2)
     monkeypatch.undo()
+    for entry, reduced in ((5, 1), (-1, 1), (Fraction(1), 1), (2, 0)):
+        got = hn_filtration(A2, (1, 1), {"a": ((entry,),)}, (1, -1), 2)
+        assert got == hn_filtration(A2, (1, 1), {"a": ((reduced,),)}, (1, -1), 2)
     assert hn_filtration(A2, (1, 1), {"a": [[2]]}, (1, -1), 3) == ((Fraction(0), (1, 1)),)
 
 
