@@ -154,7 +154,7 @@ class Representation:
 
     def __init__(self, field, dims, mats, Q=None):
         self.field = p = field if field == QQ else GF(field)
-        self.dims = dict(dims)
+        self.dims = dict(dims) if Q is None else dims  # validate reads them
         if not isinstance(mats, dict):
             got = type(mats).__name__
             raise PreconditionError(f"representation matrices must be a dict, got {got}")
@@ -163,7 +163,7 @@ class Representation:
             self.validate(Q)
 
     def validate(self, Q):
-        check_dimvec(Q, self.dims, "representation dims")
+        self.dims = check_dimvec(Q, self.dims, "representation dims")
         extra = sorted(set(self.mats) - {a.id for a in Q.arrows}, key=str)
         if extra:
             raise PreconditionError(f"matrices for arrows the quiver does not have: {extra}")

@@ -11,16 +11,16 @@ class QuiverAlgError(Exception):
     exit_code = 1
 
 
-class DimensionVectorError(QuiverAlgError):
-    """A dimension/framing vector is not keyed by the quiver's vertex set."""
-
-    exit_code = 3
-
-
 class PreconditionError(QuiverAlgError):
     """An operation's stated precondition does not hold for the input."""
 
     exit_code = 3
+
+
+class DimensionVectorError(PreconditionError):
+    """A dimension/framing vector is not keyed by the quiver's vertex set,
+    has the wrong number of slots, or has an entry that is not a
+    non-negative integer (``quiver.check_dimvec``)."""
 
 
 class UnsupportedReductionError(QuiverAlgError):

@@ -25,7 +25,7 @@ from .errors import (
     ScopeError,
 )
 from .poly import Combination, Poly, fvar, xvar
-from .quiver import check_dimvec, check_equal_rank, contraction_ends
+from .quiver import check_dimvec, check_equal_rank, contraction_ends, read_dims
 from .shuffle import SymPoly, contract_shuffle, fac
 
 ZVAR = fvar("z")
@@ -42,7 +42,7 @@ def psi_action_ratio(Q, i, gamma, var=ZVAR):
     gamma: conjugating a block polynomial multiplies it by
     fac(z|x_{[1,gamma]}) / fac(x_{[1,gamma]}|z), returned as a factored
     rational function in z and the block variables."""
-    check_dimvec(Q, gamma)
+    gamma = check_dimvec(Q, gamma)
     if i not in Q.vertices:
         raise PreconditionError(f"no vertex named {i!r}")
     block = {j: [xvar(j, a) for a in range(1, gamma[j] + 1)] for j in Q.vertices}
@@ -57,7 +57,7 @@ def contraction_ratio_check(Q, a0_id, gamma):
     equal the action ratio of the surviving vertex on the contracted
     quiver.  Returns the truth of that identity of rational functions."""
     ip, im = contraction_ends(Q, a0_id)
-    check_dimvec(Q, gamma)
+    gamma = check_dimvec(Q, gamma)
     check_equal_rank(gamma, ip, im)
     ratio = psi_action_ratio(Q, ip, gamma) * psi_action_ratio(Q, im, gamma)
     ren = {xvar(im, a): xvar(ip, a) for a in range(1, gamma[im] + 1)}
@@ -73,8 +73,8 @@ def localization_denominator(Q, g1, g2):
     (i, j), the factors (x[j,alpha2] - x[i,alpha1]) with alpha1 running
     through the first g1[i] slots at i and alpha2 through the g2[j] slots
     stacked after the first g1[j] at j.  No arrow multiplicities enter."""
-    check_dimvec(Q, g1)
-    check_dimvec(Q, g2)
+    g1 = check_dimvec(Q, g1)
+    g2 = check_dimvec(Q, g2)
     out = Poly.const(1)
     for i in Q.vertices:
         for j in Q.vertices:
@@ -450,6 +450,7 @@ def normalization_collapse_check(Q, a0_id, k, block_poly):
     from itertools import permutations
 
     ip, im = contraction_ends(Q, a0_id)
+    (k,) = read_dims(k, (k,), "block rank")  # k = gamma[i+] = gamma[i-]
     allowed = {xvar(ip, a) for a in range(1, k + 1)}
     if not set(block_poly.variables()) <= allowed:
         raise PreconditionError(

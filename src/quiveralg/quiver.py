@@ -4,10 +4,17 @@ A quiver is a finite directed multigraph.  Vertices and arrows are
 identified by strings; the vertex order is fixed at construction and all
 canonical printing depends on it.  The arrow-count matrix a_ij is computed
 on demand from the arrow list, never stored.
+
+This module also holds the readers of numeric input that every layer calls:
+``check_dimvec`` for dimension vectors (``read_dims`` for their entries),
+``read_int`` for integer arguments and ``read_rationals``/``read_rational``
+for exact rationals.  Each refuses a bad value with a typed error.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DimensionVectorError, PreconditionError
@@ -42,7 +49,12 @@ class Quiver:
         arrs = []
         for a in arrows:
             if not isinstance(a, Arrow):
-                a = Arrow(*a)
+                try:
+                    a = Arrow(*a)
+                except TypeError:
+                    raise PreconditionError(
+                        f"arrow {a!r} is not an (id, source, target) triple"
+                    ) from None
             if a.source not in vset or a.target not in vset:
                 raise PreconditionError(
                     f"arrow {a.id}: endpoint not a vertex ({a.source} -> {a.target})"
@@ -98,20 +110,102 @@ class Quiver:
         return pairs
 
 
+def _integer(x):
+    """x as an int when it is an integer (equal to its ``int``: 2,
+    ``2.0``, ``Fraction(4, 2)``, ``True``), else None."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if n == x else None
+
+
+def read_int(x, what):
+    """An integer argument (a degree, a truncation) as an int, by
+    the entry rule of dimension vectors but with any sign."""
+    n = _integer(x)
+    if n is None:
+        raise PreconditionError(f"{what} {x!r} is not an integer")
+    return n
+
+
+def read_dims(g, values, what="dimension vector"):
+    """The entries ``values`` of the dimension vector ``g`` as a tuple of
+    ints: each must be an integer (see ``_integer``) and non-negative."""
+    t = tuple(values)
+    for n in t:
+        if type(n) is not int or n < 0:
+            break
+    else:
+        return t
+    t = tuple(map(_integer, t))
+    if None in t:
+        raise DimensionVectorError(f"{what} {g} has an entry that is not an integer")
+    if any(n < 0 for n in t):
+        raise DimensionVectorError(f"{what} {g} has a negative entry")
+    return t
+
+
 def check_dimvec(Q, g, what="dimension vector"):
-    """Validate that g is keyed exactly by Q's vertices, values >= 0."""
-    if set(g) != set(Q.vertices):
-        keys = sorted(g, key=str)  # keys and vertices of mixed types sort as text
-        raise DimensionVectorError(f"{what} keys {keys} != vertices {sorted(Q.vertices, key=str)}")
-    for v, n in g.items():
-        if not isinstance(n, int) or n < 0:
-            raise DimensionVectorError(f"{what} entry {v}={n!r} not a non-negative integer")
+    """The one reader of a dimension (or framing) vector of Q: a dict keyed
+    exactly by Q's vertices, or a sequence in ``Q.vertices`` order, whose
+    entries ``read_dims`` reads.  Returns a new dict of ints, in the key
+    order of a dict argument and in vertex order for a sequence."""
+    if type(g) is dict or isinstance(g, Mapping):
+        if len(g) == len(Q.vertices):  # the common case in one pass: ints at every vertex
+            for v in Q.vertices:
+                n = g.get(v)
+                if type(n) is not int or n < 0:
+                    break
+            else:
+                return dict(g)
+        if g.keys() != set(Q.vertices):
+            keys = sorted(g, key=str)  # keys and vertices of mixed types sort as text
+            raise DimensionVectorError(
+                f"{what} keys {keys} != vertices {sorted(Q.vertices, key=str)}"
+            )
+        return dict(zip(g, read_dims(g, g.values(), what)))
+    try:
+        values = tuple(g)
+    except TypeError:
+        raise DimensionVectorError(f"{what} {g!r} is neither a dict nor a sequence") from None
+    if len(values) != len(Q.vertices):
+        raise DimensionVectorError(
+            f"{what} {g} has {len(values)} slots, quiver has {len(Q.vertices)} vertices"
+        )
+    return dict(zip(Q.vertices, read_dims(g, values, what)))
+
+
+def _rational(x):
+    return x if type(x) is int else Fraction(x)
+
+
+_NOT_RATIONAL = (TypeError, ValueError, OverflowError, ZeroDivisionError)
+
+
+def read_rational(x, what):
+    """The one reader of exact rational input: an int as it is, anything
+    else through ``Fraction()``; a value that is not rational (``"x"``,
+    ``None``, nan, inf, ``"1/0"``) raises ``PreconditionError``."""
+    try:
+        return _rational(x)
+    except _NOT_RATIONAL as exc:
+        raise PreconditionError(f"{what} {x!r} is not rational: {exc}") from None
+
+
+def read_rationals(v, values, what="vector"):
+    """``read_rational`` on each of ``values``, the entries of the vector
+    ``v``, as a tuple."""
+    try:
+        return tuple(map(_rational, values))
+    except _NOT_RATIONAL as exc:
+        raise PreconditionError(f"{what} {v} has an entry that is not rational: {exc}") from None
 
 
 def euler_form(Q, g1, g2):
     """Euler form  -sum_{i,j} a_ij g1^i g2^j + sum_i g1^i g2^i  (exact int)."""
-    check_dimvec(Q, g1)
-    check_dimvec(Q, g2)
+    g1 = check_dimvec(Q, g1)
+    g2 = check_dimvec(Q, g2)
     total = sum(g1[v] * g2[v] for v in Q.vertices)
     for a in Q.arrows:
         total -= g1[a.source] * g2[a.target]
@@ -159,8 +253,8 @@ def contract_vectors(Q, a0_id, g, w):
     w^{i0} = w^{i+} + w^{i-}.
     """
     ip, im = contraction_ends(Q, a0_id)
-    check_dimvec(Q, g)
-    check_dimvec(Q, w, what="framing vector")
+    g = check_dimvec(Q, g)
+    w = check_dimvec(Q, w, what="framing vector")
     check_equal_rank(g, ip, im)
     ghat = {v: g[v] for v in Q.vertices if v != im}
     what = {v: w[v] for v in Q.vertices if v != im}

@@ -8,7 +8,9 @@ Conventions used throughout this module:
   integers / rationals aligned with ``Q.vertices`` order (the operations
   that relate two different quivers -- ``eta_embed``, ``lift_gamma`` --
   use vertex-keyed dicts instead, to keep the slot correspondence
-  explicit).
+  explicit).  A gamma is read by ``quiver.check_dimvec`` (``read_dims``
+  for ``lift_gamma``), a kappa and every other rational input by
+  ``quiver.read_rationals``.
 - Quantum torus elements are finite sums of symbols e_gamma with
   coefficients that are Laurent polynomials in a formal square root L½ of
   the weight symbol, stored as one ``poly.Combination`` keyed by
@@ -66,7 +68,15 @@ from .contraction import Representation, contract_quiver
 from .errors import InternalConsistencyError, PreconditionError, ScopeError
 from .linalg import in_span, mat_vec, reduce
 from .poly import Combination
-from .quiver import contraction_ends, euler_form
+from .quiver import (
+    check_dimvec,
+    contraction_ends,
+    euler_form,
+    read_dims,
+    read_int,
+    read_rational,
+    read_rationals,
+)
 
 DEFAULT_KPARAM_GRID = (
     Fraction(1, 4),
@@ -99,7 +109,8 @@ LIMITS = Limits()
 
 
 def _by_vertices(Q, vec):
-    """Accept a vertex-keyed mapping alongside plain sequences."""
+    """A stability vector given as a vertex-keyed mapping, as a sequence in
+    ``Q.vertices`` order; a sequence is returned as it is."""
     if not isinstance(vec, dict):
         return vec
     missing = [v for v in Q.vertices if v not in vec]
@@ -113,10 +124,7 @@ def _by_vertices(Q, vec):
 
 def _vec(Q, v):
     """A rational vector: int entries as they are, the others as Fractions."""
-    try:
-        t = tuple(x if type(x) is int else Fraction(x) for x in _by_vertices(Q, v))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise PreconditionError(f"vector {v} has an entry that is not rational: {exc}") from None
+    t = read_rationals(v, _by_vertices(Q, v))
     if len(t) != len(Q.vertices):
         raise PreconditionError(
             f"vector {v} has {len(t)} slots, quiver has {len(Q.vertices)} vertices"
@@ -124,27 +132,9 @@ def _vec(Q, v):
     return t
 
 
-def _gamma_tuple(Q, gamma):
-    return _dimensions(gamma, tuple(_by_vertices(Q, gamma)), len(Q.vertices))
-
-
-def _dimensions(gamma, entries, slots=None):
-    """The entries of the dimension vector ``gamma`` as ints: each must be
-    an integer (equal to its ``int``) and non-negative, and there must be
-    ``slots`` of them when that is given."""
-    try:
-        t = tuple(map(int, entries))
-    except (TypeError, ValueError, OverflowError):
-        t = None
-    if t != entries:
-        raise PreconditionError(f"dimension vector {gamma} has an entry that is not an integer")
-    if slots is not None and len(t) != slots:
-        raise PreconditionError(
-            f"dimension vector {gamma} has {len(t)} slots, quiver has {slots} vertices"
-        )
-    if any(x < 0 for x in t):
-        raise PreconditionError(f"dimension vector {gamma} has a negative entry")
-    return t
+def _vertex_tuple(Q, g):
+    """The dict g, keyed by Q's vertices, as a tuple in ``Q.vertices`` order."""
+    return tuple(map(g.__getitem__, Q.vertices))
 
 
 def _gamma_dict(Q, t):
@@ -155,10 +145,6 @@ def dot(u, v):
     if len(u) != len(v):
         raise PreconditionError(f"dot of vectors of different lengths: {u} . {v}")
     return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
-
-
-def _chi(Q, g1, g2):
-    return euler_form(Q, _gamma_dict(Q, g1), _gamma_dict(Q, g2))
 
 
 # --------------------------------------------------------------------------
@@ -199,7 +185,11 @@ class QuantumTorusElement(Combination):
 
     def __init__(self, quiver, terms=None):
         super().__init__(
-            {(_gamma_tuple(quiver, g), _half_exponent(h)): c for (g, h), c in terms.items()}
+            {
+                (_vertex_tuple(quiver, check_dimvec(quiver, g)), _half_exponent(h)):
+                    read_rational(c, "coefficient")
+                for (g, h), c in terms.items()
+            }
             if terms else None
         )
         self.quiver = quiver
@@ -222,7 +212,7 @@ class QuantumTorusElement(Combination):
 
     @staticmethod
     def generator(Q, gamma, coeff=1, halfexp=0):
-        return QuantumTorusElement(Q, {(tuple(gamma), halfexp): coeff})
+        return QuantumTorusElement(Q, {(_vertex_tuple(Q, check_dimvec(Q, gamma)), halfexp): coeff})
 
     def scalar_part(self):
         return {h: c for (g, h), c in self.terms.items() if not any(g)}
@@ -266,7 +256,7 @@ def quantum_torus_mul(x, y, k):
     Q = x.quiver
     return x._of(
         Combination.from_pairs(
-            ((tuple(map(operator.add, g1, g2)), h1 + h2 - 2 * _chi(Q, g1, g2)), c1 * c2)
+            ((tuple(map(operator.add, g1, g2)), h1 + h2 - 2 * euler_form(Q, g1, g2)), c1 * c2)
             for (g1, h1), c1 in x.terms.items()
             for (g2, h2), c2 in y.terms.items()
             if sum(g1) + sum(g2) <= k
@@ -288,6 +278,7 @@ def _power_series(x, k, coefficient):
 
 def exp_truncated(x, k):
     """exp of an element with zero scalar part, exact in the truncation."""
+    k = read_int(k, "truncation")
     if x.scalar_part():
         raise PreconditionError("exp needs a zero scalar part")
     return QuantumTorusElement.one(x.quiver) + _power_series(
@@ -297,6 +288,7 @@ def exp_truncated(x, k):
 
 def log_truncated(g, k):
     """Inverse of exp_truncated on elements with scalar part exactly 1."""
+    k = read_int(k, "truncation")
     if g.scalar_part() != {0: Fraction(1)}:
         raise PreconditionError("log needs scalar part exactly 1")
     return _power_series(
@@ -347,14 +339,15 @@ class GComplex:
                 raise PreconditionError(
                     "wall element lives over a different quiver than the complex"
                 )
-            if not any(w.normal):
+            normal = read_rationals(w.normal, w.normal, "wall normal")
+            if not any(normal):
                 raise PreconditionError("wall normal must be non-zero")
             for g in w.element.support():
                 if sum(g) == 0:
                     raise PreconditionError(
                         f"wall element support {g} is not a positive dimension vector"
                     )
-                if not _parallel_same_direction(g, w.normal):
+                if not _parallel_same_direction(g, normal):
                     raise PreconditionError(
                         f"wall element support {g} is not orthogonal to the wall "
                         f"(not parallel to the normal {w.normal})"
@@ -368,7 +361,7 @@ class PathSpec(NamedTuple):
 
     @staticmethod
     def of(points):
-        pts = tuple(tuple(Fraction(x) for x in p) for p in points)
+        pts = tuple(tuple(map(Fraction, read_rationals(p, p, "breakpoint"))) for p in points)
         if len(pts) < 2:
             raise PreconditionError("a path needs at least two breakpoints")
         n = len(pts[0])
@@ -694,7 +687,7 @@ def king_semistable_exists(Q, gamma, kappa, p, *, limits=LIMITS):
     The witness is the first semistable representation in the order of
     ``_all_representations``.  Each representation is searched only for
     subrepresentations whose dimension vector destabilizes."""
-    gamma = _gamma_tuple(Q, gamma)
+    gamma = _vertex_tuple(Q, check_dimvec(Q, gamma))
     kappa = _vec(Q, kappa)
     _, direction = _clear_denominators(kappa)
     if sum(map(operator.mul, direction, gamma)) != 0:
@@ -775,10 +768,11 @@ def hn_filtration(Q, gamma, rep, kappa, p, *, limits=LIMITS):
     maximizing (kappa(F)/|F|, |F|) and passing to the quotient.  ``rep``
     is read by ``contraction.Representation`` once the scope is checked.
     """
-    gamma = _gamma_tuple(Q, gamma)
+    dims = check_dimvec(Q, gamma)
+    gamma = _vertex_tuple(Q, dims)
     kappa = _vec(Q, kappa)
     _check_scope(gamma, p, limits)
-    rep = Representation(p, dict(zip(Q.vertices, gamma)), rep, Q=Q).mats
+    rep = Representation(p, dims, rep, Q=Q).mats
     tuples = math.prod(_subspace_count(g, p) for g in gamma)
     if tuples > limits.max_enumeration:
         raise ScopeError(
@@ -838,7 +832,7 @@ def wall_support_scan(Q, maxgamma, samples, p=2, *, limits=LIMITS):
     The brute-force caps of every gamma that has a projection to search are
     checked before the first search, so an over-cap scan refuses at once,
     with the error of the first such gamma in product order."""
-    maxgamma = _gamma_tuple(Q, maxgamma)
+    maxgamma = _vertex_tuple(Q, check_dimvec(Q, maxgamma))
     samples = [_vec(Q, s) for s in samples]
     # the samples times m, the lcm of all their denominators
     m = math.lcm(*(x.denominator for s in samples for x in s))
@@ -898,15 +892,14 @@ def eta_embed(kappa_hat, i0, ip, im, kparam):
     kappa_hat[i0] splits as kappa_ip = kappa_hat[i0]/(1+kparam),
     kappa_im = kparam*kappa_hat[i0]/(1+kparam), so kappa_ip + kappa_im =
     kappa_hat[i0]."""
-    kparam = Fraction(kparam)
+    kparam = Fraction(read_rational(kparam, "kparam"))
     if 1 + kparam == 0:
         raise PreconditionError("kparam = -1 divides by zero")
     if i0 not in kappa_hat:
         raise PreconditionError(f"kappa_hat has no entry for the merged vertex {i0!r}")
-    kappa = {
-        v: Fraction(x) for v, x in kappa_hat.items() if v != i0
-    }
-    k0 = Fraction(kappa_hat[i0])
+    entries = read_rationals(kappa_hat, kappa_hat.values(), "kappa_hat")
+    kappa = dict(zip(kappa_hat, map(Fraction, entries)))
+    k0 = kappa.pop(i0)
     kappa[ip] = k0 / (1 + kparam)
     kappa[im] = kparam * k0 / (1 + kparam)
     return kappa
@@ -918,7 +911,7 @@ def lift_gamma(gamma_hat, i0, ip, im):
     eta_embed image."""
     if i0 not in gamma_hat:
         raise PreconditionError(f"gamma_hat has no entry for the merged vertex {i0!r}")
-    gamma = dict(zip(gamma_hat, _dimensions(gamma_hat, tuple(gamma_hat.values()))))
+    gamma = dict(zip(gamma_hat, read_dims(gamma_hat, gamma_hat.values())))
     gamma[ip] = gamma[im] = gamma.pop(i0)
     return gamma
 
@@ -941,7 +934,7 @@ def _eta_lift(vertices, hat_vertices, i0, ip, im, kparam):
     ``hat_vertices``.  With kparam = a/b (b > 0), eta_embed(d) times
     |a + b| is: far entries times a + b, i+ takes b * d[i0] and i- takes
     a * d[i0], all times the sign of a + b."""
-    kparam = Fraction(kparam)
+    kparam = Fraction(read_rational(kparam, "kparam"))
     a, b = kparam.numerator, kparam.denominator
     if a + b == 0:
         raise PreconditionError("kparam = -1 divides by zero")

@@ -82,7 +82,7 @@ from .contraction import contract_quiver
 from .errors import InternalConsistencyError, PreconditionError
 from .linalg import QQ, _as_ints, in_span, rref
 from .poly import Poly, Rat, xvar
-from .quiver import check_dimvec, check_equal_rank, contraction_ends
+from .quiver import check_dimvec, check_equal_rank, contraction_ends, read_int, read_rational
 
 INCONCLUSIVE = "inconclusive"
 
@@ -106,11 +106,12 @@ class SymPoly:
     __slots__ = ("quiver", "gamma", "_poly", "_dense")
 
     def __init__(self, quiver, gamma, poly=None, *, dense=None):
-        check_dimvec(quiver, gamma, what="rank vector")
+        self.gamma = check_dimvec(quiver, gamma, what="rank vector")
         self.quiver = quiver
-        self.gamma = dict(gamma)
         if dense is None:
-            self._poly = poly if isinstance(poly, Poly) else Poly.const(poly)
+            self._poly = (
+                poly if isinstance(poly, Poly) else Poly.const(read_rational(poly, "constant"))
+            )
             self._dense = None
             self._validate_poly()
         else:
@@ -598,6 +599,7 @@ def spherical_products(Q, gamma, d):
     """All products of rank-one generator powers of total rank gamma and
     polynomial degree <= d (ordered words, left factor acting first in the
     product notation f1 * f2 * ...)."""
+    d = read_int(d, "degree")
     out = []
     for word, _slots, chi, _factors, _terms in _SchurRows(Q, gamma).words:
         if d + chi < 0:
@@ -658,7 +660,7 @@ class _SchurRows:
     chi(w), are also those of spherical_products."""
 
     def __init__(self, Q, gamma):
-        check_dimvec(Q, gamma, what="rank vector")
+        self.gamma = gamma = check_dimvec(Q, gamma, what="rank vector")
         self.quiver = Q
         offset = _layout(Q.vertices, tuple(gamma[v] for v in Q.vertices)).offset
         self.slices = _vertex_slices(Q, gamma, offset)
@@ -847,8 +849,9 @@ def spherical_span(Q, gamma, d):
     reduced form over monomials, orbit by orbit.  Degrees have disjoint
     monomials, so their reduced rows, merged in order of pivot, are the
     reduced form of the whole span."""
+    d = read_int(d, "degree")
     source = _SchurRows(Q, gamma)
-    slices = source.slices
+    gamma, slices = source.gamma, source.slices
     layout = _layout(Q.vertices, tuple(gamma[v] for v in Q.vertices))
 
     def orbit(s):
@@ -910,8 +913,7 @@ def spherical_membership(f, d=None):
     bound cannot be decided by the truncated span.  f's Schur coordinates
     are tested against the reduced Schur basis of (gamma, d), which is
     reduced once per quiver instance."""
-    if d is None:
-        d = f.poly.total_degree()
+    d = f.poly.total_degree() if d is None else read_int(d, "degree")
     if f.poly.total_degree() > d:
         return INCONCLUSIVE
     if f.poly.is_zero():

@@ -13,7 +13,7 @@ from quiveralg import scattering
 from quiveralg.cli import main
 from quiveralg.errors import PreconditionError, ScopeError
 from quiveralg.linalg import GF, rref
-from quiveralg.quiver import Arrow, Quiver
+from quiveralg.quiver import Arrow, Quiver, check_dimvec
 from quiveralg.scattering import (
     DEFAULT_KPARAM_GRID,
     LIMITS,
@@ -590,7 +590,7 @@ def reference_subrepresentations(Q, gamma, rep, p):
 
 
 def reference_king(Q, gamma, kappa, p, *, limits=LIMITS):
-    gamma = scattering._gamma_tuple(Q, gamma)
+    gamma = tuple(map(check_dimvec(Q, gamma).__getitem__, Q.vertices))
     kappa = tuple(Fraction(k) for k in scattering._by_vertices(Q, kappa))
     value = sum(k * g for k, g in zip(kappa, gamma))
     if value != 0:
